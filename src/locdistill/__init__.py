@@ -31,6 +31,7 @@ from .geometry import (
 from .losses import (
     DistillConfig,
     LossResult,
+    SceneObjective,
     SceneOutputs,
     SceneTruth,
     ce_loss,

@@ -23,6 +23,7 @@ __all__ = [
     "make_grid",
     "generalized_softmax",
     "encode_target",
+    "encode_targets",
     "decode_expectation",
     "flatness",
 ]
@@ -135,24 +136,30 @@ class TwoHotTarget:
         return self.u1 * pts[self.i] + self.u2 * pts[self.i + 1]
 
 
-def encode_target(y: float, grid: BinGrid) -> TwoHotTarget:
-    """Encode ``y`` as two-hot weights on its bracketing grid endpoints.
+def encode_targets(y, grid: BinGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode an array of targets as two-hot weights on their bracketing
+    grid endpoints: returns the left indices and the weights ``u1``, ``u2``,
+    each shaped like ``y``.
 
     Out-of-range targets raise (no clamping; silently clamping would mask
     generator bugs upstream).
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"target must be finite, got {y!r}")
-    if y < grid.e_min or y > grid.e_max:
+    y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
+    if ((y < grid.e_min) | (y > grid.e_max)).any():
         raise ValueError(
-            f"target {y} outside regression range [{grid.e_min}, {grid.e_max}]"
+            f"target outside regression range [{grid.e_min}, {grid.e_max}]"
         )
-    i = int(math.floor((y - grid.e_min) / grid.delta))
-    i = min(i, grid.n - 1)
-    u2 = (y - grid.endpoints[i]) / grid.delta
-    u2 = min(max(u2, 0.0), 1.0)
-    return TwoHotTarget(i=i, u1=1.0 - u2, u2=u2)
+    idx = np.minimum(np.floor((y - grid.e_min) / grid.delta).astype(np.int64), grid.n - 1)
+    u2 = np.minimum(np.maximum((y - grid.endpoints[idx]) / grid.delta, 0.0), 1.0)
+    return idx, 1.0 - u2, u2
+
+
+def encode_target(y: float, grid: BinGrid) -> TwoHotTarget:
+    """Encode one target ``y``: the one-element case of :func:`encode_targets`."""
+    idx, u1, u2 = encode_targets([y], grid)
+    return TwoHotTarget(i=idx[0], u1=u1[0], u2=u2[0])
 
 
 def _as_probabilities(p, size: int | None = None) -> np.ndarray:

@@ -5,8 +5,8 @@ Configuration comes from a YAML file (see ``configs/default.yaml``), with
 ``--set section.key=value`` dotted overrides and explicit flags winning over
 the file. The ``LOCDISTILL_OUTPUT_DIR`` environment variable overrides the
 output directory only. All randomness derives from the single ``seed``
-entry; with ``--threads 1`` (the default) every output file is
-bit-reproducible.
+entry, and every output file is bit-reproducible at any ``--threads``
+worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,14 @@ import yaml
 
 from .boxdist import BinGrid
 from .geometry import BoundingBox
-from .harness.data import HarnessConfig, gen_dataset, save_dataset
+from .harness.data import HarnessConfig, save_dataset
 from .harness.experiments import (
     SCHEMES,
     TRACE_COLUMNS,
     ExperimentReport,
     ambiguity_sweep,
-    run_cell,
     run_experiment,
+    run_seed,
 )
 from .losses import DistillConfig
 from .regions import assign_main, assign_vlr, diou_matrix, unfold_anchors
@@ -333,18 +334,28 @@ def cmd_verify(cfg: RunConfig) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _experiment_cell(args) -> ExperimentReport:
-    harness_cfg, distill_cfg, scheme, seed = args
-    return run_cell(harness_cfg, distill_cfg, scheme, seed)
+def _run_and_save_seed(cfg: RunConfig, schemes, dataset_dir: Path,
+                       seed: int) -> list[ExperimentReport]:
+    """One seed's unit of work: every scheme's report, with the seed's
+    dataset saved as soon as its cells are done, so no run holds more than
+    the datasets it is training on."""
+    dataset, reports = run_seed(cfg.harness, cfg.distill, list(schemes), seed)
+    save_dataset(dataset, dataset_dir / f"seed{seed}_train.jsonl",
+                 dataset_dir / f"seed{seed}_heldout.jsonl")
+    return reports
 
 
-def _collect_reports(cfg: RunConfig, schemes, seeds) -> list[ExperimentReport]:
+def _collect_reports(cfg: RunConfig, schemes, seeds,
+                     dataset_dir: Path) -> list[ExperimentReport]:
+    """Every seed's reports, in seed order. One seed is the unit of work:
+    ``--threads N`` runs up to N seeds at once in worker processes."""
+    seed_run = partial(_run_and_save_seed, cfg, schemes, dataset_dir)
     if cfg.threads == 1:
-        return run_experiment(cfg.harness, cfg.distill, list(schemes), list(seeds))
-    cells = [(cfg.harness, cfg.distill, scheme, seed)
-             for seed in seeds for scheme in schemes]
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(_experiment_cell, cells))
+        per_seed = [seed_run(seed) for seed in seeds]
+    else:
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(seeds))) as pool:
+            per_seed = list(pool.map(seed_run, seeds))
+    return [report for reports in per_seed for report in reports]
 
 
 def _summarize(reports: list[ExperimentReport]) -> dict:
@@ -372,8 +383,10 @@ def _print_summary(summary: dict) -> None:
 def cmd_experiment(cfg: RunConfig) -> int:
     """Train and evaluate the configured schemes; write CSV/JSON reports."""
     out = _out_dir(cfg)
-    schemes, seeds = cfg.experiment.schemes, cfg.experiment.seeds
-    reports = _collect_reports(cfg, schemes, seeds)
+    dataset_dir = out / "datasets"
+    dataset_dir.mkdir(exist_ok=True)
+    reports = _collect_reports(cfg, cfg.experiment.schemes, cfg.experiment.seeds,
+                               dataset_dir)
 
     rows = [row for r in reports for row in r.rows()]
     _write_csv(out / "metrics.csv", ("scheme", "seed", "metric", "value"), rows)
@@ -381,12 +394,6 @@ def cmd_experiment(cfg: RunConfig) -> int:
     for r in reports:
         trace_rows = [[row[c] for c in TRACE_COLUMNS] for row in r.trace]
         _write_csv(out / f"trace_{r.scheme}_seed{r.seed}.csv", TRACE_COLUMNS, trace_rows)
-    dataset_dir = out / "datasets"
-    dataset_dir.mkdir(exist_ok=True)
-    for seed in seeds:
-        ds = gen_dataset(cfg.harness, cfg.distill, seed)
-        save_dataset(ds, dataset_dir / f"seed{seed}_train.jsonl",
-                     dataset_dir / f"seed{seed}_heldout.jsonl")
     _print_summary(_summarize(reports))
     return 0
 

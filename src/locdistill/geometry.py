@@ -27,7 +27,6 @@ __all__ = [
     "diou_matrix",
     "encode_rotated",
     "decode_rotated",
-    "box_from_point_distances",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -256,9 +255,3 @@ def decode_rotated(anchor: RotatedBox, d: RotatedDeltas) -> RotatedBox:
         theta=anchor.theta + d.dtheta,
     )
 
-
-def box_from_point_distances(
-    px: float, py: float, t: float, b: float, l: float, r: float
-) -> BoundingBox:
-    """Box from a sample point and its (top, bottom, left, right) distances."""
-    return BoundingBox(px - l, py - t, px + r, py + b)

@@ -19,6 +19,7 @@ from .experiments import (
     evaluate,
     run_cell,
     run_experiment,
+    run_seed,
     train,
     train_teacher,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "evaluate",
     "run_cell",
     "run_experiment",
+    "run_seed",
     "train",
     "train_teacher",
     "LinearLocalizer",

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..boxdist import BinGrid, encode_target
+from ..boxdist import BinGrid, encode_targets
 from ..geometry import BoundingBox
 from ..losses import DistillConfig, SceneTruth
 from ..regions import RegionMasks, compute_region_masks
@@ -79,11 +80,11 @@ def sample_edge_value(amb: EdgeAmbiguity, rng: np.random.Generator) -> float:
 
 def binned_mixture(amb: EdgeAmbiguity, grid: BinGrid) -> np.ndarray:
     """Project the mixture onto the grid: weighted sum of two-hot encodings."""
+    idx, u1, u2 = encode_targets(amb.centers, grid)
+    w = np.asarray(amb.weights)
     out = np.zeros(grid.size)
-    for c, w in zip(amb.centers, amb.weights):
-        t = encode_target(c, grid)
-        out[t.i] += w * t.u1
-        out[t.i + 1] += w * t.u2
+    np.add.at(out, idx, w * u1)
+    np.add.at(out, idx + 1, w * u2)
     return out
 
 
@@ -145,6 +146,16 @@ class Dataset:
         object.__setattr__(self, "train", tuple(self.train))
         object.__setattr__(self, "heldout", tuple(self.heldout))
 
+    @cached_property
+    def train_stack(self) -> "SceneStack":
+        """The train split stacked once and shared by every fit on it."""
+        return stack_scene(self.train, self.grid)
+
+    @cached_property
+    def heldout_stack(self) -> "SceneStack":
+        """The held-out split stacked once and shared by every evaluation."""
+        return stack_scene(self.heldout, self.grid)
+
 
 @dataclass(frozen=True)
 class HarnessConfig:
@@ -164,8 +175,6 @@ class HarnessConfig:
     epochs: int = 600
     teacher_epochs: int = 900
     lr: float = 0.1
-    edge_lr_scale: float = 1.0
-    feature_lr_scale: float = 1.0
     train_features: bool = True
     tbr_weight: float = 1.0
     fi_weight: float = 1.0
@@ -204,8 +213,7 @@ class HarnessConfig:
             raise ValueError("stratum fractions must be nonnegative and leave room for positives")
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ValueError("label_smoothing must lie in [0, 1)")
-        for name in ("max_offset", "feature_noise", "lr", "edge_lr_scale",
-                     "feature_lr_scale", "tbr_weight", "fi_weight",
+        for name in ("max_offset", "feature_noise", "lr", "tbr_weight", "fi_weight",
                      "ld_weight_boost", "ld_dfl_scale", "anchor_half"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -329,6 +337,10 @@ def stack_scene(samples, grid: BinGrid) -> SceneStack:
     bayes = np.stack([
         np.stack([binned_mixture(a, grid) for a in s.ambiguity]) for s in samples
     ])
+    # Stacks are cached on their Dataset and shared by every fit and
+    # evaluation, so none of them may write into the arrays.
+    for arr in (features, labels, observed, true_edges, bayes):
+        arr.flags.writeable = False
     return SceneStack(
         features=features,
         truth=SceneTruth(labels=labels, edge_targets=observed),

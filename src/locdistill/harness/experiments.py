@@ -17,11 +17,9 @@ import numpy as np
 from ..boxdist import BinGrid
 from ..losses import (
     DistillConfig,
+    SceneObjective,
     SceneOutputs,
     feature_imitation_loss,
-    scene_tbr_loss,
-    split_scene_grad,
-    total_loss,
     _log_softmax,
 )
 from .data import (
@@ -30,7 +28,6 @@ from .data import (
     N_CLASSES,
     N_EDGES,
     gen_dataset,
-    stack_scene,
 )
 from .models import LinearLocalizer, init_localizer
 
@@ -42,6 +39,7 @@ __all__ = [
     "train_teacher",
     "evaluate",
     "run_cell",
+    "run_seed",
     "run_experiment",
     "ambiguity_sweep",
 ]
@@ -109,17 +107,17 @@ def _resolve_scheme(scheme: str) -> SchemeSpec:
 
 def _apply_update(model: LinearLocalizer, g_cls, g_edges, g_hidden,
                   hidden, x, cfg: HarnessConfig) -> None:
-    d_cls = g_cls.T @ hidden
-    d_edges = np.einsum("aem,ah->emh", g_edges, hidden)
-    model.cls_weights -= cfg.lr * d_cls
-    model.edge_weights -= cfg.lr * cfg.edge_lr_scale * d_edges
+    d_edges = g_edges.reshape(len(g_edges), -1).T @ hidden
+    model.cls_weights -= cfg.lr * (g_cls.T @ hidden)
+    model.edge_weights -= cfg.lr * d_edges.reshape(model.edge_weights.shape)
     if cfg.train_features:
-        d_feat = g_hidden.T @ x
-        model.feature_weights -= cfg.lr * cfg.feature_lr_scale * d_feat
+        model.feature_weights -= cfg.lr * (g_hidden.T @ x)
 
 
 def _hidden_grad(model: LinearLocalizer, g_cls, g_edges) -> np.ndarray:
-    return g_cls @ model.cls_weights + np.einsum("aem,emh->ah", g_edges, model.edge_weights)
+    w_edges = model.edge_weights
+    return (g_cls @ model.cls_weights
+            + g_edges.reshape(len(g_edges), -1) @ w_edges.reshape(-1, w_edges.shape[-1]))
 
 
 def train(
@@ -139,7 +137,7 @@ def train(
         raise ValueError(f"scheme {scheme!r} distills from a teacher but none was given")
     run_cfg = scheme_config(spec, dcfg, cfg.ld_weight_boost, cfg.ld_dfl_scale)
 
-    stack = stack_scene(dataset.train, dataset.grid)
+    stack = dataset.train_stack
     x = stack.features
     a = x.shape[0]
     teacher_out: SceneOutputs | None = None
@@ -153,23 +151,21 @@ def train(
             f"(student {model.hidden_dim}, teacher {teacher_hidden.shape[1]})"
         )
 
-    dims = (a, N_CLASSES, N_EDGES, dataset.grid.size)
+    objective = SceneObjective(stack.truth, stack.masks, run_cfg, teacher_out, N_CLASSES)
+    everywhere = np.ones(a, dtype=bool)
     trace: list[dict] = []
     for step in range(cfg.epochs):
         out, hidden = model.forward(x)
-        res = total_loss(out, teacher_out, stack.truth, stack.masks, run_cfg)
-        value = res.value
-        g_cls, g_edges = split_scene_grad(res.grad, *dims)
+        value, g_cls, g_edges, comps = objective.step(out)
         if spec.tbr:
-            tbr = scene_tbr_loss(out, teacher_out, stack.truth, stack.masks.main, run_cfg)
-            value += cfg.tbr_weight * tbr.value
-            g_edges = g_edges + cfg.tbr_weight * split_scene_grad(tbr.grad, *dims)[1]
+            tbr_value, tbr_grad = objective.tbr_step(out)
+            value += cfg.tbr_weight * tbr_value
+            g_edges = g_edges + cfg.tbr_weight * tbr_grad
         g_hidden = _hidden_grad(model, g_cls, g_edges)
         if spec.fi:
-            fi = feature_imitation_loss(hidden, teacher_hidden, np.ones(a, dtype=bool))
+            fi = feature_imitation_loss(hidden, teacher_hidden, everywhere)
             value += cfg.fi_weight * fi.value
             g_hidden = g_hidden + cfg.fi_weight * fi.grad
-        comps = res.components
         trace.append({
             "step": step,
             "L_cls": comps["cls"],
@@ -200,27 +196,24 @@ def train_teacher(
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_TEACHER)))
     model = init_localizer(cfg.input_dim, cfg.teacher_hidden_dim, N_CLASSES,
                            N_EDGES, dataset.grid.size, rng)
-    stack = stack_scene(dataset.train, dataset.grid)
+    stack = dataset.train_stack
     x = stack.features
-    a = x.shape[0]
     main_idx = np.flatnonzero(stack.masks.main)
     k = main_idx.size
     # Regression/soft-distribution supervision targets the true geometry.
     true_truth = replace(stack.truth, edge_targets=stack.true_edges)
     reg_cfg = replace(dcfg, w_dfl=0.0, w_ld_main=0.0, w_ld_vlr=0.0,
                       w_kd_main=0.0, w_kd_vlr=0.0)
+    objective = SceneObjective(true_truth, stack.masks, reg_cfg, None, N_CLASSES)
     # Smoothed distribution targets keep the teacher's logits bounded, so
     # distilling students have a finite equilibrium to converge to.
     m = dataset.grid.size
     bayes_main = ((1.0 - cfg.label_smoothing) * stack.bayes[main_idx]
                   + cfg.label_smoothing / m)
 
-    epochs = cfg.teacher_epochs
-    dims = (a, N_CLASSES, N_EDGES, dataset.grid.size)
-    for _ in range(epochs):
+    for _ in range(cfg.teacher_epochs):
         out, hidden = model.forward(x)
-        res = total_loss(out, None, true_truth, stack.masks, reg_cfg)
-        g_cls, g_edges = split_scene_grad(res.grad, *dims)
+        _, g_cls, g_edges, _ = objective.step(out)
         if k:
             ls = _log_softmax(out.edge_logits[main_idx], 1.0)
             g_edges[main_idx] += (np.exp(ls) - bayes_main) / k
@@ -301,7 +294,7 @@ def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
     per head, per-dimension Pearson correlations, and distribution flatness."""
     if not dataset.heldout:
         raise ValueError("dataset has no held-out split to evaluate on")
-    stack = stack_scene(dataset.heldout, dataset.grid)
+    stack = dataset.heldout_stack
     x = stack.features
     out_s, h_s = model.forward(x)
     out_t, h_t = teacher.forward(x)
@@ -354,21 +347,26 @@ def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, scheme: str, seed: int,
     return evaluate(student, teacher, dataset, scheme=scheme, seed=seed, trace=trace)
 
 
+def run_seed(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str],
+             seed: int) -> tuple[Dataset, list[ExperimentReport]]:
+    """Every scheme of one seed: the seed's dataset and teacher are built
+    once and shared by its cells. Returns the dataset and the reports in
+    scheme order."""
+    dataset = gen_dataset(cfg, dcfg, seed)
+    teacher = train_teacher(dataset, cfg, dcfg, seed)
+    return dataset, [run_cell(cfg, dcfg, scheme, seed, dataset, teacher)
+                     for scheme in schemes]
+
+
 def run_experiment(cfg: HarnessConfig, dcfg: DistillConfig,
                    schemes: list[str], seeds: list[int]) -> list[ExperimentReport]:
-    """Run every (scheme, seed) cell serially, sharing the per-seed dataset
-    and teacher; cells are independent, so results do not depend on order."""
+    """Run every (scheme, seed) cell serially, one :func:`run_seed` per seed;
+    cells are independent, so results do not depend on order."""
     for s in schemes:
         _resolve_scheme(s)
     if not schemes or not seeds:
         raise ValueError("experiment needs at least one scheme and one seed")
-    reports = []
-    for seed in seeds:
-        dataset = gen_dataset(cfg, dcfg, seed)
-        teacher = train_teacher(dataset, cfg, dcfg, seed)
-        for scheme in schemes:
-            reports.append(run_cell(cfg, dcfg, scheme, seed, dataset, teacher))
-    return reports
+    return [report for seed in seeds for report in run_seed(cfg, dcfg, schemes, seed)[1]]
 
 
 def ambiguity_sweep(cfg: HarnessConfig, dcfg: DistillConfig, levels: list[float],

@@ -37,7 +37,8 @@ class LinearLocalizer:
         """Head outputs and the hidden features for a batch of inputs."""
         h = self.features(x)
         cls_logits = h @ self.cls_weights.T
-        edge_logits = np.einsum("ah,emh->aem", h, self.edge_weights)
+        n_edges, n_bins, hidden = self.edge_weights.shape
+        edge_logits = (h @ self.edge_weights.reshape(-1, hidden).T).reshape(-1, n_edges, n_bins)
         return SceneOutputs(cls_logits=cls_logits, edge_logits=edge_logits), h
 
     def copy(self, trainable: bool | None = None) -> "LinearLocalizer":

@@ -18,11 +18,13 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .boxdist import BinGrid, BoxDistribution, TwoHotTarget, PROB_SUM_TOL
+from .boxdist import BinGrid, BoxDistribution, TwoHotTarget, PROB_SUM_TOL, encode_targets
 from .geometry import BoundingBox
 from .regions import RegionMasks
 
@@ -39,6 +41,7 @@ __all__ = [
     "tbr_loss",
     "giou_regression_loss",
     "feature_imitation_loss",
+    "SceneObjective",
     "total_loss",
     "scene_tbr_loss",
     "split_scene_grad",
@@ -66,9 +69,9 @@ class LossResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(self.value))
         g = np.asarray(self.grad, dtype=np.float64)
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ValueError(f"loss value must be finite, got {self.value!r}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("loss gradient must be finite")
         object.__setattr__(self, "grad", g)
 
@@ -127,16 +130,19 @@ class DistillConfig:
 # ---------------------------------------------------------------------------
 
 def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
+    # In place on the fresh quotient, with the ufunc reductions called
+    # directly: this runs tens of thousands of times per training run.
     zt = np.asarray(z, dtype=np.float64) / tau
-    zt = zt - zt.max(axis=-1, keepdims=True)
-    return zt - np.log(np.exp(zt).sum(axis=-1, keepdims=True))
+    zt -= np.maximum.reduce(zt, axis=-1, keepdims=True)
+    zt -= np.log(np.add.reduce(np.exp(zt), axis=-1, keepdims=True))
+    return zt
 
 
 def _check_vector(z, name: str) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"{name} must be finite")
     return z
 
@@ -249,50 +255,42 @@ def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, n
     g = np.asarray(boxes_g, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] != 4 or s.shape != g.shape:
         raise ValueError(f"expected matching (K, 4) box arrays, got {s.shape} and {g.shape}")
-    sx1, sy1, sx2, sy2 = s.T
-    gx1, gy1, gx2, gy2 = g.T
+    # Work on (4, K) rows x1, y1, x2, y2; each per-axis quantity is a
+    # (2, K) block with an x row and a y row, so one ufunc call covers both
+    # axes. The single-box calls of the scalar losses are dominated by call
+    # count, not array size.
+    s, g = s.T, g.T
+    lo_s, hi_s, lo_g, hi_g = s[:2], s[2:], g[:2], g[2:]
+    inner = np.minimum(hi_s, hi_g) - np.maximum(lo_s, lo_g)  # iw, ih
+    outer = np.maximum(hi_s, hi_g) - np.minimum(lo_s, lo_g)  # cw, ch
+    size_s = hi_s - lo_s
+    size_g = hi_g - lo_g
 
-    iw = np.minimum(sx2, gx2) - np.maximum(sx1, gx1)
-    ih = np.minimum(sy2, gy2) - np.maximum(sy1, gy1)
-    overlap = (iw > 0.0) & (ih > 0.0)
-    inter = np.where(overlap, iw * ih, 0.0)
-
-    area_s = (sx2 - sx1) * (sy2 - sy1)
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    union = area_s + area_g - inter
-
-    cw = np.maximum(sx2, gx2) - np.minimum(sx1, gx1)
-    ch = np.maximum(sy2, gy2) - np.minimum(sy1, gy1)
-    enclosing = cw * ch
-    if np.any(enclosing <= 0.0):
+    overlap = (inner[0] > 0.0) & (inner[1] > 0.0)
+    inter = np.where(overlap, inner[0] * inner[1], 0.0)
+    union = size_s[0] * size_s[1] + size_g[0] * size_g[1] - inter
+    enclosing = outer[0] * outer[1]
+    if (enclosing <= 0.0).any():
         raise ValueError("giou undefined: an enclosing box has zero area")
-    if np.any(union <= 0.0):
+    if (union <= 0.0).any():
         raise ValueError("giou undefined: a box pair has zero union area")
 
     giou = inter / union - (enclosing - union) / enclosing
 
-    d_inter = np.zeros_like(s)
-    live_ih = np.where(overlap, ih, 0.0)
-    live_iw = np.where(overlap, iw, 0.0)
-    d_inter[:, 0] = np.where(sx1 > gx1, -live_ih, 0.0)
-    d_inter[:, 2] = np.where(sx2 < gx2, live_ih, 0.0)
-    d_inter[:, 1] = np.where(sy1 > gy1, -live_iw, 0.0)
-    d_inter[:, 3] = np.where(sy2 < gy2, live_iw, 0.0)
-
-    d_area = np.stack([-(sy2 - sy1), -(sx2 - sx1), sy2 - sy1, sx2 - sx1], axis=1)
+    # Corner derivatives. Moving x1 or x2 changes an area by its height and
+    # moving y1 or y2 by its width, hence the swapped axis rows ([::-1]).
+    live = np.where(overlap, inner[::-1], 0.0)
+    d_inter = np.where(np.concatenate([lo_s > lo_g, hi_s < hi_g]),
+                       np.concatenate([-live, live]), 0.0)
+    d_area = np.concatenate([-size_s[::-1], size_s[::-1]])
     d_union = d_area - d_inter
+    span = outer[::-1]
+    d_enc = np.where(np.concatenate([lo_s < lo_g, hi_s > hi_g]),
+                     np.concatenate([-span, span]), 0.0)
 
-    d_enc = np.zeros_like(s)
-    d_enc[:, 0] = np.where(sx1 < gx1, -ch, 0.0)
-    d_enc[:, 2] = np.where(sx2 > gx2, ch, 0.0)
-    d_enc[:, 1] = np.where(sy1 < gy1, -cw, 0.0)
-    d_enc[:, 3] = np.where(sy2 > gy2, cw, 0.0)
-
-    u = union[:, None]
-    c = enclosing[:, None]
-    d_giou = (d_inter * u - inter[:, None] * d_union) / (u * u)
-    d_giou += (d_union * c - u * d_enc) / (c * c)
-    return giou, d_giou
+    d_giou = (d_inter * union - inter * d_union) / (union * union)
+    d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)
+    return giou, d_giou.T
 
 
 def giou_regression_loss(student_box: BoundingBox, gt_box: BoundingBox) -> LossResult:
@@ -380,7 +378,7 @@ class SceneOutputs:
             raise ValueError(f"edge_logits must be (anchors, edges, bins), got {edge_logits.shape}")
         if cls_logits.shape[0] != edge_logits.shape[0]:
             raise ValueError("cls_logits and edge_logits disagree on the anchor count")
-        if not (np.all(np.isfinite(cls_logits)) and np.all(np.isfinite(edge_logits))):
+        if not (np.isfinite(cls_logits).all() and np.isfinite(edge_logits).all()):
             raise ValueError("scene logits must be finite")
         object.__setattr__(self, "cls_logits", cls_logits)
         object.__setattr__(self, "edge_logits", edge_logits)
@@ -429,53 +427,246 @@ def split_scene_grad(grad: np.ndarray, n_anchors: int, n_classes: int,
             grad[n_cls:].reshape(n_anchors, n_edges, n_bins))
 
 
-def _encode_targets_batch(y: np.ndarray, grid: BinGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized two-hot encoding matching :func:`boxdist.encode_target`."""
-    if np.any(y < grid.e_min) or np.any(y > grid.e_max):
-        raise ValueError(
-            f"edge target outside regression range [{grid.e_min}, {grid.e_max}]"
-        )
-    idx = np.floor((y - grid.e_min) / grid.delta).astype(np.int64)
-    idx = np.minimum(idx, grid.n - 1)
-    u2 = np.clip((y - grid.endpoints[idx]) / grid.delta, 0.0, 1.0)
-    return idx, 1.0 - u2, u2
+# Corner k of a box is point[_CORNER_AXIS[k]] + _CORNER_SIGN[k] * edge[_CORNER_EDGE[k]]:
+# (x1, y1, x2, y2) = (px - l, py - t, px + r, py + b) with edges (t, b, l, r).
+_CORNER_AXIS = np.array([0, 1, 0, 1])
+_CORNER_EDGE = np.array([2, 0, 3, 1])
+_CORNER_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+# The inverse map: edge e moves corner _EDGE_CORNER[e] with sign _EDGE_SIGN[e].
+_EDGE_CORNER = np.array([1, 3, 0, 2])
+_EDGE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 def _boxes_from_edges(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """(K, 4) corner boxes from sample points and (t, b, l, r) distances."""
-    px, py = points[:, 0], points[:, 1]
-    t, b, l, r = edges.T
-    return np.stack([px - l, py - t, px + r, py + b], axis=1)
+    return points[:, _CORNER_AXIS] + edges[:, _CORNER_EDGE] * _CORNER_SIGN
 
 
 def _box_grad_to_edges(g_box: np.ndarray) -> np.ndarray:
     """Map a corner gradient (x1, y1, x2, y2) to an edge gradient (t, b, l, r)."""
-    return np.stack([-g_box[:, 1], g_box[:, 3], -g_box[:, 0], g_box[:, 2]], axis=1)
+    return g_box[:, _EDGE_CORNER] * _EDGE_SIGN
 
 
-def _tempered_kl_block(z_s: np.ndarray, z_t: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
+                 tau: float) -> tuple[float, np.ndarray]:
     """Mean-per-anchor tempered KL and its gradient w.r.t. the student logits.
 
-    ``z_s``/``z_t`` have shape ``(K, ...)`` with logits on the last axis; the
-    KL is summed over all non-anchor axes and averaged over the K anchors.
+    ``z_s`` has shape ``(K, ...)`` with logits on the last axis; ``lt`` and
+    ``q`` are the teacher's tempered log-probabilities and probabilities on
+    the same rows. The KL is summed over all non-anchor axes and averaged
+    over the K anchors.
     """
     k = z_s.shape[0]
     ls = _log_softmax(z_s, tau)
-    lt = _log_softmax(z_t, tau)
-    q = np.exp(lt)
     value = float((q * (lt - ls)).sum() / k)
     grad = (np.exp(ls) - q) / (tau * k)
     return value, grad
 
 
-def _expectation_chain(p: np.ndarray, endpoints: np.ndarray, g_edge_vals: np.ndarray) -> np.ndarray:
+def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
+                       g_edge_vals: np.ndarray) -> np.ndarray:
     """Chain an edge-value gradient through the softmax expectation decode.
 
-    ``p`` is ``(K, E, m)`` probabilities, ``g_edge_vals`` is ``(K, E)``;
-    returns the ``(K, E, m)`` gradient w.r.t. the edge logits.
+    ``p`` is ``(K, E, m)`` probabilities, ``yhat = p @ endpoints`` and
+    ``g_edge_vals`` are ``(K, E)``; returns the ``(K, E, m)`` gradient
+    w.r.t. the edge logits.
     """
-    yhat = p @ endpoints
-    return g_edge_vals[:, :, None] * p * (endpoints[None, None, :] - yhat[:, :, None])
+    return g_edge_vals[:, :, None] * p * (endpoints - yhat[:, :, None])
+
+
+def _decoded_boxes(points: np.ndarray, edge_logits: np.ndarray,
+                   endpoints: np.ndarray) -> np.ndarray:
+    """Boxes decoded from edge logits by the softmax expectation."""
+    return _boxes_from_edges(points, np.exp(_log_softmax(edge_logits, 1.0)) @ endpoints)
+
+
+def _tbr_block(z_main: np.ndarray, points: np.ndarray, boxes_t: np.ndarray,
+               boxes_g: np.ndarray, margin: float,
+               endpoints: np.ndarray) -> tuple[float, np.ndarray]:
+    """Teacher-bounded regression over K main rows: the value averaged over
+    the K rows and the ``(K, E, m)`` gradient w.r.t. their edge logits."""
+    k = z_main.shape[0]
+    p_s = np.exp(_log_softmax(z_main, 1.0))
+    yhat = p_s @ endpoints
+    boxes_s = _boxes_from_edges(points, yhat)
+    active = _corner_l2(boxes_s, boxes_g) + margin > _corner_l2(boxes_t, boxes_g)
+    grad = np.zeros_like(p_s)
+    value = 0.0
+    if active.any():
+        giou_vals, dgiou = _giou_batch(boxes_s[active], boxes_g[active])
+        value = float((1.0 - giou_vals).sum() / k)
+        grad[active] = _expectation_chain(p_s[active], yhat[active], endpoints,
+                                          _box_grad_to_edges(-dgiou / k))
+    return value, grad
+
+
+class SceneObjective:
+    """The composite objective of one scene, compiled for repeated steps.
+
+    Built once per (truth, masks, config, teacher outputs): it validates
+    the inputs and computes everything that does not depend on the
+    student, namely the main/VLR indices, the one-hot labels, the two-hot
+    targets, the ground-truth boxes, and the frozen teacher's tempered
+    log-probabilities on the rows each active distillation term reads.
+    :meth:`step` then does only student-dependent work; :func:`total_loss`
+    is its one-shot form and defines the math.
+    """
+
+    def __init__(self, truth: SceneTruth, masks: RegionMasks, cfg: DistillConfig,
+                 teacher: SceneOutputs | None, n_classes: int) -> None:
+        a, n_edges = truth.edge_targets.shape
+        self.cls_shape = (a, int(n_classes))
+        self.edge_shape = (a, n_edges, cfg.grid.size)
+        if len(masks) != a:
+            raise ValueError("scene truth and masks disagree on the anchor count")
+        if ((truth.labels < 0) | (truth.labels >= n_classes)).any():
+            raise ValueError("class labels out of range")
+        if cfg.distills and teacher is None:
+            raise ValueError("distillation weights are active but no teacher outputs given")
+        if teacher is not None and (teacher.cls_logits.shape != self.cls_shape
+                                    or teacher.edge_logits.shape != self.edge_shape):
+            raise ValueError("teacher and student scene outputs must have identical shapes")
+        if cfg.w_reg > 0.0 and cfg.grid.e_min < 0.0:
+            raise ValueError(
+                "the box regression term needs nonnegative edge distances (grid.e_min >= 0)"
+            )
+        self.cfg = cfg
+        self._anchors = np.arange(a)
+        self._labels = truth.labels
+        self._onehot = np.zeros(self.cls_shape)
+        self._onehot[self._anchors, truth.labels] = 1.0
+        self.main_idx = np.flatnonzero(masks.main)
+        self.vlr_idx = np.flatnonzero(masks.vlr)
+
+        k = self.main_idx.size
+        targets = truth.edge_targets[self.main_idx]
+        idx, self._u1, self._u2 = encode_targets(targets, cfg.grid)
+        rows = np.arange(k)[:, None]
+        cols = np.arange(n_edges)[None, :]
+        self._at_left = (rows, cols, idx)
+        self._at_right = (rows, cols, idx + 1)
+        self._two_hot = np.zeros((k, n_edges, cfg.grid.size))
+        self._two_hot[self._at_left] += self._u1
+        self._two_hot[self._at_right] += self._u2
+        self._points = truth.points[self.main_idx]
+        self._boxes_g = _boxes_from_edges(self._points, targets)
+
+        # Frozen teacher: main-row edge logits (decoded on first TBR use) and
+        # the tempered log-probabilities and probabilities of each active
+        # distillation term's rows.
+        self._teacher_main_edges = None
+        self._teacher_terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if teacher is None:
+            return
+        self._teacher_main_edges = teacher.edge_logits[self.main_idx]
+        for name, weight, rows_idx, logits in (
+                ("ld_main", cfg.w_ld_main, self.main_idx, teacher.edge_logits),
+                ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, teacher.edge_logits),
+                ("kd_main", cfg.w_kd_main, self.main_idx, teacher.cls_logits),
+                ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, teacher.cls_logits)):
+            if weight > 0.0 and rows_idx.size:
+                lt = _log_softmax(logits[rows_idx], cfg.tau)
+                self._teacher_terms[name] = (lt, np.exp(lt))
+
+    def _check_student(self, student: SceneOutputs) -> None:
+        if (student.cls_logits.shape != self.cls_shape
+                or student.edge_logits.shape != self.edge_shape):
+            raise ValueError(
+                f"student outputs {student.cls_logits.shape} / {student.edge_logits.shape} "
+                f"do not match the scene's {self.cls_shape} / {self.edge_shape}"
+            )
+
+    def step(self, student: SceneOutputs
+             ) -> tuple[float, np.ndarray, np.ndarray, dict[str, float]]:
+        """The objective at ``student``: ``(value, grad_cls (A, C),
+        grad_edges (A, E, m), components)``; see :func:`total_loss`."""
+        self._check_student(student)
+        cfg = self.cfg
+        tau = cfg.tau
+        terms = self._teacher_terms
+        endpoints = cfg.grid.endpoints
+        a = self.cls_shape[0]
+        main_idx, vlr_idx = self.main_idx, self.vlr_idx
+        k_main = main_idx.size
+
+        # Classification cross-entropy over every anchor.
+        ls_cls = _log_softmax(student.cls_logits, 1.0)
+        l_cls = float(-ls_cls[self._anchors, self._labels].mean())
+        grad_cls = cfg.w_cls * (np.exp(ls_cls) - self._onehot) / a
+        grad_edges = np.zeros(self.edge_shape)
+
+        l_reg = l_dfl = 0.0
+        ld_main = ld_vlr = kd_main = kd_vlr = 0.0
+        if k_main:
+            z_main = student.edge_logits[main_idx]
+            ls_e = _log_softmax(z_main, 1.0)
+            p_e = np.exp(ls_e)
+            l_dfl = float(-(self._u1 * ls_e[self._at_left]
+                            + self._u2 * ls_e[self._at_right]).sum() / k_main)
+            g_main = cfg.w_dfl * (p_e - self._two_hot) / k_main
+
+            yhat = p_e @ endpoints
+            boxes_s = _boxes_from_edges(self._points, yhat)
+            giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
+            l_reg = float((1.0 - giou_vals).mean())
+            g_edge_vals = _box_grad_to_edges(-cfg.w_reg * dgiou / k_main)
+            g_main += _expectation_chain(p_e, yhat, endpoints, g_edge_vals)
+
+            if "ld_main" in terms:
+                ld_main, g = _tempered_kl(z_main, *terms["ld_main"], tau)
+                g_main += cfg.w_ld_main * g
+            grad_edges[main_idx] = g_main
+            if "kd_main" in terms:
+                kd_main, g = _tempered_kl(student.cls_logits[main_idx], *terms["kd_main"], tau)
+                grad_cls[main_idx] += cfg.w_kd_main * g
+        if "ld_vlr" in terms:
+            ld_vlr, g = _tempered_kl(student.edge_logits[vlr_idx], *terms["ld_vlr"], tau)
+            grad_edges[vlr_idx] = cfg.w_ld_vlr * g
+        if "kd_vlr" in terms:
+            kd_vlr, g = _tempered_kl(student.cls_logits[vlr_idx], *terms["kd_vlr"], tau)
+            grad_cls[vlr_idx] += cfg.w_kd_vlr * g
+
+        components = {
+            "cls": l_cls,
+            "reg": l_reg,
+            "dfl": l_dfl,
+            "ld_main": ld_main,
+            "ld_vlr": ld_vlr,
+            "kd_main": kd_main,
+            "kd_vlr": kd_vlr,
+        }
+        value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
+                 + cfg.w_ld_main * ld_main + cfg.w_ld_vlr * ld_vlr
+                 + cfg.w_kd_main * kd_main + cfg.w_kd_vlr * kd_vlr)
+        return value, grad_cls, grad_edges, components
+
+    @cached_property
+    def _boxes_t(self) -> np.ndarray:
+        """The teacher's decoded main boxes, the TBR gate's reference."""
+        if self._teacher_main_edges is None:
+            raise ValueError("teacher-bounded regression needs teacher outputs")
+        if self.cfg.grid.e_min < 0.0:
+            raise ValueError(
+                "teacher-bounded regression needs nonnegative edge distances (grid.e_min >= 0)"
+            )
+        return _decoded_boxes(self._points, self._teacher_main_edges, self.cfg.grid.endpoints)
+
+    def tbr_step(self, student: SceneOutputs) -> tuple[float, np.ndarray]:
+        """Teacher-bounded regression at ``student``: ``(value, grad_edges
+        (A, E, m))``; see :func:`scene_tbr_loss`."""
+        self._check_student(student)
+        boxes_t = self._boxes_t
+        grad_edges = np.zeros(self.edge_shape)
+        value = 0.0
+        if self.main_idx.size:
+            value, grad_edges[self.main_idx] = _tbr_block(
+                student.edge_logits[self.main_idx], self._points, boxes_t,
+                self._boxes_g, self.cfg.tbr_margin, self.cfg.grid.endpoints)
+        return value, grad_edges
+
+
+def _flat_grad(grad_cls: np.ndarray, grad_edges: np.ndarray) -> np.ndarray:
+    return np.concatenate([grad_cls.ravel(), grad_edges.ravel()])
 
 
 def total_loss(
@@ -499,105 +690,13 @@ def total_loss(
 
     The gradient is flat: the ``(A, C)`` classification block (C-order)
     followed by the ``(A, E, m)`` edge block; see :func:`split_scene_grad`.
+    One-shot form of :class:`SceneObjective`, which training loops build
+    once and step repeatedly.
     """
-    a, n_classes = student.cls_logits.shape
-    _, n_edges, n_bins = student.edge_logits.shape
-    if n_bins != cfg.grid.size:
-        raise ValueError(
-            f"edge logits carry {n_bins} bins but the grid has {cfg.grid.size} endpoints"
-        )
-    if truth.labels.shape[0] != a or len(masks) != a:
-        raise ValueError("scene outputs, truth, and masks disagree on the anchor count")
-    if truth.edge_targets.shape[1] != n_edges:
-        raise ValueError("truth edge count does not match the edge logits")
-    if np.any(truth.labels < 0) or np.any(truth.labels >= n_classes):
-        raise ValueError("class labels out of range")
-    if cfg.distills:
-        if teacher is None:
-            raise ValueError("distillation weights are active but no teacher outputs given")
-        if (teacher.cls_logits.shape != student.cls_logits.shape
-                or teacher.edge_logits.shape != student.edge_logits.shape):
-            raise ValueError("teacher and student scene outputs must have identical shapes")
-    if cfg.w_reg > 0.0 and cfg.grid.e_min < 0.0:
-        raise ValueError(
-            "the box regression term needs nonnegative edge distances (grid.e_min >= 0)"
-        )
-
-    grad_cls = np.zeros_like(student.cls_logits)
-    grad_edges = np.zeros_like(student.edge_logits)
-    endpoints = cfg.grid.endpoints
-
-    # Classification cross-entropy over every anchor.
-    ls_cls = _log_softmax(student.cls_logits, 1.0)
-    onehot = np.zeros((a, n_classes))
-    onehot[np.arange(a), truth.labels] = 1.0
-    l_cls = float(-ls_cls[np.arange(a), truth.labels].mean())
-    grad_cls += cfg.w_cls * (np.exp(ls_cls) - onehot) / a
-
-    main_idx = np.flatnonzero(masks.main)
-    vlr_idx = np.flatnonzero(masks.vlr)
-    k_main = main_idx.size
-
-    l_reg = 0.0
-    l_dfl = 0.0
-    if k_main:
-        z_main = student.edge_logits[main_idx]
-        ls_e = _log_softmax(z_main, 1.0)
-        p_e = np.exp(ls_e)
-        targets = truth.edge_targets[main_idx]
-        idx, u1, u2 = _encode_targets_batch(targets, cfg.grid)
-
-        rows = np.arange(k_main)[:, None]
-        cols = np.arange(n_edges)[None, :]
-        l_dfl = float(-(u1 * ls_e[rows, cols, idx] + u2 * ls_e[rows, cols, idx + 1]).sum()
-                      / k_main)
-        two_hot = np.zeros_like(p_e)
-        two_hot[rows, cols, idx] += u1
-        two_hot[rows, cols, idx + 1] += u2
-        grad_edges[main_idx] += cfg.w_dfl * (p_e - two_hot) / k_main
-
-        yhat = p_e @ endpoints
-        points = truth.points[main_idx]
-        boxes_s = _boxes_from_edges(points, yhat)
-        boxes_g = _boxes_from_edges(points, targets)
-        giou_vals, dgiou = _giou_batch(boxes_s, boxes_g)
-        l_reg = float((1.0 - giou_vals).mean())
-        g_edge_vals = _box_grad_to_edges(-cfg.w_reg * dgiou / k_main)
-        grad_edges[main_idx] += _expectation_chain(p_e, endpoints, g_edge_vals)
-
-    ld_main = ld_vlr = kd_main = kd_vlr = 0.0
-    if cfg.distills and teacher is not None:
-        if cfg.w_ld_main > 0.0 and k_main:
-            ld_main, g = _tempered_kl_block(
-                student.edge_logits[main_idx], teacher.edge_logits[main_idx], cfg.tau)
-            grad_edges[main_idx] += cfg.w_ld_main * g
-        if cfg.w_ld_vlr > 0.0 and vlr_idx.size:
-            ld_vlr, g = _tempered_kl_block(
-                student.edge_logits[vlr_idx], teacher.edge_logits[vlr_idx], cfg.tau)
-            grad_edges[vlr_idx] += cfg.w_ld_vlr * g
-        if cfg.w_kd_main > 0.0 and k_main:
-            kd_main, g = _tempered_kl_block(
-                student.cls_logits[main_idx], teacher.cls_logits[main_idx], cfg.tau)
-            grad_cls[main_idx] += cfg.w_kd_main * g
-        if cfg.w_kd_vlr > 0.0 and vlr_idx.size:
-            kd_vlr, g = _tempered_kl_block(
-                student.cls_logits[vlr_idx], teacher.cls_logits[vlr_idx], cfg.tau)
-            grad_cls[vlr_idx] += cfg.w_kd_vlr * g
-
-    components = {
-        "cls": l_cls,
-        "reg": l_reg,
-        "dfl": l_dfl,
-        "ld_main": ld_main,
-        "ld_vlr": ld_vlr,
-        "kd_main": kd_main,
-        "kd_vlr": kd_vlr,
-    }
-    value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
-             + cfg.w_ld_main * ld_main + cfg.w_ld_vlr * ld_vlr
-             + cfg.w_kd_main * kd_main + cfg.w_kd_vlr * kd_vlr)
-    grad = np.concatenate([grad_cls.ravel(), grad_edges.ravel()])
-    return LossResult(value=value, grad=grad, components=components)
+    objective = SceneObjective(truth, masks, cfg, teacher, student.cls_logits.shape[1])
+    value, grad_cls, grad_edges, components = objective.step(student)
+    return LossResult(value=value, grad=_flat_grad(grad_cls, grad_edges),
+                      components=components)
 
 
 def scene_tbr_loss(
@@ -612,10 +711,10 @@ def scene_tbr_loss(
     Boxes are decoded from the edge expectations of both models; the gate
     and loss follow :func:`tbr_loss` per anchor, averaged over main
     positives, and the gradient flows back to the student edge logits
-    through the expectation decode. Flat layout as in :func:`total_loss`.
+    through the expectation decode. Flat layout as in :func:`total_loss`;
+    :meth:`SceneObjective.tbr_step` is the compiled form.
     """
-    a, n_classes = student.cls_logits.shape
-    _, n_edges, n_bins = student.edge_logits.shape
+    a = student.n_anchors
     if cfg.grid.e_min < 0.0:
         raise ValueError(
             "teacher-bounded regression needs nonnegative edge distances (grid.e_min >= 0)"
@@ -627,20 +726,12 @@ def scene_tbr_loss(
     main_idx = np.flatnonzero(main_mask)
     value = 0.0
     if main_idx.size:
-        k = main_idx.size
         endpoints = cfg.grid.endpoints
-        p_s = np.exp(_log_softmax(student.edge_logits[main_idx], 1.0))
-        p_t = np.exp(_log_softmax(teacher.edge_logits[main_idx], 1.0))
         points = truth.points[main_idx]
-        boxes_s = _boxes_from_edges(points, p_s @ endpoints)
-        boxes_t = _boxes_from_edges(points, p_t @ endpoints)
-        boxes_g = _boxes_from_edges(points, truth.edge_targets[main_idx])
-        active = _corner_l2(boxes_s, boxes_g) + cfg.tbr_margin > _corner_l2(boxes_t, boxes_g)
-        if np.any(active):
-            giou_vals, dgiou = _giou_batch(boxes_s[active], boxes_g[active])
-            value = float((1.0 - giou_vals).sum() / k)
-            g_edge_vals = _box_grad_to_edges(-dgiou / k)
-            grad_edges[main_idx[active]] += _expectation_chain(
-                p_s[active], endpoints, g_edge_vals)
-    grad = np.concatenate([np.zeros(a * n_classes), grad_edges.ravel()])
-    return LossResult(value=value, grad=grad)
+        value, grad_edges[main_idx] = _tbr_block(
+            student.edge_logits[main_idx], points,
+            _decoded_boxes(points, teacher.edge_logits[main_idx], endpoints),
+            _boxes_from_edges(points, truth.edge_targets[main_idx]),
+            cfg.tbr_margin, endpoints)
+    return LossResult(value=value,
+                      grad=_flat_grad(np.zeros_like(student.cls_logits), grad_edges))

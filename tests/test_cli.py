@@ -178,6 +178,34 @@ class TestExperimentCommand:
                      "--set", "experiment.schemes=[bogus]", "experiment"])
         assert code == 2
 
+    def test_generates_each_seed_dataset_once(self, tmp_path, monkeypatch):
+        from locdistill.harness import experiments
+
+        calls = []
+        real = experiments.gen_dataset
+
+        def counting(cfg, dcfg, seed):
+            calls.append(seed)
+            return real(cfg, dcfg, seed)
+
+        monkeypatch.setattr(experiments, "gen_dataset", counting)
+        out = tmp_path / "once"
+        assert main(["-o", str(out), *FAST_EXPERIMENT,
+                     "--set", "experiment.seeds=[0, 1]", "experiment"]) == 0
+        assert calls == [0, 1]
+        assert (out / "datasets" / "seed1_heldout.jsonl").exists()
+
+    def test_worker_count_leaves_outputs_bitwise_equal(self, tmp_path):
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["-o", str(out), "--threads", threads, *FAST_EXPERIMENT,
+                         "--set", "experiment.seeds=[0, 1]", "experiment"]) == 0
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 2 + 2 * 2 + 2 * 2  # reports, traces, datasets
+        assert trees[0] == trees[1]
+
 
 class TestDumpAssignment:
     def test_row_count_matches_anchor_count(self, tmp_path):

@@ -215,6 +215,35 @@ class TestTraining:
             train(student, ds, "feature_imitation", teacher, cfg, DCFG)
 
 
+class TestSceneStackCache:
+    def test_train_and_evaluate_stack_each_split_once(self, monkeypatch):
+        from locdistill.harness import data
+
+        stacked = []
+        real = data.stack_scene
+
+        def counting(samples, grid):
+            stacked.append(samples)
+            return real(samples, grid)
+
+        monkeypatch.setattr(data, "stack_scene", counting)
+        ds = gen_dataset(FAST, DCFG, seed=12)
+        teacher = train_teacher(ds, FAST, DCFG, seed=12)
+        for scheme in ("baseline", "selective"):
+            student, _ = train(_new_student(FAST, GRID, 12), ds, scheme, teacher,
+                               FAST, DCFG)
+            evaluate(student, teacher, ds, scheme=scheme, seed=12)
+        assert len(stacked) == 2
+        assert stacked[0] is ds.train and stacked[1] is ds.heldout
+
+    def test_cached_stacks_are_read_only(self):
+        stack = gen_dataset(FAST, DCFG, seed=13).train_stack
+        for arr in (stack.features, stack.truth.labels, stack.truth.edge_targets,
+                    stack.true_edges, stack.bayes, stack.masks.main):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestEvaluate:
     def test_teacher_against_itself(self):
         ds = gen_dataset(FAST, DCFG, seed=7)

@@ -15,6 +15,7 @@ from locdistill.geometry import BoundingBox
 from locdistill.losses import (
     DistillConfig,
     LossResult,
+    SceneObjective,
     SceneOutputs,
     SceneTruth,
     ce_loss,
@@ -631,6 +632,75 @@ class TestSceneTBR:
 
             fd = central_difference(f, _flat(student))
             assert relative_gradient_error(res.grad, fd) < 1e-5
+
+
+def _scheme_configs():
+    from locdistill.harness import HarnessConfig
+    from locdistill.harness.experiments import SCHEMES, scheme_config
+
+    h = HarnessConfig()
+    base = DistillConfig(grid=GRID, tau=7.0)
+    return {name: scheme_config(spec, base, h.ld_weight_boost, h.ld_dfl_scale)
+            for name, spec in SCHEMES.items()}
+
+
+def _masks(main, vlr):
+    return RegionMasks(main=np.array(main, dtype=bool), vlr=np.array(vlr, dtype=bool))
+
+
+class TestSceneObjective:
+    """A compiled objective stepped repeatedly must equal fresh one-shot calls."""
+
+    MASKS = {
+        "mixed": _masks([1, 0, 1, 0, 0], [0, 1, 0, 0, 1]),
+        "empty_vlr": _masks([1, 1, 0, 0, 0], [0, 0, 0, 0, 0]),
+        "no_positives": _masks([0, 0, 0, 0, 0], [0, 1, 1, 0, 0]),
+    }
+
+    @pytest.mark.parametrize("masks_name", sorted(MASKS))
+    @pytest.mark.parametrize("scheme", sorted(_scheme_configs()) + ["no_teacher"])
+    def test_step_equals_total_loss_bitwise(self, scheme, masks_name):
+        rng = _rng(111)
+        _, teacher, truth, _ = _random_scene(rng, n_anchors=5)
+        masks = self.MASKS[masks_name]
+        if scheme == "no_teacher":
+            cfg = DistillConfig(grid=GRID, w_ld_main=0, w_ld_vlr=0, w_kd_main=0, w_kd_vlr=0)
+            teacher = None
+        else:
+            cfg = _scheme_configs()[scheme]
+        objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2)
+        for _ in range(3):  # fresh students against one compiled objective
+            student, _, _, _ = _random_scene(rng, n_anchors=5)
+            value, g_cls, g_edges, components = objective.step(student)
+            ref = total_loss(student, teacher, truth, masks, cfg)
+            ref_cls, ref_edges = split_scene_grad(ref.grad, 5, 2, 4, GRID.size)
+            assert value == ref.value
+            assert components == ref.components
+            assert np.array_equal(g_cls, ref_cls)
+            assert np.array_equal(g_edges, ref_edges)
+            if teacher is not None:
+                tbr_value, tbr_edges = objective.tbr_step(student)
+                tbr = scene_tbr_loss(student, teacher, truth, masks.main, cfg)
+                assert tbr_value == tbr.value
+                assert np.array_equal(tbr_edges, split_scene_grad(tbr.grad, 5, 2, 4,
+                                                                  GRID.size)[1])
+
+    def test_student_shape_mismatch_rejected(self):
+        rng = _rng(112)
+        _, teacher, truth, masks = _random_scene(rng, n_anchors=3)
+        objective = SceneObjective(truth, masks, DistillConfig(grid=GRID), teacher,
+                                   n_classes=2)
+        wrong, _, _, _ = _random_scene(rng, n_anchors=4)
+        with pytest.raises(ValueError, match="do not match"):
+            objective.step(wrong)
+
+    def test_tbr_needs_teacher(self):
+        rng = _rng(113)
+        student, _, truth, masks = _random_scene(rng, n_anchors=3)
+        cfg = DistillConfig(grid=GRID, w_ld_main=0, w_ld_vlr=0, w_kd_main=0, w_kd_vlr=0)
+        objective = SceneObjective(truth, masks, cfg, None, n_classes=2)
+        with pytest.raises(ValueError, match="teacher"):
+            objective.tbr_step(student)
 
 
 class TestLossResult:
