@@ -74,11 +74,11 @@ def make_grid(e_min: float, e_max: float, n: int) -> BinGrid:
     return BinGrid(e_min, e_max, n)
 
 
-def _as_logits(z, *, name: str = "logits") -> np.ndarray:
+def _as_vector(z, *, name: str = "logits") -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"{name} must be finite")
     return z
 
@@ -91,7 +91,7 @@ def generalized_softmax(z, tau: float) -> np.ndarray:
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    z = _as_logits(z)
+    z = _as_vector(z)
     scaled = z / tau
     scaled = scaled - scaled.max()
     e = np.exp(scaled)
@@ -196,7 +196,7 @@ class EdgeDistribution:
     grid: BinGrid
 
     def __post_init__(self) -> None:
-        z = _as_logits(self.logits)
+        z = _as_vector(self.logits)
         if z.shape[0] != self.grid.size:
             raise ValueError(
                 f"edge has {z.shape[0]} logits but grid has {self.grid.size} endpoints"

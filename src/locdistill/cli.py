@@ -29,11 +29,9 @@ from .boxdist import BinGrid
 from .geometry import BoundingBox
 from .harness.data import HarnessConfig, save_dataset
 from .harness.experiments import (
-    SCHEMES,
     TRACE_COLUMNS,
     ExperimentReport,
-    ambiguity_sweep,
-    run_experiment,
+    _resolve_scheme,
     run_seed,
 )
 from .losses import DistillConfig
@@ -74,6 +72,18 @@ class VerifyConfig:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
 
 
+def _set_schemes_and_seeds(section) -> None:
+    """Validate and normalise the ``schemes`` and ``seeds`` of a frozen
+    experiment or sweep section."""
+    schemes = tuple(str(s) for s in section.schemes)
+    for s in schemes:
+        _resolve_scheme(s)
+    if not schemes or not section.seeds:
+        raise ValueError("schemes and seeds must be non-empty")
+    object.__setattr__(section, "schemes", schemes)
+    object.__setattr__(section, "seeds", tuple(int(s) for s in section.seeds))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     schemes: tuple[str, ...] = ("baseline", "tbr", "kd_main", "ld_main",
@@ -81,16 +91,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self) -> None:
-        schemes = tuple(str(s) for s in self.schemes)
-        for s in schemes:
-            if s not in SCHEMES:
-                raise ValueError(
-                    f"unknown scheme {s!r}; valid schemes: {', '.join(sorted(SCHEMES))}"
-                )
-        if not schemes or not self.seeds:
-            raise ValueError("schemes and seeds must be non-empty")
-        object.__setattr__(self, "schemes", schemes)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        _set_schemes_and_seeds(self)
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,8 @@ class SweepConfig:
             )
         if not self.values:
             raise ValueError("sweep values must be non-empty")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
+        _set_schemes_and_seeds(self)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "schemes", tuple(str(s) for s in self.schemes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
 @dataclass(frozen=True)
@@ -149,6 +146,19 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.distill is None:
             object.__setattr__(self, "distill", DistillConfig(grid=self.grid))
+        for value in self.sweep.values:
+            try:
+                _sweep_point(self, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep.values: {exc}") from exc
+
+
+def _sweep_point(cfg: RunConfig, value: float) -> tuple[HarnessConfig, DistillConfig]:
+    """The harness and distill sections of one sweep point: the section that
+    owns ``sweep.param`` gets ``value``, the other is kept as configured."""
+    if cfg.sweep.param == "ambiguity":
+        return replace(cfg.harness, ambiguity=value), cfg.distill
+    return cfg.harness, replace(cfg.distill, **{cfg.sweep.param: value})
 
 
 _SECTIONS = {
@@ -334,28 +344,28 @@ def cmd_verify(cfg: RunConfig) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _run_and_save_seed(cfg: RunConfig, schemes, dataset_dir: Path,
-                       seed: int) -> list[ExperimentReport]:
-    """One seed's unit of work: every scheme's report, with the seed's
-    dataset saved as soon as its cells are done, so no run holds more than
-    the datasets it is training on."""
-    dataset, reports = run_seed(cfg.harness, cfg.distill, list(schemes), seed)
-    save_dataset(dataset, dataset_dir / f"seed{seed}_train.jsonl",
-                 dataset_dir / f"seed{seed}_heldout.jsonl")
+def _run_unit(schemes, dataset_dir: Path | None, unit) -> list[ExperimentReport]:
+    """One unit of work: every scheme of one ``(harness, distill, seed)``
+    unit. With a ``dataset_dir`` the unit saves its dataset as soon as its
+    cells are done, so no run holds more than the datasets it trains on."""
+    harness_cfg, dcfg, seed = unit
+    dataset, reports = run_seed(harness_cfg, dcfg, list(schemes), seed)
+    if dataset_dir is not None:
+        save_dataset(dataset, dataset_dir / f"seed{seed}_train.jsonl",
+                     dataset_dir / f"seed{seed}_heldout.jsonl")
     return reports
 
 
-def _collect_reports(cfg: RunConfig, schemes, seeds,
-                     dataset_dir: Path) -> list[ExperimentReport]:
-    """Every seed's reports, in seed order. One seed is the unit of work:
-    ``--threads N`` runs up to N seeds at once in worker processes."""
-    seed_run = partial(_run_and_save_seed, cfg, schemes, dataset_dir)
-    if cfg.threads == 1:
-        per_seed = [seed_run(seed) for seed in seeds]
-    else:
-        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(seeds))) as pool:
-            per_seed = list(pool.map(seed_run, seeds))
-    return [report for reports in per_seed for report in reports]
+def _collect_reports(threads: int, schemes, units,
+                     dataset_dir: Path | None = None) -> list[list[ExperimentReport]]:
+    """Each unit's reports, in unit order. Units are independent, so
+    ``--threads N`` runs up to N of them at once in worker processes and
+    the results do not depend on the worker count."""
+    unit_run = partial(_run_unit, schemes, dataset_dir)
+    if threads == 1:
+        return [unit_run(unit) for unit in units]
+    with ProcessPoolExecutor(max_workers=min(threads, len(units))) as pool:
+        return list(pool.map(unit_run, units))
 
 
 def _summarize(reports: list[ExperimentReport]) -> dict:
@@ -385,8 +395,9 @@ def cmd_experiment(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     dataset_dir = out / "datasets"
     dataset_dir.mkdir(exist_ok=True)
-    reports = _collect_reports(cfg, cfg.experiment.schemes, cfg.experiment.seeds,
-                               dataset_dir)
+    units = [(cfg.harness, cfg.distill, seed) for seed in cfg.experiment.seeds]
+    per_unit = _collect_reports(cfg.threads, cfg.experiment.schemes, units, dataset_dir)
+    reports = [report for unit_reports in per_unit for report in unit_reports]
 
     rows = [row for r in reports for row in r.rows()]
     _write_csv(out / "metrics.csv", ("scheme", "seed", "metric", "value"), rows)
@@ -403,22 +414,15 @@ def cmd_experiment(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Sweep ambiguity, tau, or gamma_vlr over a grid of values."""
+    """Sweep ambiguity, tau, or gamma_vlr over a grid of values; one
+    (value, seed) pair is a unit of work."""
     out = _out_dir(cfg)
     sw = cfg.sweep
-    csv_rows: list[tuple] = []
-    if sw.param == "ambiguity":
-        for r in ambiguity_sweep(cfg.harness, cfg.distill, list(sw.values),
-                                 list(sw.schemes), list(sw.seeds)):
-            csv_rows.append((r["ambiguity"], r["scheme"], r["seed"],
-                             r["metric"], r["value"]))
-    else:
-        for value in sw.values:
-            dcfg = replace(cfg.distill, **{sw.param: float(value)})
-            for report in run_experiment(cfg.harness, dcfg,
-                                         list(sw.schemes), list(sw.seeds)):
-                for scheme, seed, metric, metric_value in report.rows():
-                    csv_rows.append((float(value), scheme, seed, metric, metric_value))
+    points = [(value, seed) for value in sw.values for seed in sw.seeds]
+    units = [(*_sweep_point(cfg, value), seed) for value, seed in points]
+    per_unit = _collect_reports(cfg.threads, sw.schemes, units)
+    csv_rows = [(value, *row) for (value, _), reports in zip(points, per_unit)
+                for report in reports for row in report.rows()]
     _write_csv(out / f"sweep_{sw.param}.csv",
                (sw.param, "scheme", "seed", "metric", "value"), csv_rows)
     print(f"wrote {len(csv_rows)} rows to sweep_{sw.param}.csv")

@@ -15,10 +15,8 @@ from .data import (
 from .experiments import (
     SCHEMES,
     ExperimentReport,
-    ambiguity_sweep,
     evaluate,
     run_cell,
-    run_experiment,
     run_seed,
     train,
     train_teacher,
@@ -38,10 +36,8 @@ __all__ = [
     "stack_scene",
     "SCHEMES",
     "ExperimentReport",
-    "ambiguity_sweep",
     "evaluate",
     "run_cell",
-    "run_experiment",
     "run_seed",
     "train",
     "train_teacher",

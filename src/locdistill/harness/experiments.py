@@ -1,4 +1,5 @@
-"""Teacher-student training schemes, evaluation metrics, and sweeps.
+"""Teacher-student training schemes, evaluation metrics, and the per-seed
+unit of work.
 
 Training is deterministic full-batch gradient descent with fixed per-block
 steps; every gradient comes from the loss module's closed forms. The
@@ -21,6 +22,7 @@ from ..losses import (
     SceneOutputs,
     feature_imitation_loss,
     _log_softmax,
+    _tempered_kl,
 )
 from .data import (
     Dataset,
@@ -40,8 +42,6 @@ __all__ = [
     "evaluate",
     "run_cell",
     "run_seed",
-    "run_experiment",
-    "ambiguity_sweep",
 ]
 
 _SEED_TAG_TEACHER = 0x7EAC
@@ -281,10 +281,8 @@ def _mean_pearson_columns(a: np.ndarray, b: np.ndarray) -> float:
 
 def _mean_kl(z_teacher: np.ndarray, z_student: np.ndarray) -> float:
     """Teacher-to-student KL at unit temperature, averaged per anchor."""
-    ls = _log_softmax(z_student, 1.0)
     lt = _log_softmax(z_teacher, 1.0)
-    q = np.exp(lt)
-    return float((q * (lt - ls)).sum() / z_teacher.shape[0])
+    return _tempered_kl(z_student, lt, np.exp(lt), 1.0)[0]
 
 
 def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
@@ -332,15 +330,10 @@ def _new_student(cfg: HarnessConfig, grid: BinGrid, seed: int) -> LinearLocalize
 
 
 def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, scheme: str, seed: int,
-             dataset: Dataset | None = None,
-             teacher: LinearLocalizer | None = None) -> ExperimentReport:
-    """Run one (scheme, seed) cell end to end; dataset and teacher may be
-    passed in to share work across schemes of the same seed."""
+             dataset: Dataset, teacher: LinearLocalizer) -> ExperimentReport:
+    """Train and evaluate one (scheme, seed) cell on the seed's dataset and
+    teacher, which every scheme of the seed shares."""
     spec = _resolve_scheme(scheme)
-    if dataset is None:
-        dataset = gen_dataset(cfg, dcfg, seed)
-    if teacher is None:
-        teacher = train_teacher(dataset, cfg, dcfg, seed)
     student = _new_student(cfg, dataset.grid, seed)
     student, trace = train(student, dataset, scheme,
                            teacher if spec.needs_teacher else None, cfg, dcfg)
@@ -356,29 +349,3 @@ def run_seed(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str],
     teacher = train_teacher(dataset, cfg, dcfg, seed)
     return dataset, [run_cell(cfg, dcfg, scheme, seed, dataset, teacher)
                      for scheme in schemes]
-
-
-def run_experiment(cfg: HarnessConfig, dcfg: DistillConfig,
-                   schemes: list[str], seeds: list[int]) -> list[ExperimentReport]:
-    """Run every (scheme, seed) cell serially, one :func:`run_seed` per seed;
-    cells are independent, so results do not depend on order."""
-    for s in schemes:
-        _resolve_scheme(s)
-    if not schemes or not seeds:
-        raise ValueError("experiment needs at least one scheme and one seed")
-    return [report for seed in seeds for report in run_seed(cfg, dcfg, schemes, seed)[1]]
-
-
-def ambiguity_sweep(cfg: HarnessConfig, dcfg: DistillConfig, levels: list[float],
-                    schemes: list[str], seeds: list[int]) -> list[dict]:
-    """Metrics per (ambiguity level, scheme, seed), long format."""
-    if not levels:
-        raise ValueError("ambiguity sweep needs at least one level")
-    rows = []
-    for level in levels:
-        level_cfg = replace(cfg, ambiguity=float(level))
-        for report in run_experiment(level_cfg, dcfg, schemes, seeds):
-            for scheme, seed, metric, value in report.rows():
-                rows.append({"ambiguity": float(level), "scheme": scheme,
-                             "seed": seed, "metric": metric, "value": value})
-    return rows

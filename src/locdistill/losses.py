@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxdist import BinGrid, BoxDistribution, TwoHotTarget, PROB_SUM_TOL, encode_targets
+from .boxdist import (BinGrid, BoxDistribution, TwoHotTarget, PROB_SUM_TOL, _as_vector,
+                      encode_targets)
 from .geometry import BoundingBox
 from .regions import RegionMasks
 
@@ -138,15 +139,6 @@ def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
     return zt
 
 
-def _check_vector(z, name: str) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError(f"{name} must be finite")
-    return z
-
-
 # ---------------------------------------------------------------------------
 # logit-space losses
 # ---------------------------------------------------------------------------
@@ -159,8 +151,8 @@ def ce_loss(logits, target_weights, tau: float = 1.0) -> LossResult:
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    z = _check_vector(logits, "logits")
-    g = _check_vector(target_weights, "target weights")
+    z = _as_vector(logits)
+    g = _as_vector(target_weights, name="target weights")
     if z.shape != g.shape:
         raise ValueError(f"logits {z.shape} and target weights {g.shape} differ in length")
     if np.any(g < 0.0) or abs(g.sum() - 1.0) > PROB_SUM_TOL:
@@ -181,8 +173,8 @@ def kd_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    zs = _check_vector(student_logits, "student logits")
-    zt = _check_vector(teacher_logits, "teacher logits")
+    zs = _as_vector(student_logits, name="student logits")
+    zt = _as_vector(teacher_logits, name="teacher logits")
     if zs.shape != zt.shape:
         raise ValueError(f"student {zs.shape} and teacher {zt.shape} logit lengths differ")
     ls = _log_softmax(zs, tau)
@@ -235,7 +227,7 @@ def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
     ``value = u1 * H(p, g_i) + u2 * H(p, g_(i+1))``; the gradient is
     ``p_k - u1*[k = i] - u2*[k = i+1]`` (so ``p_i - u1`` at the left index).
     """
-    z = _check_vector(logits, "logits")
+    z = _as_vector(logits)
     g = target.as_weights(z.shape[0])
     return ce_loss(z, g, tau=1.0)
 

@@ -41,6 +41,11 @@ logger = logging.getLogger(__name__)
 
 SIMPLEX_FLOOR = 1e-9
 
+# Noise scales by which a scored Monte-Carlo teacher mean must sit inside the
+# simplex: nearer the boundary, rejecting off-simplex draws truncates the
+# noise, which the closed form does not model.
+_MC_SIMPLEX_MARGIN = 6.0
+
 
 def _check_simplex(p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
@@ -167,6 +172,13 @@ class RescalingReport:
             raise ValueError("abs_error must equal |measured - predicted|")
 
 
+def _tempered(p: np.ndarray, tau: float) -> np.ndarray:
+    """The tempered distribution ``softmax(ln p / tau)``."""
+    z = np.log(p) / tau
+    p_tau = np.exp(z - z.max())
+    return p_tau / p_tau.sum()
+
+
 def _prepare_confidence(p_tau: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Center the confidence vector and shrink it until the teacher stays
     strictly inside the simplex; any shrink is logged."""
@@ -219,8 +231,7 @@ def gradient_rescaling_ratio(
         raise ValueError("predicted ratio is singular: u_i equals p_i at the probed index")
 
     z_s = np.log(p)
-    p_tau = np.exp(z_s / tau - (z_s / tau).max())
-    p_tau = p_tau / p_tau.sum()
+    p_tau = _tempered(p, tau)
     c_eff = _prepare_confidence(p_tau, c)
     predicted = gamma + (lam / tau) * c_eff[i] / denom
     dfl_grad_i = dfl_loss(z_s, target).grad[i]
@@ -336,6 +347,10 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
     The noise-free identity is checked over ``trials`` random instances;
     the noisy expectation over ``mc_instances`` Monte-Carlo runs of
     ``mc_trials`` draws each, requiring agreement within 3 standard errors.
+    Monte-Carlo instances whose teacher mean ``p_tau + c`` has a component
+    less than ``6 * eta_scale`` inside the simplex are redrawn rather than
+    scored: there the rejection of off-simplex noise draws truncates the
+    noise, which the closed form does not model.
     """
     rng = _spawn_rng(seed, 3)
 
@@ -371,6 +386,8 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
         if inst is None:
             continue
         p, c, gamma, lam, tau, target = inst
+        if (_tempered(p, tau) + c - c.mean()).min() < _MC_SIMPLEX_MARGIN * eta_scale:
+            continue
         report = gradient_rescaling_ratio(
             p, c, eta_scale, gamma, lam, tau, target,
             trials=mc_trials, rng=_spawn_rng(seed, 4 + done))

@@ -32,7 +32,7 @@ from locdistill.theory import (
     certify_proposition1,
     certify_rescaling,
 )
-from locdistill.harness import HarnessConfig, run_experiment
+from locdistill.harness import HarnessConfig, run_seed
 from locdistill.cli import main as cli_main
 
 from oracles import (
@@ -296,8 +296,9 @@ def test_harness_qualitative_reproduction():
         seeds = [0, 1, 2, 3, 4]
         schemes = ["baseline", "ld_main_vlr", "tbr", "selective", "feature_imitation"]
         by = {}
-        for report in run_experiment(cfg, dcfg, schemes, seeds):
-            by[(report.scheme, report.seed)] = report
+        for seed in seeds:
+            for report in run_seed(cfg, dcfg, schemes, seed)[1]:
+                by[(report.scheme, report.seed)] = report
 
         for report in by.values():  # training stable: finite traces throughout
             for row in report.trace:

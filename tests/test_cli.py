@@ -20,6 +20,15 @@ FAST_EXPERIMENT = [
     "--set", "harness.n_heldout=24",
 ]
 
+FAST_SWEEP = [
+    "--set", "sweep.schemes=[baseline]",
+    "--set", "sweep.seeds=[0]",
+    "--set", "harness.epochs=20",
+    "--set", "harness.teacher_epochs=20",
+    "--set", "harness.n_train=32",
+    "--set", "harness.n_heldout=24",
+]
+
 
 def _read_bytes(path):
     return path.read_bytes()
@@ -47,6 +56,8 @@ class TestConfigValidation:
     def test_unknown_scheme_lists_valid(self):
         with pytest.raises(ConfigError, match="valid schemes"):
             build_run_config({"experiment": {"schemes": ["wat"]}})
+        with pytest.raises(ConfigError, match="valid schemes"):
+            build_run_config({"sweep": {"schemes": ["wat"]}})
 
     def test_sweep_param_restricted(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -285,6 +296,51 @@ class TestSweepCommand:
         with open(out / "sweep_tau.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["tau"] for r in rows} == {"1.0", "5.0", "10.0", "15.0", "20.0"}
+
+    def test_worker_count_leaves_sweeps_bitwise_equal(self, tmp_path):
+        for param, values in (("ambiguity", "[0.0, 0.5]"), ("tau", "[1, 10]")):
+            csvs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{param}{threads}"
+                assert main(["-o", str(out), "--threads", threads, *FAST_SWEEP,
+                             "--set", f"sweep.param={param}",
+                             "--set", f"sweep.values={values}",
+                             "--set", "sweep.seeds=[0, 1]", "sweep"]) == 0
+                assert [p.name for p in out.iterdir()] == [f"sweep_{param}.csv"]
+                csvs.append((out / f"sweep_{param}.csv").read_bytes())
+            assert csvs[0] == csvs[1]
+
+
+class TestSweepValidation:
+    """Every bad sweep is a config error (exit 2) before any training."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        from locdistill.harness import experiments
+
+        def refuse(*args):
+            raise AssertionError("a rejected sweep must not start training")
+
+        monkeypatch.setattr(experiments, "gen_dataset", refuse)
+
+    @pytest.mark.parametrize("overrides", [
+        ["sweep.schemes=[]"],
+        ["sweep.seeds=[]"],
+        ["sweep.param=tau"],  # the default values start at 0.0
+        ["sweep.param=gamma_vlr", "sweep.values=[0.25, 1.5]"],
+        ["sweep.schemes=[baseline, wat]"],
+    ])
+    def test_rejected_before_training(self, tmp_path, overrides):
+        out = tmp_path / "sw"
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["-o", str(out), *sets, "sweep"]) == 2
+        assert not out.exists()
+
+    def test_swept_value_names_the_field(self):
+        with pytest.raises(ConfigError, match="sweep.values: tau must be positive"):
+            build_run_config({"sweep": {"param": "tau"}})
+        with pytest.raises(ConfigError, match="gamma_vlr must lie in"):
+            build_run_config({"sweep": {"param": "gamma_vlr", "values": [0.25, 1.5]}})
 
 
 class TestEntryPoint:

@@ -1,10 +1,12 @@
+import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from locdistill.boxdist import flatness, make_grid
+from locdistill.cli import build_run_config, main as cli_main
 from locdistill.losses import DistillConfig, total_loss
 from locdistill.harness import (
     EdgeAmbiguity,
@@ -14,14 +16,14 @@ from locdistill.harness import (
     gen_dataset,
     init_localizer,
     load_dataset,
-    run_experiment,
+    run_seed,
     sample_edge_value,
     save_dataset,
     train,
     train_teacher,
 )
 from locdistill.harness.data import stack_scene
-from locdistill.harness.experiments import _new_student, ambiguity_sweep
+from locdistill.harness.experiments import _new_student
 
 GRID = make_grid(0, 8, 8)
 DCFG = DistillConfig(grid=GRID)
@@ -279,22 +281,41 @@ class TestEvaluate:
         assert len(rows) == len(report.METRICS)
 
 
+def _ambiguity_sweep(out_dir, cfg, levels, schemes, seeds):
+    """Rows of the CLI's ambiguity sweep at harness config ``cfg``, with the
+    level and value columns parsed back to floats."""
+    sets = [f"harness.{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
+            if getattr(cfg, f.name) != getattr(HarnessConfig(), f.name)]
+    sets += [f"sweep.values=[{', '.join(str(v) for v in levels)}]",
+             f"sweep.schemes=[{', '.join(schemes)}]",
+             f"sweep.seeds=[{', '.join(str(s) for s in seeds)}]"]
+    argv = ["-o", str(out_dir)]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli_main([*argv, "sweep"]) == 0
+    with open(out_dir / "sweep_ambiguity.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        r["ambiguity"], r["value"] = float(r["ambiguity"]), float(r["value"])
+    return rows
+
+
 class TestExperimentRunner:
-    def test_run_experiment_shares_seed_artifacts(self):
-        reports = run_experiment(FAST, DCFG, ["baseline", "ld_main_vlr"], [0])
+    def test_run_seed_shares_seed_artifacts(self):
+        _, reports = run_seed(FAST, DCFG, ["baseline", "ld_main_vlr"], 0)
         assert [r.scheme for r in reports] == ["baseline", "ld_main_vlr"]
         assert all(r.seed == 0 for r in reports)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment(FAST, DCFG, [], [0])
+            build_run_config({"experiment": {"schemes": []}})
         with pytest.raises(ValueError):
-            ambiguity_sweep(FAST, DCFG, [], ["baseline"], [0])
+            build_run_config({"sweep": {"values": []}})
 
-    def test_ambiguity_sweep_reproducible(self):
+    def test_ambiguity_sweep_reproducible(self, tmp_path):
         kwargs = dict(levels=[0.0, 0.8], schemes=["baseline"], seeds=[0])
-        rows_a = ambiguity_sweep(FAST, DCFG, **kwargs)
-        rows_b = ambiguity_sweep(FAST, DCFG, **kwargs)
+        rows_a = _ambiguity_sweep(tmp_path / "a", FAST, **kwargs)
+        rows_b = _ambiguity_sweep(tmp_path / "b", FAST, **kwargs)
         assert rows_a == rows_b
         assert {r["ambiguity"] for r in rows_a} == {0.0, 0.8}
 
@@ -308,27 +329,27 @@ def _sweep_metric(rows, level, scheme, metric):
 
 
 class TestAmbiguitySweepBehavior:
-    def test_zero_ambiguity_collapses_scheme_gaps(self):
+    def test_zero_ambiguity_collapses_scheme_gaps(self, tmp_path):
         """With degenerate (single-component) mixtures the teacher has no
         distribution knowledge beyond the labels, so the distillation and
         pseudo-box schemes land near the clean-label baseline."""
         cfg = HarnessConfig()  # default scale; amb level comes from the sweep
-        rows = ambiguity_sweep(cfg, DCFG, levels=[0.0],
-                               schemes=["baseline", "ld_main_vlr", "tbr"],
-                               seeds=[0, 1])
+        rows = _ambiguity_sweep(tmp_path, cfg, levels=[0.0],
+                                schemes=["baseline", "ld_main_vlr", "tbr"],
+                                seeds=[0, 1])
         base = _sweep_metric(rows, 0.0, "baseline", "mae_edges")
         ld = _sweep_metric(rows, 0.0, "ld_main_vlr", "mae_edges")
         tbr = _sweep_metric(rows, 0.0, "tbr", "mae_edges")
         assert abs(ld - base) <= 0.1
         assert abs(tbr - base) <= 0.05
 
-    def test_flatness_rises_with_ambiguity(self):
+    def test_flatness_rises_with_ambiguity(self, tmp_path):
         """Wider target mixtures raise the entropy of the distilled student's
         edge distributions, monotonically over the sweep (seed-averaged)."""
         cfg = replace(FAST, n_train=96, n_heldout=64, epochs=300, teacher_epochs=400)
         levels = [0.0, 0.5, 1.0]
-        rows = ambiguity_sweep(cfg, DCFG, levels=levels,
-                               schemes=["ld_main_vlr"], seeds=[0, 1])
+        rows = _ambiguity_sweep(tmp_path, cfg, levels=levels,
+                                schemes=["ld_main_vlr"], seeds=[0, 1])
         flats = [_sweep_metric(rows, lv, "ld_main_vlr", "flatness") for lv in levels]
         assert flats[0] < flats[1] < flats[2]
 
