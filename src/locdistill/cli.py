@@ -28,15 +28,11 @@ import yaml
 from .boxdist import BinGrid
 from .geometry import BoundingBox
 from .harness.data import HarnessConfig, save_dataset
-from .harness.experiments import (
-    TRACE_COLUMNS,
-    ExperimentReport,
-    _resolve_scheme,
-    run_seed,
-)
+from .harness.experiments import TRACE_COLUMNS, ExperimentReport, _resolve_scheme, run_seed
 from .losses import DistillConfig
 from .regions import assign_main, assign_vlr, diou_matrix, unfold_anchors
-from .theory import certify_decomposition, certify_proposition1, certify_rescaling
+from .theory import (_check_rescaling_noise, certify_decomposition, certify_proposition1,
+                     certify_rescaling)
 
 __all__ = ["RunConfig", "load_run_config", "main"]
 
@@ -70,6 +66,7 @@ class VerifyConfig:
         if not self.sizes or any(int(s) < 2 for s in self.sizes):
             raise ValueError("sizes must be a non-empty list of lengths >= 2")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        _check_rescaling_noise(self.eta_scale)
 
 
 def _set_schemes_and_seeds(section) -> None:
@@ -300,8 +297,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     prop = certify_proposition1(v.trials, v.sizes, cfg.seed,
                                 perturbation=v.inject_error)
     dec = certify_decomposition(v.trials, v.sizes, cfg.seed)
-    res = certify_rescaling(v.trials, cfg.seed, mc_instances=v.mc_instances,
-                            mc_trials=v.mc_trials, eta_scale=v.eta_scale)
+    try:
+        res = certify_rescaling(v.trials, cfg.seed, mc_instances=v.mc_instances,
+                                mc_trials=v.mc_trials, eta_scale=v.eta_scale)
+    except ValueError as exc:  # an eta_scale that leaves too few instances to score
+        print(f"config error: verify: {exc}", file=sys.stderr)
+        return 2
     checks = {
         "proposition1": bool(prop["max_discrepancy"] <= PROPOSITION1_TOL),
         "decomposition_residual": bool(dec["max_residual"] <= DECOMPOSITION_TOL),

@@ -43,8 +43,11 @@ SIMPLEX_FLOOR = 1e-9
 
 # Noise scales by which a scored Monte-Carlo teacher mean must sit inside the
 # simplex: nearer the boundary, rejecting off-simplex draws truncates the
-# noise, which the closed form does not model.
+# noise, which the closed form does not model. The rescaling certificate
+# redraws at most _MC_MAX_REDRAWS teacher means per scored instance.
 _MC_SIMPLEX_MARGIN = 6.0
+_MC_MAX_REDRAWS = 1000
+_RESCALING_SIZE = 9
 
 
 def _check_simplex(p, name: str) -> np.ndarray:
@@ -339,7 +342,18 @@ def certify_decomposition(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17
     return {"max_residual": worst, "rank_ok": ranks_ok, "trials": trials, "sizes": list(sizes)}
 
 
-def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
+def _check_rescaling_noise(eta_scale: float, size: int = _RESCALING_SIZE) -> None:
+    """Raise ``ValueError`` unless a teacher mean of ``size`` bins, whose
+    smallest component is at most ``1 / size``, can sit the Monte-Carlo
+    margin inside the simplex."""
+    if eta_scale < 0.0:
+        raise ValueError(f"eta_scale must be non-negative, got {eta_scale!r}")
+    if _MC_SIMPLEX_MARGIN * eta_scale >= 1.0 / size:
+        raise ValueError(f"eta_scale {eta_scale!r} is too large for {size} bins: the Monte-Carlo "
+                         f"margin {_MC_SIMPLEX_MARGIN:g} * eta_scale must stay below 1/{size}")
+
+
+def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_SIZE,
                       mc_instances: int = 5, mc_trials: int = 100_000,
                       eta_scale: float = 0.01) -> dict:
     """Randomized certificate for the gradient-rescaling corollary.
@@ -350,8 +364,11 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
     Monte-Carlo instances whose teacher mean ``p_tau + c`` has a component
     less than ``6 * eta_scale`` inside the simplex are redrawn rather than
     scored: there the rejection of off-simplex noise draws truncates the
-    noise, which the closed form does not model.
+    noise, which the closed form does not model. ``ValueError`` is raised
+    when ``eta_scale`` leaves no room for that margin, or when more than
+    ``_MC_MAX_REDRAWS`` teacher means per scored instance fall inside it.
     """
+    _check_rescaling_noise(eta_scale, size)
     rng = _spawn_rng(seed, 3)
 
     def random_instance():
@@ -381,12 +398,17 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
     mc_max_err_over_se = 0.0
     mc_ok = True
     done = 0
+    redraws = 0
     while done < mc_instances:
         inst = random_instance()
         if inst is None:
             continue
         p, c, gamma, lam, tau, target = inst
         if (_tempered(p, tau) + c - c.mean()).min() < _MC_SIMPLEX_MARGIN * eta_scale:
+            redraws += 1
+            if redraws > _MC_MAX_REDRAWS * mc_instances:
+                raise ValueError(f"eta_scale {eta_scale!r}: {redraws} teacher means fell within "
+                                 f"{_MC_SIMPLEX_MARGIN:g} * eta_scale of the simplex boundary")
             continue
         report = gradient_rescaling_ratio(
             p, c, eta_scale, gamma, lam, tau, target,

@@ -154,6 +154,21 @@ class TestVerifyCommand:
         assert main(["-o", str(out_b), *FAST_VERIFY, "verify"]) == 0
         assert _read_bytes(out_a / "certificate.json") == _read_bytes(out_b / "certificate.json")
 
+    @pytest.mark.parametrize("eta_scale", ["0.02", "0.0185", "-0.01"])
+    def test_eta_scale_without_room_for_the_margin_is_config_error(self, tmp_path, eta_scale):
+        """0.02 leaves no 9-bin teacher mean 6 noise scales inside the simplex;
+        0.0185 leaves almost none, so the redraws run out; a negative value is
+        no noise scale. Each ends promptly with exit 2 and no certificate."""
+        out = tmp_path / "v"
+        result = subprocess.run(
+            [sys.executable, "-m", "locdistill", "-o", str(out), *FAST_VERIFY,
+             "--set", f"verify.eta_scale={eta_scale}", "verify"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "eta_scale" in result.stderr
+        assert not (out / "certificate.json").exists()
+
 
 class TestExperimentCommand:
     def test_writes_reports_and_datasets(self, tmp_path):

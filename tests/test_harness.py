@@ -1,12 +1,12 @@
 import csv
 import json
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from locdistill.boxdist import flatness, make_grid
-from locdistill.cli import build_run_config, main as cli_main
+from locdistill.cli import RunConfig, SweepConfig, build_run_config, cmd_sweep
 from locdistill.losses import DistillConfig, total_loss
 from locdistill.harness import (
     EdgeAmbiguity,
@@ -284,15 +284,8 @@ class TestEvaluate:
 def _ambiguity_sweep(out_dir, cfg, levels, schemes, seeds):
     """Rows of the CLI's ambiguity sweep at harness config ``cfg``, with the
     level and value columns parsed back to floats."""
-    sets = [f"harness.{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)
-            if getattr(cfg, f.name) != getattr(HarnessConfig(), f.name)]
-    sets += [f"sweep.values=[{', '.join(str(v) for v in levels)}]",
-             f"sweep.schemes=[{', '.join(schemes)}]",
-             f"sweep.seeds=[{', '.join(str(s) for s in seeds)}]"]
-    argv = ["-o", str(out_dir)]
-    for item in sets:
-        argv += ["--set", item]
-    assert cli_main([*argv, "sweep"]) == 0
+    sweep = SweepConfig(values=levels, schemes=schemes, seeds=seeds)
+    assert cmd_sweep(RunConfig(output_dir=str(out_dir), harness=cfg, sweep=sweep)) == 0
     with open(out_dir / "sweep_ambiguity.csv") as fh:
         rows = list(csv.DictReader(fh))
     for r in rows:

@@ -190,10 +190,14 @@ class TestGradientRescaling:
             assert cert["mc_ok"], f"seed {seed}: {cert['mc_max_err_over_se']:.1f} SE"
         assert len(scored) == 4 * 5
         for p, c, tau in scored:
-            z = np.log(p) / tau
-            p_tau = np.exp(z - z.max())
-            teacher_mean = p_tau / p_tau.sum() + c - c.mean()
-            assert teacher_mean.min() >= 6 * 0.01
+            teacher_mean = theory._tempered(p, tau) + c - c.mean()
+            assert teacher_mean.min() >= theory._MC_SIMPLEX_MARGIN * 0.01
+
+    def test_noise_scale_without_room_for_the_margin_rejected(self):
+        with pytest.raises(ValueError, match="too large for 9 bins"):
+            certify_rescaling(trials=1, mc_instances=1, eta_scale=0.02)
+        with pytest.raises(ValueError, match="simplex boundary"):
+            certify_rescaling(trials=1, mc_instances=1, eta_scale=0.0185)
 
 
 class TestIncorrectPositionGradientSum:
