@@ -30,7 +30,7 @@ from .geometry import BoundingBox
 from .harness.data import HarnessConfig, save_dataset
 from .harness.experiments import TRACE_COLUMNS, ExperimentReport, _resolve_scheme, run_seed
 from .losses import DistillConfig
-from .regions import assign_main, assign_vlr, diou_matrix, unfold_anchors
+from .regions import compute_region_masks, diou_matrix, unfold_anchors
 from .theory import (_check_rescaling_noise, certify_decomposition, certify_proposition1,
                      certify_rescaling)
 
@@ -460,8 +460,8 @@ def cmd_dump_assignment(cfg: RunConfig) -> int:
     unfolded = unfold_anchors(per_location)
     anchors = list(unfolded.anchors)
     best_diou = diou_matrix(anchors, gts).max(axis=1)
-    main = assign_main(anchors, gts, cfg.distill.alpha_pos)
-    vlr = assign_vlr(anchors, gts, cfg.distill.alpha_pos, cfg.distill.gamma_vlr)
+    masks = compute_region_masks(anchors, gts, cfg.distill.alpha_pos, cfg.distill.gamma_vlr)
+    main, vlr = masks.main, masks.vlr
     rows = [
         (i, int(unfolded.location_index[i]), float(best_diou[i]),
          int(main[i]), int(vlr[i]))

@@ -4,13 +4,12 @@ from .data import (
     Dataset,
     EdgeAmbiguity,
     HarnessConfig,
-    SyntheticSample,
+    SceneStack,
     binned_mixture,
     gen_dataset,
     load_dataset,
     sample_edge_value,
     save_dataset,
-    stack_scene,
 )
 from .experiments import (
     SCHEMES,
@@ -27,13 +26,12 @@ __all__ = [
     "Dataset",
     "EdgeAmbiguity",
     "HarnessConfig",
-    "SyntheticSample",
+    "SceneStack",
     "binned_mixture",
     "gen_dataset",
     "load_dataset",
     "sample_edge_value",
     "save_dataset",
-    "stack_scene",
     "SCHEMES",
     "ExperimentReport",
     "evaluate",

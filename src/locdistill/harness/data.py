@@ -13,7 +13,7 @@ plus isotropic noise, which keeps every head learnable by a linear model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -25,20 +25,19 @@ from ..regions import RegionMasks, compute_region_masks
 
 __all__ = [
     "EdgeAmbiguity",
-    "SyntheticSample",
+    "SceneStack",
     "Dataset",
     "HarnessConfig",
     "gen_dataset",
     "sample_edge_value",
     "binned_mixture",
-    "SceneStack",
-    "stack_scene",
     "save_dataset",
     "load_dataset",
 ]
 
 N_EDGES = 4
 N_CLASSES = 2
+N_COMPONENTS = 2  # mixture components per edge; single-component edges are padded
 
 # Object geometry relative to its own reference point, in scene units.
 _OBJECT_EDGE_LO = 1.7
@@ -78,83 +77,77 @@ def sample_edge_value(amb: EdgeAmbiguity, rng: np.random.Generator) -> float:
     return amb.centers[k]
 
 
-def binned_mixture(amb: EdgeAmbiguity, grid: BinGrid) -> np.ndarray:
-    """Project the mixture onto the grid: weighted sum of two-hot encodings."""
-    idx, u1, u2 = encode_targets(amb.centers, grid)
-    w = np.asarray(amb.weights)
-    out = np.zeros(grid.size)
-    np.add.at(out, idx, w * u1)
-    np.add.at(out, idx + 1, w * u2)
-    return out
+def binned_mixture(centers, weights, grid: BinGrid) -> np.ndarray:
+    """Project edge mixtures onto the grid: weighted sums of two-hot encodings.
+
+    ``centers`` and ``weights`` are ``(..., k)``, one mixture per leading
+    index, and the result is ``(..., grid.size)``; a single
+    :class:`EdgeAmbiguity` is the call on its own centers and weights.
+    Zero-weight padding components add nothing.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if centers.shape != weights.shape or centers.ndim == 0 or centers.shape[-1] == 0:
+        raise ValueError("mixture needs matching, non-empty centers and weights")
+    k = centers.shape[-1]
+    idx, u1, u2 = encode_targets(centers.ravel(), grid)
+    w = weights.ravel()
+    out = np.zeros((w.size // k, grid.size))
+    rows = np.repeat(np.arange(out.shape[0]), k)
+    # Every left-endpoint weight before any right-endpoint weight: each row
+    # then sums in the same order, and to the same bits, as its own call.
+    np.add.at(out, (rows, idx), w * u1)
+    np.add.at(out, (rows, idx + 1), w * u2)
+    return out.reshape(centers.shape[:-1] + (grid.size,))
 
 
 @dataclass(frozen=True)
-class SyntheticSample:
-    """One anchor: features, edge targets, ambiguity spec, and region flags."""
+class SceneStack:
+    """One split of a dataset as read-only arrays, one row per anchor.
 
-    features: np.ndarray
-    true_edge_values: np.ndarray      # (4,) mixture means, order (t, b, l, r)
-    observed_edge_values: np.ndarray  # (4,) mixture draws used as training targets
-    ambiguity: tuple[EdgeAmbiguity, ...]
-    class_label: int
-    anchor_box: BoundingBox
-    gt_box: BoundingBox
-    is_main: bool
-    is_vlr: bool
+    Each anchor looks at one object. Mixtures are padded to
+    ``N_COMPONENTS`` components (the first center repeated at zero weight).
+    """
 
-    def to_json_dict(self) -> dict:
-        return {
-            "features": [float(v) for v in self.features],
-            "true_edges": [float(v) for v in self.true_edge_values],
-            "observed_edges": [float(v) for v in self.observed_edge_values],
-            "ambiguity": [
-                {"centers": list(a.centers), "weights": list(a.weights)}
-                for a in self.ambiguity
-            ],
-            "class_label": int(self.class_label),
-            "anchor_box": self.anchor_box.to_list(),
-            "gt_box": self.gt_box.to_list(),
-            "main": int(self.is_main),
-            "vlr": int(self.is_vlr),
-        }
+    features: np.ndarray        # (A, input_dim)
+    true_edges: np.ndarray      # (A, 4) mixture means, order (t, b, l, r)
+    observed_edges: np.ndarray  # (A, 4) mixture draws used as training targets
+    centers: np.ndarray         # (A, 4, 2) mixture centers
+    weights: np.ndarray         # (A, 4, 2) mixture weights
+    n_components: np.ndarray    # (A, 4) components of each edge's mixture
+    anchor_boxes: np.ndarray    # (A, 4) corner form (x1, y1, x2, y2)
+    gt_boxes: np.ndarray        # (A, 4)
+    main: np.ndarray            # (A,) main-positive flags
+    vlr: np.ndarray             # (A,) VLR flags
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SyntheticSample":
-        return cls(
-            features=np.asarray(d["features"], dtype=np.float64),
-            true_edge_values=np.asarray(d["true_edges"], dtype=np.float64),
-            observed_edge_values=np.asarray(d["observed_edges"], dtype=np.float64),
-            ambiguity=tuple(
-                EdgeAmbiguity(tuple(a["centers"]), tuple(a["weights"]))
-                for a in d["ambiguity"]
-            ),
-            class_label=int(d["class_label"]),
-            anchor_box=BoundingBox.from_list(d["anchor_box"]),
-            gt_box=BoundingBox.from_list(d["gt_box"]),
-            is_main=bool(d["main"]),
-            is_vlr=bool(d["vlr"]),
-        )
+    def __post_init__(self) -> None:
+        lengths = {len(getattr(self, f.name)) for f in fields(self)}
+        if len(lengths) != 1:
+            raise ValueError(f"split columns must share one length, got {sorted(lengths)}")
+        # Splits are shared by every fit and evaluation of a seed.
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    @cached_property
+    def truth(self) -> SceneTruth:
+        """Class labels (main positives are class 1) and observed targets."""
+        labels = self.main.astype(np.int64)
+        labels.flags.writeable = False
+        return SceneTruth(labels=labels, edge_targets=self.observed_edges)
+
+    @cached_property
+    def masks(self) -> RegionMasks:
+        return RegionMasks(main=self.main, vlr=self.vlr)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    train: tuple[SyntheticSample, ...]
-    heldout: tuple[SyntheticSample, ...]
+    train: SceneStack
+    heldout: SceneStack
     grid: BinGrid
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "train", tuple(self.train))
-        object.__setattr__(self, "heldout", tuple(self.heldout))
-
-    @cached_property
-    def train_stack(self) -> "SceneStack":
-        """The train split stacked once and shared by every fit on it."""
-        return stack_scene(self.train, self.grid)
-
-    @cached_property
-    def heldout_stack(self) -> "SceneStack":
-        """The held-out split stacked once and shared by every evaluation."""
-        return stack_scene(self.heldout, self.grid)
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,9 @@ def _make_sample(
     cfg: HarnessConfig,
     dcfg: DistillConfig,
     encoder: np.ndarray,
-) -> SyntheticSample:
+) -> tuple:
+    """One anchor's row: the columns of :class:`SceneStack`, with the edge
+    mixtures as :class:`EdgeAmbiguity` objects."""
     grid = dcfg.grid
     stratum = rng.choice(3, p=[1.0 - cfg.frac_vlr - cfg.frac_background,
                                cfg.frac_vlr, cfg.frac_background])
@@ -283,16 +278,35 @@ def _make_sample(
 
     latent = _standardize_latent(obj_edges, spreads, dx, dy)
     features = encoder @ latent + cfg.feature_noise * rng.standard_normal(cfg.input_dim)
-    return SyntheticSample(
-        features=features,
-        true_edge_values=true_dist,
-        observed_edge_values=observed_dist,
-        ambiguity=tuple(ambiguity),
-        class_label=int(is_main),
-        anchor_box=anchor_box,
-        gt_box=gt_box,
-        is_main=is_main,
-        is_vlr=is_vlr,
+    return (features, true_dist, observed_dist, ambiguity, anchor_box.to_list(),
+            gt_box.to_list(), is_main, is_vlr)
+
+
+def _split(rows) -> SceneStack:
+    """Stack per-anchor rows (see :func:`_make_sample`) into a split."""
+    if not rows:
+        raise ValueError("a split needs at least one sample")
+    features, true_edges, observed, mixtures, anchors, gts, main, vlr = zip(*rows)
+    flat = [amb for mix in mixtures for amb in mix]
+    n_comp = [len(amb.centers) for amb in flat]
+    if any(len(mix) != N_EDGES for mix in mixtures) or max(n_comp) > N_COMPONENTS:
+        raise ValueError(f"each sample needs {N_EDGES} edge mixtures of at most "
+                         f"{N_COMPONENTS} components")
+    shape = (len(rows), N_EDGES, N_COMPONENTS)
+    # Single-component mixtures repeat their center at zero weight.
+    centers = [amb.centers + amb.centers[:1] * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
+    weights = [amb.weights + (0.0,) * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
+    return SceneStack(
+        features=np.array(features, dtype=np.float64),
+        true_edges=np.array(true_edges, dtype=np.float64),
+        observed_edges=np.array(observed, dtype=np.float64),
+        centers=np.array(centers).reshape(shape),
+        weights=np.array(weights).reshape(shape),
+        n_components=np.array(n_comp).reshape(shape[:2]),
+        anchor_boxes=np.array(anchors, dtype=np.float64),
+        gt_boxes=np.array(gts, dtype=np.float64),
+        main=np.array(main, dtype=bool),
+        vlr=np.array(vlr, dtype=bool),
     )
 
 
@@ -305,48 +319,44 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
         )
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_DATA)))
     encoder = rng.normal(0.0, 1.0 / np.sqrt(_N_LATENT), size=(cfg.input_dim, _N_LATENT))
-    samples = [_make_sample(rng, cfg, dcfg, encoder)
-               for _ in range(cfg.n_train + cfg.n_heldout)]
+    rows = [_make_sample(rng, cfg, dcfg, encoder)
+            for _ in range(cfg.n_train + cfg.n_heldout)]
     return Dataset(
-        train=tuple(samples[: cfg.n_train]),
-        heldout=tuple(samples[cfg.n_train:]),
+        train=_split(rows[: cfg.n_train]),
+        heldout=_split(rows[cfg.n_train:]),
         grid=dcfg.grid,
     )
 
 
-@dataclass(frozen=True)
-class SceneStack:
-    """Array view of a sample list for vectorized training and evaluation."""
+def _row_json(split: SceneStack, i: int) -> dict:
+    mixtures = zip(split.centers[i], split.weights[i], split.n_components[i])
+    return {
+        "features": split.features[i].tolist(),
+        "true_edges": split.true_edges[i].tolist(),
+        "observed_edges": split.observed_edges[i].tolist(),
+        "ambiguity": [{"centers": c[:n].tolist(), "weights": w[:n].tolist()}
+                      for c, w, n in mixtures],
+        "class_label": int(split.main[i]),
+        "anchor_box": split.anchor_boxes[i].tolist(),
+        "gt_box": split.gt_boxes[i].tolist(),
+        "main": int(split.main[i]),
+        "vlr": int(split.vlr[i]),
+    }
 
-    features: np.ndarray       # (A, input_dim)
-    truth: SceneTruth          # labels + observed targets + points
-    masks: RegionMasks
-    true_edges: np.ndarray     # (A, 4)
-    bayes: np.ndarray          # (A, 4, m) binned true mixtures
 
-
-def stack_scene(samples, grid: BinGrid) -> SceneStack:
-    if not samples:
-        raise ValueError("cannot stack an empty sample list")
-    features = np.stack([s.features for s in samples])
-    labels = np.array([s.class_label for s in samples], dtype=np.int64)
-    observed = np.stack([s.observed_edge_values for s in samples])
-    true_edges = np.stack([s.true_edge_values for s in samples])
-    main = np.array([s.is_main for s in samples], dtype=bool)
-    vlr = np.array([s.is_vlr for s in samples], dtype=bool)
-    bayes = np.stack([
-        np.stack([binned_mixture(a, grid) for a in s.ambiguity]) for s in samples
-    ])
-    # Stacks are cached on their Dataset and shared by every fit and
-    # evaluation, so none of them may write into the arrays.
-    for arr in (features, labels, observed, true_edges, bayes):
-        arr.flags.writeable = False
-    return SceneStack(
-        features=features,
-        truth=SceneTruth(labels=labels, edge_targets=observed),
-        masks=RegionMasks(main=main, vlr=vlr),
-        true_edges=true_edges,
-        bayes=bayes,
+def _row_from_json(d: dict) -> tuple:
+    if int(d["class_label"]) != int(d["main"]):
+        raise ValueError("class_label must equal the main flag")
+    return (
+        d["features"],
+        d["true_edges"],
+        d["observed_edges"],
+        tuple(EdgeAmbiguity(tuple(a["centers"]), tuple(a["weights"]))
+              for a in d["ambiguity"]),
+        BoundingBox.from_list(d["anchor_box"]).to_list(),
+        BoundingBox.from_list(d["gt_box"]).to_list(),
+        bool(d["main"]),
+        bool(d["vlr"]),
     )
 
 
@@ -354,13 +364,12 @@ def save_dataset(dataset: Dataset, train_path, heldout_path) -> None:
     """Write the two splits as JSONL, one sample per line."""
     for path, split in ((train_path, dataset.train), (heldout_path, dataset.heldout)):
         with open(path, "w", encoding="utf-8") as fh:
-            for sample in split:
-                fh.write(json.dumps(sample.to_json_dict()) + "\n")
+            for i in range(len(split)):
+                fh.write(json.dumps(_row_json(split, i)) + "\n")
 
 
 def load_dataset(train_path, heldout_path, grid: BinGrid) -> Dataset:
     def read(path):
         with open(path, "r", encoding="utf-8") as fh:
-            return tuple(SyntheticSample.from_json_dict(json.loads(line))
-                         for line in fh if line.strip())
+            return _split([_row_from_json(json.loads(line)) for line in fh if line.strip()])
     return Dataset(train=read(train_path), heldout=read(heldout_path), grid=grid)

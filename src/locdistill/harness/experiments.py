@@ -29,6 +29,7 @@ from .data import (
     HarnessConfig,
     N_CLASSES,
     N_EDGES,
+    binned_mixture,
     gen_dataset,
 )
 from .models import LinearLocalizer, init_localizer
@@ -131,13 +132,11 @@ def train(
     """Train a student in place under one scheme; returns the model and the
     per-epoch loss trace (components before each update step)."""
     spec = _resolve_scheme(scheme)
-    if not model.trainable:
-        raise ValueError("model is frozen; cannot train")
     if spec.needs_teacher and teacher is None:
         raise ValueError(f"scheme {scheme!r} distills from a teacher but none was given")
     run_cfg = scheme_config(spec, dcfg, cfg.ld_weight_boost, cfg.ld_dfl_scale)
 
-    stack = dataset.train_stack
+    stack = dataset.train
     x = stack.features
     a = x.shape[0]
     teacher_out: SceneOutputs | None = None
@@ -187,7 +186,7 @@ def train_teacher(
     dcfg: DistillConfig,
     seed: int,
 ) -> LinearLocalizer:
-    """Train the teacher on the true mixtures and freeze it.
+    """Train the teacher on the true mixtures.
 
     Supervision: classification cross-entropy everywhere, soft
     cross-entropy against the binned true mixture plus regression to the
@@ -196,9 +195,9 @@ def train_teacher(
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_TEACHER)))
     model = init_localizer(cfg.input_dim, cfg.teacher_hidden_dim, N_CLASSES,
                            N_EDGES, dataset.grid.size, rng)
-    stack = dataset.train_stack
+    stack = dataset.train
     x = stack.features
-    main_idx = np.flatnonzero(stack.masks.main)
+    main_idx = np.flatnonzero(stack.main)
     k = main_idx.size
     # Regression/soft-distribution supervision targets the true geometry.
     true_truth = replace(stack.truth, edge_targets=stack.true_edges)
@@ -208,8 +207,8 @@ def train_teacher(
     # Smoothed distribution targets keep the teacher's logits bounded, so
     # distilling students have a finite equilibrium to converge to.
     m = dataset.grid.size
-    bayes_main = ((1.0 - cfg.label_smoothing) * stack.bayes[main_idx]
-                  + cfg.label_smoothing / m)
+    bayes = binned_mixture(stack.centers[main_idx], stack.weights[main_idx], dataset.grid)
+    bayes_main = (1.0 - cfg.label_smoothing) * bayes + cfg.label_smoothing / m
 
     for _ in range(cfg.teacher_epochs):
         out, hidden = model.forward(x)
@@ -219,7 +218,6 @@ def train_teacher(
             g_edges[main_idx] += (np.exp(ls) - bayes_main) / k
         g_hidden = _hidden_grad(model, g_cls, g_edges)
         _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
-    model.trainable = False
     return model
 
 
@@ -292,12 +290,12 @@ def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
     per head, per-dimension Pearson correlations, and distribution flatness."""
     if not dataset.heldout:
         raise ValueError("dataset has no held-out split to evaluate on")
-    stack = dataset.heldout_stack
+    stack = dataset.heldout
     x = stack.features
     out_s, h_s = model.forward(x)
     out_t, h_t = teacher.forward(x)
 
-    main_idx = np.flatnonzero(stack.masks.main)
+    main_idx = np.flatnonzero(stack.main)
     if main_idx.size == 0:
         raise ValueError("held-out split has no main positives to score MAE on")
     p_edges = np.exp(_log_softmax(out_s.edge_logits, 1.0))

@@ -24,7 +24,6 @@ class LinearLocalizer:
     feature_weights: np.ndarray  # (hidden, input_dim)
     cls_weights: np.ndarray      # (classes, hidden)
     edge_weights: np.ndarray     # (edges, bins, hidden)
-    trainable: bool = True
 
     @property
     def hidden_dim(self) -> int:
@@ -41,14 +40,6 @@ class LinearLocalizer:
         edge_logits = (h @ self.edge_weights.reshape(-1, hidden).T).reshape(-1, n_edges, n_bins)
         return SceneOutputs(cls_logits=cls_logits, edge_logits=edge_logits), h
 
-    def copy(self, trainable: bool | None = None) -> "LinearLocalizer":
-        return LinearLocalizer(
-            feature_weights=self.feature_weights.copy(),
-            cls_weights=self.cls_weights.copy(),
-            edge_weights=self.edge_weights.copy(),
-            trainable=self.trainable if trainable is None else trainable,
-        )
-
 
 def init_localizer(
     input_dim: int,
@@ -57,12 +48,10 @@ def init_localizer(
     n_edges: int,
     n_bins: int,
     rng: np.random.Generator,
-    trainable: bool = True,
 ) -> LinearLocalizer:
     """Random initialization scaled so hidden units and logits are O(1)."""
     return LinearLocalizer(
         feature_weights=rng.normal(0.0, 1.0 / np.sqrt(input_dim), (hidden_dim, input_dim)),
         cls_weights=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (n_classes, hidden_dim)),
         edge_weights=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (n_edges, n_bins, hidden_dim)),
-        trainable=trainable,
     )

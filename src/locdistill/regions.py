@@ -75,6 +75,16 @@ def assign_main(
     return out
 
 
+def _vlr_outside(main: np.ndarray, anchors: list[BoundingBox], gts: list[BoundingBox],
+                 alpha_pos: float, gamma: float) -> np.ndarray:
+    """The DIoU band ``[gamma * alpha_pos, alpha_pos]`` minus the ``main`` anchors."""
+    if not gts:
+        return np.zeros(len(anchors), dtype=bool)
+    x = diou_matrix(anchors, gts)
+    in_band = np.any((x >= gamma * alpha_pos) & (x <= alpha_pos), axis=1)
+    return in_band & ~main
+
+
 def assign_vlr(
     anchors: list[BoundingBox],
     gts: list[BoundingBox],
@@ -89,13 +99,7 @@ def assign_vlr(
     _validate_thresholds(alpha_pos, gamma)
     if not anchors:
         raise ValueError("assign_vlr: anchor list is empty")
-    if not gts:
-        return np.zeros(len(anchors), dtype=bool)
-    alpha_vl = gamma * alpha_pos
-    x = diou_matrix(anchors, gts)
-    in_band = np.any((x >= alpha_vl) & (x <= alpha_pos), axis=1)
-    main = assign_main(anchors, gts, alpha_pos)
-    return in_band & ~main
+    return _vlr_outside(assign_main(anchors, gts, alpha_pos), anchors, gts, alpha_pos, gamma)
 
 
 def compute_region_masks(
@@ -104,11 +108,10 @@ def compute_region_masks(
     alpha_pos: float,
     gamma: float,
 ) -> RegionMasks:
-    """Bundle main and VLR assignment for one scene."""
-    return RegionMasks(
-        main=assign_main(anchors, gts, alpha_pos),
-        vlr=assign_vlr(anchors, gts, alpha_pos, gamma),
-    )
+    """Main and VLR assignment for one scene, with the main region computed once."""
+    _validate_thresholds(alpha_pos, gamma)
+    main = assign_main(anchors, gts, alpha_pos)
+    return RegionMasks(main=main, vlr=_vlr_outside(main, anchors, gts, alpha_pos, gamma))
 
 
 @dataclass(frozen=True)

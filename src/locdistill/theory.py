@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxdist import TwoHotTarget, PROB_SUM_TOL
+from .boxdist import PROB_SUM_TOL, TwoHotTarget, generalized_softmax
 from .losses import dfl_loss, kd_loss
 
 __all__ = [
@@ -175,13 +175,6 @@ class RescalingReport:
             raise ValueError("abs_error must equal |measured - predicted|")
 
 
-def _tempered(p: np.ndarray, tau: float) -> np.ndarray:
-    """The tempered distribution ``softmax(ln p / tau)``."""
-    z = np.log(p) / tau
-    p_tau = np.exp(z - z.max())
-    return p_tau / p_tau.sum()
-
-
 def _prepare_confidence(p_tau: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Center the confidence vector and shrink it until the teacher stays
     strictly inside the simplex; any shrink is logged."""
@@ -234,7 +227,7 @@ def gradient_rescaling_ratio(
         raise ValueError("predicted ratio is singular: u_i equals p_i at the probed index")
 
     z_s = np.log(p)
-    p_tau = _tempered(p, tau)
+    p_tau = generalized_softmax(z_s, tau)
     c_eff = _prepare_confidence(p_tau, c)
     predicted = gamma + (lam / tau) * c_eff[i] / denom
     dfl_grad_i = dfl_loss(z_s, target).grad[i]
@@ -404,7 +397,8 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
         if inst is None:
             continue
         p, c, gamma, lam, tau, target = inst
-        if (_tempered(p, tau) + c - c.mean()).min() < _MC_SIMPLEX_MARGIN * eta_scale:
+        teacher_mean = generalized_softmax(np.log(p), tau) + c - c.mean()
+        if teacher_mean.min() < _MC_SIMPLEX_MARGIN * eta_scale:
             redraws += 1
             if redraws > _MC_MAX_REDRAWS * mc_instances:
                 raise ValueError(f"eta_scale {eta_scale!r}: {redraws} teacher means fell within "

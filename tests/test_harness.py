@@ -1,6 +1,7 @@
+import copy
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from locdistill.losses import DistillConfig, total_loss
 from locdistill.harness import (
     EdgeAmbiguity,
     HarnessConfig,
+    SceneStack,
     binned_mixture,
     evaluate,
     gen_dataset,
@@ -22,7 +24,6 @@ from locdistill.harness import (
     train,
     train_teacher,
 )
-from locdistill.harness.data import stack_scene
 from locdistill.harness.experiments import _new_student
 
 GRID = make_grid(0, 8, 8)
@@ -34,9 +35,10 @@ FAST = HarnessConfig(n_train=48, n_heldout=32, epochs=40, teacher_epochs=40)
 
 def _dataset_fingerprint(ds):
     return [
-        (s.features.tobytes(), s.true_edge_values.tobytes(),
-         s.observed_edge_values.tobytes(), s.class_label, s.is_main, s.is_vlr)
-        for s in ds.train + ds.heldout
+        (split.features.tobytes(), split.true_edges.tobytes(),
+         split.observed_edges.tobytes(), split.truth.labels.tobytes(),
+         split.main.tobytes(), split.vlr.tobytes())
+        for split in (ds.train, ds.heldout)
     ]
 
 
@@ -53,31 +55,32 @@ class TestDataGeneration:
 
     def test_zero_ambiguity_is_noise_free(self):
         cfg = replace(FAST, ambiguity=0.0)
-        ds = gen_dataset(cfg, DCFG, seed=0)
-        for s in ds.train:
-            assert all(len(a.centers) == 1 for a in s.ambiguity)
-            assert np.array_equal(s.observed_edge_values, s.true_edge_values)
-            for a in s.ambiguity:
-                # single component: the binned mixture is exactly a two-hot
-                assert flatness(binned_mixture(a, GRID)) <= np.log(2) + 1e-12
+        split = gen_dataset(cfg, DCFG, seed=0).train
+        assert np.all(split.n_components == 1)
+        assert np.array_equal(split.observed_edges, split.true_edges)
+        for mix in binned_mixture(split.centers, split.weights, GRID).reshape(-1, GRID.size):
+            # single component: the binned mixture is exactly a two-hot
+            assert flatness(mix) <= np.log(2) + 1e-12
 
     def test_targets_of_positives_are_in_range(self):
         ds = gen_dataset(FAST, DCFG, seed=3)
-        for s in ds.train + ds.heldout:
-            if s.is_main:
-                assert np.all(s.observed_edge_values >= GRID.e_min)
-                assert np.all(s.observed_edge_values <= GRID.e_max)
+        for split in (ds.train, ds.heldout):
+            positives = split.observed_edges[split.main]
+            assert np.all(positives >= GRID.e_min)
+            assert np.all(positives <= GRID.e_max)
 
     def test_masks_match_region_module(self):
+        from locdistill.geometry import BoundingBox
         from locdistill.regions import compute_region_masks
 
-        ds = gen_dataset(FAST, DCFG, seed=4)
-        for s in ds.train[:16]:
-            masks = compute_region_masks([s.anchor_box], [s.gt_box],
+        split = gen_dataset(FAST, DCFG, seed=4).train
+        for i in range(16):
+            masks = compute_region_masks([BoundingBox(*split.anchor_boxes[i])],
+                                         [BoundingBox(*split.gt_boxes[i])],
                                          DCFG.alpha_pos, DCFG.gamma_vlr)
-            assert s.is_main == bool(masks.main[0])
-            assert s.is_vlr == bool(masks.vlr[0])
-            assert s.class_label == int(s.is_main)
+            assert split.main[i] == bool(masks.main[0])
+            assert split.vlr[i] == bool(masks.vlr[0])
+            assert split.truth.labels[i] == int(split.main[i])
 
     def test_out_of_range_mixture_rejected(self):
         cfg = replace(FAST, max_offset=10.0, ambiguity=1.0)
@@ -86,8 +89,8 @@ class TestDataGeneration:
 
     def test_strata_present(self):
         ds = gen_dataset(replace(FAST, n_train=150), DCFG, seed=5)
-        mains = sum(s.is_main for s in ds.train)
-        vlrs = sum(s.is_vlr for s in ds.train)
+        mains = ds.train.main.sum()
+        vlrs = ds.train.vlr.sum()
         assert mains > 20 and vlrs > 5
 
 
@@ -108,9 +111,22 @@ class TestMixtureSampling:
 
     def test_binned_mixture_is_distribution(self):
         amb = EdgeAmbiguity(centers=(2.3, 4.9), weights=(0.5, 0.5))
-        mix = binned_mixture(amb, GRID)
+        mix = binned_mixture(amb.centers, amb.weights, GRID)
         assert mix.sum() == pytest.approx(1.0, abs=1e-12)
         assert mix[2] == pytest.approx(0.35)  # 0.5 * 0.7
+
+    def test_batched_binned_mixture_matches_single_mixtures(self):
+        rng = np.random.default_rng(3)
+        ambs = [EdgeAmbiguity((c,), (1.0,)) for c in rng.uniform(0.0, 8.0, 6)]
+        ambs += [EdgeAmbiguity(tuple(rng.uniform(0.0, 8.0, 2)), (w, 1.0 - w))
+                 for w in rng.uniform(0.0, 1.0, 6)]
+        # One-component mixtures ride in the batch padded to two components.
+        centers = np.array([a.centers + a.centers[:1] * (2 - len(a.centers)) for a in ambs])
+        weights = np.array([a.weights + (0.0,) * (2 - len(a.weights)) for a in ambs])
+        batched = binned_mixture(centers.reshape(3, 4, 2), weights.reshape(3, 4, 2), GRID)
+        assert batched.shape == (3, 4, GRID.size)
+        single = np.array([binned_mixture(a.centers, a.weights, GRID) for a in ambs])
+        assert batched.reshape(-1, GRID.size).tobytes() == single.tobytes()
 
     def test_invalid_mixture_rejected(self):
         with pytest.raises(ValueError):
@@ -132,6 +148,28 @@ class TestDatasetIO:
                               "gt_box", "main", "vlr"}
         back = load_dataset(train_path, heldout_path, GRID)
         assert _dataset_fingerprint(back) == _dataset_fingerprint(ds)
+        again = tmp_path / "again"
+        again.mkdir()
+        save_dataset(back, again / "train.jsonl", again / "heldout.jsonl")
+        for name in ("train.jsonl", "heldout.jsonl"):
+            assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda d: d.update(class_label=1 - d["main"]), "class_label"),
+        (lambda d: d["ambiguity"].pop(), "4 edge mixtures"),
+        (lambda d: d["ambiguity"].__setitem__(
+            0, {"centers": [2.0, 3.0, 4.0], "weights": [0.2, 0.3, 0.5]}), "at most 2"),
+    ])
+    def test_malformed_sample_rejected(self, tmp_path, corrupt, match):
+        ds = gen_dataset(FAST, DCFG, seed=11)
+        train_path, heldout_path = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
+        save_dataset(ds, train_path, heldout_path)
+        lines = train_path.read_text().splitlines()
+        first = json.loads(lines[0])
+        corrupt(first)
+        train_path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_dataset(train_path, heldout_path, GRID)
 
 
 class TestTraining:
@@ -147,20 +185,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="teacher"):
             train(student, ds, "ld_main", None, FAST, DCFG)
 
-    def test_frozen_model_rejected(self):
-        ds = gen_dataset(FAST, DCFG, seed=0)
-        student = _new_student(FAST, GRID, 0)
-        student.trainable = False
-        with pytest.raises(ValueError, match="frozen"):
-            train(student, ds, "baseline", None, FAST, DCFG)
-
     def test_baseline_trace_matches_direct_total_loss(self):
         ds = gen_dataset(FAST, DCFG, seed=1)
         student = _new_student(FAST, GRID, 1)
-        init = student.copy()
+        init = copy.deepcopy(student)
         _, trace = train(student, ds, "baseline", None, FAST, DCFG)
 
-        stack = stack_scene(ds.train, GRID)
+        stack = ds.train
         out, _ = init.forward(stack.features)
         cfg0 = replace(DCFG, w_ld_main=0.0, w_ld_vlr=0.0, w_kd_main=0.0, w_kd_vlr=0.0)
         res = total_loss(out, None, stack.truth, stack.masks, cfg0)
@@ -171,7 +202,7 @@ class TestTraining:
     def test_ld_term_starts_at_zero_for_matched_teacher(self):
         ds = gen_dataset(FAST, DCFG, seed=2)
         student = _new_student(FAST, GRID, 2)
-        teacher = student.copy(trainable=False)
+        teacher = copy.deepcopy(student)
         _, trace = train(student, ds, "ld_main", teacher, FAST, DCFG)
         assert trace[0]["LD_main"] == 0.0
 
@@ -218,39 +249,21 @@ class TestTraining:
 
 
 class TestSceneStackCache:
-    def test_train_and_evaluate_stack_each_split_once(self, monkeypatch):
-        from locdistill.harness import data
-
-        stacked = []
-        real = data.stack_scene
-
-        def counting(samples, grid):
-            stacked.append(samples)
-            return real(samples, grid)
-
-        monkeypatch.setattr(data, "stack_scene", counting)
-        ds = gen_dataset(FAST, DCFG, seed=12)
-        teacher = train_teacher(ds, FAST, DCFG, seed=12)
-        for scheme in ("baseline", "selective"):
-            student, _ = train(_new_student(FAST, GRID, 12), ds, scheme, teacher,
-                               FAST, DCFG)
-            evaluate(student, teacher, ds, scheme=scheme, seed=12)
-        assert len(stacked) == 2
-        assert stacked[0] is ds.train and stacked[1] is ds.heldout
-
     def test_cached_stacks_are_read_only(self):
-        stack = gen_dataset(FAST, DCFG, seed=13).train_stack
-        for arr in (stack.features, stack.truth.labels, stack.truth.edge_targets,
-                    stack.true_edges, stack.bayes, stack.masks.main):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        ds = gen_dataset(FAST, DCFG, seed=13)
+        for split in (ds.train, ds.heldout):
+            arrays = [getattr(split, f.name) for f in fields(SceneStack)]
+            for arr in arrays + [split.truth.labels, split.truth.edge_targets,
+                                 split.masks.main, split.masks.vlr]:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
 
 class TestEvaluate:
     def test_teacher_against_itself(self):
         ds = gen_dataset(FAST, DCFG, seed=7)
         teacher = train_teacher(ds, FAST, DCFG, seed=7)
-        report = evaluate(teacher.copy(), teacher, ds, scheme="self", seed=7)
+        report = evaluate(copy.deepcopy(teacher), teacher, ds, scheme="self", seed=7)
         assert report.kl_box == 0.0
         assert report.kl_cls == 0.0
         assert report.pearson_box_logits == 1.0
@@ -267,15 +280,16 @@ class TestEvaluate:
 
     def test_empty_heldout_rejected(self):
         ds = gen_dataset(FAST, DCFG, seed=9)
-        empty = replace(ds, heldout=())
+        no_rows = {f.name: getattr(ds.heldout, f.name)[:0] for f in fields(SceneStack)}
+        empty = replace(ds, heldout=SceneStack(**no_rows))
         teacher = train_teacher(ds, FAST, DCFG, seed=9)
         with pytest.raises(ValueError, match="held-out"):
-            evaluate(teacher.copy(), teacher, empty)
+            evaluate(copy.deepcopy(teacher), teacher, empty)
 
     def test_report_rows_long_format(self):
         ds = gen_dataset(FAST, DCFG, seed=10)
         teacher = train_teacher(ds, FAST, DCFG, seed=10)
-        report = evaluate(teacher.copy(), teacher, ds, scheme="x", seed=10)
+        report = evaluate(copy.deepcopy(teacher), teacher, ds, scheme="x", seed=10)
         rows = report.rows()
         assert ("x", 10, "kl_box", 0.0) in rows
         assert len(rows) == len(report.METRICS)
@@ -356,11 +370,3 @@ class TestLocalizerModel:
         assert out.cls_logits.shape == (5, 2)
         assert out.edge_logits.shape == (5, 4, 9)
         assert hidden.shape == (5, 8)
-
-    def test_copy_is_independent(self):
-        rng = np.random.default_rng(1)
-        model = init_localizer(6, 4, 2, 4, 9, rng)
-        clone = model.copy(trainable=False)
-        clone.cls_weights += 1.0
-        assert not np.array_equal(clone.cls_weights, model.cls_weights)
-        assert not clone.trainable and model.trainable

@@ -146,6 +146,24 @@ class TestRegionMasks:
         masks = compute_region_masks(anchors, gts, 0.5, 0.25)
         assert not (masks.main & masks.vlr).any()
 
+    def test_main_region_computed_once(self, monkeypatch):
+        from locdistill import geometry, regions
+
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return iou(a, b)
+
+        monkeypatch.setattr(geometry, "iou", counting)
+        monkeypatch.setattr(regions, "iou", counting)
+        anchors, gts = _random_scene(np.random.default_rng(23), n_anchors=60, n_gts=4)
+        masks = compute_region_masks(anchors, gts, 0.5, 0.25)
+        # At most one IoU per pair for the main region and one inside each DIoU.
+        assert len(calls) <= 2 * len(anchors) * len(gts)
+        assert np.array_equal(masks.main, assign_main(anchors, gts, 0.5))
+        assert np.array_equal(masks.vlr, assign_vlr(anchors, gts, 0.5, 0.25))
+
 
 class TestUnfoldAnchors:
     def test_single_anchor_per_location_is_identity(self):
