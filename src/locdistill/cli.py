@@ -30,7 +30,7 @@ from .geometry import BoundingBox
 from .harness.data import HarnessConfig, save_dataset
 from .harness.experiments import TRACE_COLUMNS, ExperimentReport, _resolve_scheme, run_seed
 from .losses import DistillConfig
-from .regions import compute_region_masks, diou_matrix, unfold_anchors
+from .regions import _masks_and_diou, unfold_anchors
 from .theory import (_check_rescaling_noise, certify_decomposition, certify_proposition1,
                      certify_rescaling)
 
@@ -307,6 +307,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "proposition1": bool(prop["max_discrepancy"] <= PROPOSITION1_TOL),
         "decomposition_residual": bool(dec["max_residual"] <= DECOMPOSITION_TOL),
         "decomposition_rank": bool(dec["rank_ok"]),
+        "decomposition_simplex": bool(dec["min_entry"] >= -DECOMPOSITION_TOL),
         "rescaling_exact": bool(res["max_abs_error"] <= RESCALING_TOL),
         "rescaling_monte_carlo": bool(res["mc_ok"]),
     }
@@ -314,6 +315,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "proposition1_max_err": float(prop["max_discrepancy"]),
         "decomposition_max_residual": float(dec["max_residual"]),
         "decomposition_rank_ok": bool(dec["rank_ok"]),
+        "decomposition_min_entry": float(dec["min_entry"]),
         "rescaling_abs_err": float(res["max_abs_error"]),
         "rescaling_mc_within_3se": bool(res["mc_ok"]),
         "rescaling_mc_err_over_se": float(res["mc_max_err_over_se"]),
@@ -459,8 +461,8 @@ def cmd_dump_assignment(cfg: RunConfig) -> int:
     per_location, gts = _random_scene(cfg.scene, cfg.seed)
     unfolded = unfold_anchors(per_location)
     anchors = list(unfolded.anchors)
-    best_diou = diou_matrix(anchors, gts).max(axis=1)
-    masks = compute_region_masks(anchors, gts, cfg.distill.alpha_pos, cfg.distill.gamma_vlr)
+    masks, diou = _masks_and_diou(anchors, gts, cfg.distill.alpha_pos, cfg.distill.gamma_vlr)
+    best_diou = diou.max(axis=1)
     main, vlr = masks.main, masks.vlr
     rows = [
         (i, int(unfolded.location_index[i]), float(best_diou[i]),

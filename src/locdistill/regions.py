@@ -75,14 +75,12 @@ def assign_main(
     return out
 
 
-def _vlr_outside(main: np.ndarray, anchors: list[BoundingBox], gts: list[BoundingBox],
-                 alpha_pos: float, gamma: float) -> np.ndarray:
-    """The DIoU band ``[gamma * alpha_pos, alpha_pos]`` minus the ``main`` anchors."""
-    if not gts:
-        return np.zeros(len(anchors), dtype=bool)
-    x = diou_matrix(anchors, gts)
+def _diou_band(main: np.ndarray, anchors: list[BoundingBox], gts: list[BoundingBox],
+               alpha_pos: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The DIoU matrix, and its band ``[gamma * alpha_pos, alpha_pos]`` minus the ``main`` anchors."""
+    x = diou_matrix(anchors, gts) if gts else np.empty((len(anchors), 0))
     in_band = np.any((x >= gamma * alpha_pos) & (x <= alpha_pos), axis=1)
-    return in_band & ~main
+    return x, in_band & ~main
 
 
 def assign_vlr(
@@ -99,7 +97,7 @@ def assign_vlr(
     _validate_thresholds(alpha_pos, gamma)
     if not anchors:
         raise ValueError("assign_vlr: anchor list is empty")
-    return _vlr_outside(assign_main(anchors, gts, alpha_pos), anchors, gts, alpha_pos, gamma)
+    return _diou_band(assign_main(anchors, gts, alpha_pos), anchors, gts, alpha_pos, gamma)[1]
 
 
 def compute_region_masks(
@@ -109,9 +107,21 @@ def compute_region_masks(
     gamma: float,
 ) -> RegionMasks:
     """Main and VLR assignment for one scene, with the main region computed once."""
+    return _masks_and_diou(anchors, gts, alpha_pos, gamma)[0]
+
+
+def _masks_and_diou(
+    anchors: list[BoundingBox],
+    gts: list[BoundingBox],
+    alpha_pos: float,
+    gamma: float,
+) -> tuple[RegionMasks, np.ndarray]:
+    """:func:`compute_region_masks` plus the ``(len(anchors), len(gts))``
+    DIoU matrix it assigned the VLR from, each DIoU computed once."""
     _validate_thresholds(alpha_pos, gamma)
     main = assign_main(anchors, gts, alpha_pos)
-    return RegionMasks(main=main, vlr=_vlr_outside(main, anchors, gts, alpha_pos, gamma))
+    x, vlr = _diou_band(main, anchors, gts, alpha_pos, gamma)
+    return RegionMasks(main=main, vlr=vlr), x
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ Three facts are checked to double precision:
    each target separately (checked through the real loss code path).
 2. Any localization probability vector decomposes into two classification
    probabilities under the affine system {sum p = 1, sum q = 1,
-   u1*p + u2*q = l}; the system's coefficient matrix has rank ``len(l) + 1``
-   and a minimum-norm solution reconstructs ``l`` exactly.
+   u1*p + u2*q = l}: for every trial the system's coefficient matrix has
+   rank ``len(l) + 1``, and a nonnegative pair (p, q) reconstructs ``l``
+   exactly. All trials of one length are solved as one stack.
 3. Adding distillation to the two-hot supervised loss rescales its
    per-logit gradient by ``gamma + (lam / tau) * c_i / (u_i - p_i)`` in
    expectation under an additive teacher-confidence model.
@@ -39,7 +40,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SIMPLEX_FLOOR = 1e-9
+# Largest negative entry a decomposition may carry and still count as on the simplex.
+SIMPLEX_TOL = 1e-10
 
 # Noise scales by which a scored Monte-Carlo teacher mean must sit inside the
 # simplex: nearer the boundary, rejecting off-simplex draws truncates the
@@ -102,25 +104,55 @@ class DecompositionResult:
     simplex_feasible: bool
 
 
-def _decomposition_system(l: np.ndarray, u1: float) -> tuple[np.ndarray, np.ndarray]:
-    m = l.shape[0]
-    u2 = 1.0 - u1
-    rows = np.zeros((m + 2, 2 * m))
-    rows[0, :m] = 1.0
-    rows[1, m:] = 1.0
-    rows[2:, :m] = u1 * np.eye(m)
-    rows[2:, m:] = u2 * np.eye(m)
-    b = np.concatenate([[1.0, 1.0], l])
+def _decomposition_system(l: np.ndarray, u1) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(..., m + 2, 2m)`` and right-hand sides ``(..., m + 2)``
+    of {sum p = 1, sum q = 1, u1*p + u2*q = l}, for one ``l`` of length ``m``
+    or a stack ``(n, m)`` with one ``u1`` per row."""
+    u1 = np.asarray(u1, dtype=np.float64)[..., None, None]
+    m = l.shape[-1]
+    eye = np.eye(m)
+    rows = np.zeros(l.shape[:-1] + (m + 2, 2 * m))
+    rows[..., 0, :m] = 1.0
+    rows[..., 1, m:] = 1.0
+    rows[..., 2:, :m] = u1 * eye
+    rows[..., 2:, m:] = (1.0 - u1) * eye
+    b = np.concatenate([np.ones(l.shape[:-1] + (2,)), l], axis=-1)
     return rows, b
 
 
-def decompose_localization(l, u1: float, i: int, j: int,
-                           projection_iters: int = 200) -> DecompositionResult:
-    """Solve {sum p = 1, sum q = 1, u1*p + u2*q = l} for (p, q).
+def _decompose_stack(l: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonnegative decompositions of a stack ``l`` of probability vectors,
+    shape ``(n, m)``, with weights ``u1`` in (0, 1) of shape ``(n,)``.
 
-    Returns the minimum-norm solution of the underdetermined system. When
-    that solution leaves the simplex, an alternating-projection pass looks
-    for a nonnegative solution; ``simplex_feasible`` reports the outcome.
+    Returns ``(x, residual, rank)``: the pairs ``x = (p, q)`` as ``(n, 2m)``,
+    each row's largest violation of the affine system, and each system's
+    numerical rank. The minimum-norm solution ``x_mn`` and ``(l, l)`` both
+    solve the system, so every point of the segment between them does too;
+    where ``x_mn`` has negative entries, the first nonnegative point of that
+    segment is returned, otherwise ``x_mn`` itself.
+    """
+    m = l.shape[-1]
+    a_mat, b = _decomposition_system(l, u1)
+    x = (np.linalg.pinv(a_mat) @ b[..., None])[..., 0]
+    rank = np.linalg.matrix_rank(a_mat)
+    toward = np.concatenate([l, l], axis=-1) - x
+    t = np.divide(-x, toward, out=np.zeros_like(x), where=x < 0.0).max(axis=-1)
+    x = x + t[:, None] * toward
+    p, q = x[:, :m], x[:, m:]
+    u1 = u1[:, None]
+    residual = np.abs(u1 * p + (1.0 - u1) * q - l).max(axis=-1)
+    residual = np.maximum(residual, np.abs(p.sum(axis=-1) - 1.0))
+    residual = np.maximum(residual, np.abs(q.sum(axis=-1) - 1.0))
+    return x, residual, rank
+
+
+def decompose_localization(l, u1: float, i: int, j: int) -> DecompositionResult:
+    """Solve {sum p = 1, sum q = 1, u1*p + u2*q = l} for a nonnegative (p, q).
+
+    ``l`` must be a probability vector (zero entries allowed). Returns the
+    minimum-norm solution when it is nonnegative, and otherwise the first
+    nonnegative point on the segment from it to the solution ``(l, l)``;
+    ``simplex_feasible`` reports whether both halves are nonnegative.
     ``i`` and ``j`` identify the bracketing positions of the underlying
     two-hot target and must differ; they do not affect the algebra.
     """
@@ -128,34 +160,20 @@ def decompose_localization(l, u1: float, i: int, j: int,
     if l.ndim != 1:
         raise ValueError(f"localization vector must be 1-D, got shape {l.shape}")
     m = l.shape[0]
+    if not np.all(np.isfinite(l)) or np.any(l < 0.0):
+        raise ValueError("localization vector must be finite and nonnegative")
+    if abs(l.sum() - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"localization vector must sum to 1, got {l.sum()!r}")
     if not (0.0 < u1 < 1.0):
         raise ValueError(f"u1 must lie strictly inside (0, 1), got {u1}")
     if i == j:
         raise ValueError("bracketing indices must differ")
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"indices ({i}, {j}) out of range for length {m}")
-
-    a_mat, b = _decomposition_system(l, u1)
-    pinv = np.linalg.pinv(a_mat)
-    x = pinv @ b
-
-    def affine_project(v: np.ndarray) -> np.ndarray:
-        return v - pinv @ (a_mat @ v - b)
-
-    feasible = bool(x.min() >= -1e-10)
-    if not feasible:
-        y = x.copy()
-        for _ in range(projection_iters):
-            y = affine_project(np.maximum(y, 0.0))
-            if y.min() >= -1e-10:
-                break
-        if y.min() >= -1e-10:
-            x, feasible = y, True
-
-    p, q = x[:m], x[m:]
-    residual = float(np.abs(u1 * p + (1.0 - u1) * q - l).max())
-    residual = max(residual, abs(float(p.sum()) - 1.0), abs(float(q.sum()) - 1.0))
-    return DecompositionResult(p=p, q=q, residual=residual, simplex_feasible=feasible)
+    x, residual, _ = _decompose_stack(l[None, :], np.array([u1], dtype=np.float64))
+    x = x[0]
+    return DecompositionResult(p=x[:m], q=x[m:], residual=float(residual[0]),
+                               simplex_feasible=bool(x.min() >= -SIMPLEX_TOL))
 
 
 @dataclass(frozen=True)
@@ -318,21 +336,29 @@ def certify_proposition1(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17)
 
 def certify_decomposition(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17),
                           seed: int = 0) -> dict:
-    """Randomized certificate for the decomposition residual and rank."""
+    """Randomized certificate for the decomposition: the residual, the rank
+    and the smallest entry of any returned (p, q), which is nonnegative
+    when every pair lies on the simplex."""
     rng = _spawn_rng(seed, 2)
-    worst = 0.0
-    ranks_ok = True
+    drawn: dict[int, tuple[list, list]] = {}
     for k in range(trials):
         m = sizes[k % len(sizes)]
         l = rng.dirichlet(np.ones(m))
         u1 = rng.uniform(0.05, 0.95)
-        i, j = rng.choice(m, size=2, replace=False)
-        result = decompose_localization(l, u1, int(i), int(j))
-        worst = max(worst, result.residual)
-        a_mat, _ = _decomposition_system(l, u1)
-        if np.linalg.matrix_rank(a_mat) != m + 1:
-            ranks_ok = False
-    return {"max_residual": worst, "rank_ok": ranks_ok, "trials": trials, "sizes": list(sizes)}
+        rng.choice(m, size=2, replace=False)  # bracketing indices; the algebra ignores them
+        ls, u1s = drawn.setdefault(m, ([], []))
+        ls.append(l)
+        u1s.append(u1)
+    worst = 0.0
+    ranks_ok = True
+    min_entry = math.inf
+    for m, (ls, u1s) in drawn.items():
+        x, residual, rank = _decompose_stack(np.array(ls), np.array(u1s))
+        worst = max(worst, float(residual.max()))
+        ranks_ok = ranks_ok and bool(np.all(rank == m + 1))
+        min_entry = min(min_entry, float(x.min()))
+    return {"max_residual": worst, "rank_ok": ranks_ok, "min_entry": min_entry,
+            "trials": trials, "sizes": list(sizes)}
 
 
 def _check_rescaling_noise(eta_scale: float, size: int = _RESCALING_SIZE) -> None:

@@ -136,6 +136,8 @@ class TestVerifyCommand:
         assert cert["all_passed"] is True
         assert cert["proposition1_max_err"] <= 1e-12
         assert cert["decomposition_max_residual"] <= 1e-10
+        assert cert["decomposition_min_entry"] >= -1e-10
+        assert cert["checks"]["decomposition_simplex"] is True
         assert cert["rescaling_abs_err"] <= 1e-10
         assert {"trials", "seed", "checks", "tolerances"} <= set(cert)
 
@@ -249,6 +251,22 @@ class TestDumpAssignment:
         with open(out / "assignment.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["vlr"] == "0" for r in rows)
+
+    def test_one_diou_per_pair(self, tmp_path, monkeypatch):
+        from locdistill import geometry
+        from locdistill.cli import SceneConfig
+
+        calls = []
+        real = geometry.diou
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(geometry, "diou", counting)
+        assert main(["-o", str(tmp_path / "dcount"), "dump-assignment"]) == 0
+        scene = SceneConfig()
+        assert len(calls) == scene.n_locations * scene.anchors_per_location * scene.n_gts
 
     def test_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "da", tmp_path / "db"

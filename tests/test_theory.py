@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from locdistill import theory
 from locdistill.boxdist import TwoHotTarget, generalized_softmax
 from locdistill.losses import dfl_loss, kd_loss
 from locdistill.theory import (
@@ -11,6 +13,7 @@ from locdistill.theory import (
     gradient_rescaling_ratio,
     incorrect_position_gradient_sum,
     verify_proposition1,
+    _decompose_stack,
     _decomposition_system,
 )
 
@@ -118,6 +121,56 @@ class TestDecomposition:
         cert = certify_decomposition(trials=120, sizes=(5, 9), seed=0)
         assert cert["max_residual"] <= 1e-10
         assert cert["rank_ok"]
+
+    @pytest.mark.parametrize("m", [5, 9, 17])
+    def test_stack_matches_row_by_row_bit_for_bit(self, m):
+        rng = _rng(14)
+        l = rng.dirichlet(np.ones(m), size=40)
+        u1 = rng.uniform(0.05, 0.95, size=40)
+        x, residual, rank = _decompose_stack(l, u1)
+        assert np.all(rank == m + 1)
+        for k in range(40):
+            row = decompose_localization(l[k], u1[k], 0, 1)
+            assert np.array_equal(row.p, x[k, :m])
+            assert np.array_equal(row.q, x[k, m:])
+            assert row.residual == residual[k]
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                            min_size=2, max_size=17).filter(lambda w: sum(w) > 0.0),
+           u1=st.floats(0.01, 0.99))
+    def test_pair_on_simplex_and_solves_system(self, weights, u1):
+        l = np.array(weights) / np.sum(weights)
+        result = decompose_localization(l, u1, 0, 1)
+        pair = np.concatenate([result.p, result.q])
+        assert pair.min() >= -1e-12
+        assert result.simplex_feasible
+        assert abs(result.p.sum() - 1) <= 1e-10
+        assert abs(result.q.sum() - 1) <= 1e-10
+        assert np.abs(u1 * result.p + (1 - u1) * result.q - l).max() <= 1e-10
+
+    @pytest.mark.parametrize("l", [[0.6, 0.6, -0.2], [0.3, 0.3, 0.3], [0.5, np.nan, 0.5]])
+    def test_non_probability_vector_rejected(self, l):
+        with pytest.raises(ValueError, match="localization vector"):
+            decompose_localization(np.array(l), 0.5, 0, 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certificate_pairs_on_simplex(self, seed):
+        cert = certify_decomposition(1000, (5, 9, 17), seed)
+        assert cert["min_entry"] >= -1e-10
+
+    def test_certificate_solves_each_size_as_one_stack(self, monkeypatch):
+        calls = {"pinv": 0, "matrix_rank": 0}
+        for name in calls:
+            real = getattr(theory.np.linalg, name)
+
+            def counting(a, *args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(theory.np.linalg, name, counting)
+        certify_decomposition(1000, (5, 9, 17, 9), seed=0)
+        assert calls == {"pinv": 3, "matrix_rank": 3}
 
 
 class TestGradientRescaling:
