@@ -8,8 +8,6 @@ teacher-student harness.
 
 from .boxdist import (
     BinGrid,
-    BoxDistribution,
-    EdgeDistribution,
     TwoHotTarget,
     decode_expectation,
     encode_target,
@@ -19,12 +17,8 @@ from .boxdist import (
 )
 from .geometry import (
     BoundingBox,
-    RotatedBox,
-    RotatedDeltas,
-    decode_rotated,
     diou,
     diou_matrix,
-    encode_rotated,
     giou,
     iou,
 )

@@ -5,6 +5,10 @@ uniform sub-intervals; an edge is predicted as ``n + 1`` logits over the
 interval endpoints and softened with a temperature softmax. Continuous
 targets are encoded as two-hot weights on the bracketing endpoints and
 distributions are decoded back to values by expectation.
+
+Logits themselves stay plain arrays: one edge is an ``(m,)`` vector, one box
+an ``(E, m)`` array and a scene an ``(A, E, m)`` array, all on the single
+:class:`BinGrid` that the distillation config carries.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import numpy as np
 
 __all__ = [
     "BinGrid",
-    "EdgeDistribution",
-    "BoxDistribution",
     "TwoHotTarget",
     "make_grid",
     "generalized_softmax",
@@ -131,10 +133,6 @@ class TwoHotTarget:
         g[self.i + 1] = self.u2
         return g
 
-    def value(self, grid: BinGrid) -> float:
-        pts = grid.endpoints
-        return self.u1 * pts[self.i] + self.u2 * pts[self.i + 1]
-
 
 def encode_targets(y, grid: BinGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode an array of targets as two-hot weights on their bracketing
@@ -186,60 +184,3 @@ def flatness(p) -> float:
     p = _as_probabilities(p)
     nz = p[p > 0.0]
     return float(-np.dot(nz, np.log(nz)))
-
-
-@dataclass(frozen=True)
-class EdgeDistribution:
-    """Logits for one box edge together with the grid they live on."""
-
-    logits: np.ndarray
-    grid: BinGrid
-
-    def __post_init__(self) -> None:
-        z = _as_vector(self.logits)
-        if z.shape[0] != self.grid.size:
-            raise ValueError(
-                f"edge has {z.shape[0]} logits but grid has {self.grid.size} endpoints"
-            )
-        z = z.copy()
-        z.flags.writeable = False
-        object.__setattr__(self, "logits", z)
-
-    def probs(self, tau: float = 1.0) -> np.ndarray:
-        return generalized_softmax(self.logits, tau)
-
-    def decode(self, tau: float = 1.0) -> float:
-        return decode_expectation(self.probs(tau), self.grid)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "logits": [float(v) for v in self.logits],
-            "e_min": self.grid.e_min,
-            "e_max": self.grid.e_max,
-            "n": self.grid.n,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EdgeDistribution":
-        grid = BinGrid(d["e_min"], d["e_max"], d["n"])
-        return cls(logits=np.asarray(d["logits"], dtype=np.float64), grid=grid)
-
-
-@dataclass(frozen=True)
-class BoxDistribution:
-    """A box as 4 (horizontal) or 5 (rotated) per-edge distributions.
-
-    Edges of one box may use different grids (the angle component of a
-    rotated box typically has its own regression range).
-    """
-
-    edges: tuple[EdgeDistribution, ...]
-
-    def __post_init__(self) -> None:
-        edges = tuple(self.edges)
-        if len(edges) not in (4, 5):
-            raise ValueError(f"a box has 4 or 5 edge distributions, got {len(edges)}")
-        object.__setattr__(self, "edges", edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)

@@ -67,6 +67,8 @@ class VerifyConfig:
             raise ValueError("sizes must be a non-empty list of lengths >= 2")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         _check_rescaling_noise(self.eta_scale)
+        if not np.isfinite(self.inject_error):
+            raise ValueError(f"inject_error must be finite, got {self.inject_error}")
 
 
 def _set_schemes_and_seeds(section) -> None:
@@ -121,8 +123,8 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.n_locations < 1 or self.anchors_per_location < 1 or self.n_gts < 1:
             raise ValueError("scene counts must be positive")
-        if self.extent <= 0:
-            raise ValueError("scene extent must be positive")
+        if not (0 < self.extent < np.inf):
+            raise ValueError("scene extent must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Axis-aligned and rotated box types plus the IoU-family overlap metrics.
+"""The axis-aligned box type plus the IoU-family overlap metrics.
 
 The overlap metrics follow the standard closed forms:
 
@@ -6,8 +6,10 @@ The overlap metrics follow the standard closed forms:
 * GIoU: IoU - (enclosing_area - union_area) / enclosing_area.
 * DIoU: IoU - squared center distance / squared enclosing-box diagonal.
 
-All functions are pure and all types are immutable values, so everything
-here is safe to call concurrently.
+GIoU has one implementation, :func:`_giou_batch`, which also returns the
+gradient the box-regression losses train with; :func:`giou` is its 1x1
+view. All functions are pure and the box type is an immutable value, so
+everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -19,17 +21,11 @@ import numpy as np
 
 __all__ = [
     "BoundingBox",
-    "RotatedBox",
-    "RotatedDeltas",
     "iou",
     "giou",
     "diou",
     "diou_matrix",
-    "encode_rotated",
-    "decode_rotated",
 ]
-
-_HALF_PI = math.pi / 2.0
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -93,83 +89,6 @@ class BoundingBox:
         return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
 
-def _wrap_angle(theta: float) -> float:
-    """Wrap an angle into [-pi/2, pi/2) (rectangles repeat with period pi)."""
-    return (theta + _HALF_PI) % math.pi - _HALF_PI
-
-
-@dataclass(frozen=True)
-class RotatedBox:
-    """Rotated box ``(cx, cy, w, h, theta)`` in long-edge canonical form.
-
-    Construction normalizes the representation: the long edge is stored as
-    ``w`` (swapping extents rotates theta by pi/2) and ``theta`` is wrapped
-    into ``[-pi/2, pi/2)``. Extents must be strictly positive.
-    """
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        cx, cy, w, h, theta = (
-            float(self.cx),
-            float(self.cy),
-            float(self.w),
-            float(self.h),
-            float(self.theta),
-        )
-        _require_finite("RotatedBox", cx, cy, w, h, theta)
-        if w <= 0.0 or h <= 0.0:
-            raise ValueError(f"RotatedBox extents must be positive, got w={w}, h={h}")
-        if h > w:
-            w, h = h, w
-            theta = theta + _HALF_PI
-        theta = _wrap_angle(theta)
-        object.__setattr__(self, "cx", cx)
-        object.__setattr__(self, "cy", cy)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "theta", theta)
-
-    def to_list(self) -> list[float]:
-        """Flat ``[cx, cy, w, h, theta]`` form used by the JSONL dataset files."""
-        return [self.cx, self.cy, self.w, self.h, self.theta]
-
-    @classmethod
-    def from_list(cls, values) -> "RotatedBox":
-        if len(values) != 5:
-            raise ValueError(f"expected 5 values for a rotated box, got {len(values)}")
-        return cls(*map(float, values))
-
-
-@dataclass(frozen=True)
-class RotatedDeltas:
-    """Dimensionless parametric regression targets for a rotated box.
-
-    ``dw`` and ``dh`` are log extent ratios; ``dtheta`` is an angle
-    difference wrapped into ``[-pi/2, pi/2)``.
-    """
-
-    dx: float
-    dy: float
-    dw: float
-    dh: float
-    dtheta: float
-
-    def __post_init__(self) -> None:
-        for name in ("dx", "dy", "dw", "dh", "dtheta"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"RotatedDeltas.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-
-    def to_list(self) -> list[float]:
-        return [self.dx, self.dy, self.dw, self.dh, self.dtheta]
-
-
 def _intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     ih = min(a.y2, b.y2) - max(a.y1, b.y1)
@@ -191,18 +110,63 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
+def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized GIoU and its gradient w.r.t. the first argument's corners.
+
+    Inputs are ``(K, 4)`` arrays of ``(x1, y1, x2, y2)``. Returns
+    ``(giou (K,), dgiou/ds (K, 4))``. Non-smooth corner-alignment points
+    take the one-sided subgradient.
+    """
+    s = np.asarray(boxes_s, dtype=np.float64)
+    g = np.asarray(boxes_g, dtype=np.float64)
+    if s.ndim != 2 or s.shape[1] != 4 or s.shape != g.shape:
+        raise ValueError(f"expected matching (K, 4) box arrays, got {s.shape} and {g.shape}")
+    # Work on (4, K) rows x1, y1, x2, y2; each per-axis quantity is a
+    # (2, K) block with an x row and a y row, so one ufunc call covers both
+    # axes. The single-box calls of the scalar losses are dominated by call
+    # count, not array size.
+    s, g = s.T, g.T
+    lo_s, hi_s, lo_g, hi_g = s[:2], s[2:], g[:2], g[2:]
+    inner = np.minimum(hi_s, hi_g) - np.maximum(lo_s, lo_g)  # iw, ih
+    outer = np.maximum(hi_s, hi_g) - np.minimum(lo_s, lo_g)  # cw, ch
+    size_s = hi_s - lo_s
+    size_g = hi_g - lo_g
+
+    overlap = (inner[0] > 0.0) & (inner[1] > 0.0)
+    inter = np.where(overlap, inner[0] * inner[1], 0.0)
+    union = size_s[0] * size_s[1] + size_g[0] * size_g[1] - inter
+    enclosing = outer[0] * outer[1]
+    if (enclosing <= 0.0).any():
+        raise ValueError("giou undefined: an enclosing box has zero area")
+    if (union <= 0.0).any():
+        raise ValueError("giou undefined: a box pair has zero union area")
+
+    giou = inter / union - (enclosing - union) / enclosing
+
+    # Corner derivatives. Moving x1 or x2 changes an area by its height and
+    # moving y1 or y2 by its width, hence the swapped axis rows ([::-1]).
+    live = np.where(overlap, inner[::-1], 0.0)
+    d_inter = np.where(np.concatenate([lo_s > lo_g, hi_s < hi_g]),
+                       np.concatenate([-live, live]), 0.0)
+    d_area = np.concatenate([-size_s[::-1], size_s[::-1]])
+    d_union = d_area - d_inter
+    span = outer[::-1]
+    d_enc = np.where(np.concatenate([lo_s < lo_g, hi_s > hi_g]),
+                     np.concatenate([-span, span]), 0.0)
+
+    d_giou = (d_inter * union - inter * d_union) / (union * union)
+    d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)
+    return giou, d_giou.T
+
+
 def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """Generalized IoU, in [-1, 1]; penalizes empty space in the hull."""
-    cw = max(a.x2, b.x2) - min(a.x1, b.x1)
-    ch = max(a.y2, b.y2) - min(a.y1, b.y1)
-    enclosing = cw * ch
-    if enclosing <= 0.0:
-        raise ValueError("giou undefined: enclosing box has zero area")
-    inter = _intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        raise ValueError("giou undefined: union of the two boxes has zero area")
-    return inter / union - (enclosing - union) / enclosing
+    """Generalized IoU, in [-1, 1]; penalizes empty space in the hull.
+
+    The 1x1 view of :func:`_giou_batch`, the kernel the box-regression
+    losses train with.
+    """
+    vals, _ = _giou_batch(np.asarray([a.to_list()]), np.asarray([b.to_list()]))
+    return float(vals[0])
 
 
 def diou(a: BoundingBox, b: BoundingBox) -> float:
@@ -228,30 +192,3 @@ def diou_matrix(anchors: list[BoundingBox], gts: list[BoundingBox]) -> np.ndarra
         for j, g in enumerate(gts):
             out[i, j] = diou(a, g)
     return out
-
-
-def encode_rotated(anchor: RotatedBox, gt: RotatedBox) -> RotatedDeltas:
-    """Parametric encoding of ``gt`` relative to ``anchor``.
-
-    Center offsets are normalized by the anchor extents, extents are
-    log ratios, and the angle difference is wrapped to ``[-pi/2, pi/2)``.
-    """
-    return RotatedDeltas(
-        dx=(gt.cx - anchor.cx) / anchor.w,
-        dy=(gt.cy - anchor.cy) / anchor.h,
-        dw=math.log(gt.w / anchor.w),
-        dh=math.log(gt.h / anchor.h),
-        dtheta=_wrap_angle(gt.theta - anchor.theta),
-    )
-
-
-def decode_rotated(anchor: RotatedBox, d: RotatedDeltas) -> RotatedBox:
-    """Inverse of :func:`encode_rotated`; zero deltas return the anchor."""
-    return RotatedBox(
-        cx=anchor.cx + d.dx * anchor.w,
-        cy=anchor.cy + d.dy * anchor.h,
-        w=anchor.w * math.exp(d.dw),
-        h=anchor.h * math.exp(d.dh),
-        theta=anchor.theta + d.dtheta,
-    )
-

@@ -8,7 +8,6 @@ from .data import (
     binned_mixture,
     gen_dataset,
     load_dataset,
-    sample_edge_value,
     save_dataset,
 )
 from .experiments import (
@@ -30,7 +29,6 @@ __all__ = [
     "binned_mixture",
     "gen_dataset",
     "load_dataset",
-    "sample_edge_value",
     "save_dataset",
     "SCHEMES",
     "ExperimentReport",

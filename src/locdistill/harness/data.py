@@ -201,15 +201,15 @@ class HarnessConfig:
             raise ValueError(f"ambiguity level must lie in [0, 1], got {self.ambiguity}")
         if not (0.0 <= self.ambiguous_edge_prob <= 1.0):
             raise ValueError("ambiguous_edge_prob must lie in [0, 1]")
-        if self.frac_vlr < 0 or self.frac_background < 0 \
-                or self.frac_vlr + self.frac_background >= 1.0:
+        if not (self.frac_vlr >= 0 and self.frac_background >= 0
+                and self.frac_vlr + self.frac_background < 1.0):
             raise ValueError("stratum fractions must be nonnegative and leave room for positives")
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ValueError("label_smoothing must lie in [0, 1)")
         for name in ("max_offset", "feature_noise", "lr", "tbr_weight", "fi_weight",
                      "ld_weight_boost", "ld_dfl_scale", "anchor_half"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not (0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def _standardize_latent(edges, spreads, dx, dy) -> np.ndarray:

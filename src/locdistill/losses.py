@@ -24,9 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxdist import (BinGrid, BoxDistribution, TwoHotTarget, PROB_SUM_TOL, _as_vector,
-                      encode_targets)
-from .geometry import BoundingBox
+from .boxdist import BinGrid, TwoHotTarget, PROB_SUM_TOL, _as_vector, encode_targets
+from .geometry import BoundingBox, _giou_batch
 from .regions import RegionMasks
 
 __all__ = [
@@ -45,21 +44,18 @@ __all__ = [
     "SceneObjective",
     "total_loss",
     "scene_tbr_loss",
-    "split_scene_grad",
 ]
-
-# Order of the per-edge distances throughout the package.
-EDGE_ORDER = ("t", "b", "l", "r")
 
 
 @dataclass(frozen=True)
 class LossResult:
     """A loss value and its gradient w.r.t. the differentiated student parameter.
 
-    ``grad`` matches the parameter's shape: logit-space losses return a
-    vector per logit, box losses a length-4 vector over ``(x1, y1, x2, y2)``,
-    feature imitation the feature-matrix shape, and scene-level losses the
-    flat layout documented in :func:`total_loss`.
+    ``grad`` matches the parameter's shape: logit-space losses return the
+    logits' shape (``(m,)`` per edge, ``(E, m)`` per box), box losses a
+    length-4 vector over ``(x1, y1, x2, y2)``, feature imitation the
+    feature-matrix shape, and scene-level losses the flat layout documented
+    in :func:`total_loss`.
     """
 
     value: float
@@ -100,14 +96,14 @@ class DistillConfig:
     tbr_margin: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not (0.0 <= self.gamma_vlr <= 1.0):
             raise ValueError(f"gamma_vlr must lie in [0, 1], got {self.gamma_vlr}")
         if not (0.0 < self.alpha_pos <= 1.0):
             raise ValueError(f"alpha_pos must lie in (0, 1], got {self.alpha_pos}")
-        if self.tbr_margin < 0.0:
-            raise ValueError(f"tbr_margin must be nonnegative, got {self.tbr_margin}")
+        if not (0.0 <= self.tbr_margin < math.inf):
+            raise ValueError(f"tbr_margin must be nonnegative and finite, got {self.tbr_margin}")
         ties = {"w_ld_main": self.w_reg, "w_ld_vlr": self.w_reg,
                 "w_kd_main": self.w_cls, "w_kd_vlr": self.w_cls}
         for name, tied in ties.items():
@@ -195,30 +191,29 @@ def ld_edge_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     return kd_loss(student_logits, teacher_logits, tau)
 
 
-def ld_box_loss(student: BoxDistribution, teacher: BoxDistribution, tau: float) -> LossResult:
+def ld_box_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     """Localization distillation summed over all edges of a box.
 
-    Student and teacher must have the same number of edges (4 vs 5 is an
-    error) and identical grids edge by edge; the gradient is the
-    concatenation of the per-edge gradients.
+    ``student_logits`` and ``teacher_logits`` are equal-shape ``(E, m)``
+    arrays, one row of logits per edge. The value, ``kl`` and gradient are
+    those of :func:`ld_edge_loss` summed (value, ``kl``) or stacked
+    (gradient, ``(E, m)``) over the rows; computed as one call of the
+    tempered-KL kernel the composite objective trains with.
     """
-    if len(student) != len(teacher):
-        raise ValueError(
-            f"edge count mismatch: student has {len(student)}, teacher has {len(teacher)}"
-        )
-    for k, (es, et) in enumerate(zip(student.edges, teacher.edges)):
-        if es.grid != et.grid:
-            raise ValueError(
-                f"edge {k}: student grid {es.grid} differs from teacher grid {et.grid}; "
-                "distillation requires identical bin grids"
-            )
-    parts = [ld_edge_loss(es.logits, et.logits, tau)
-             for es, et in zip(student.edges, teacher.edges)]
-    return LossResult(
-        value=sum(p.value for p in parts),
-        grad=np.concatenate([p.grad for p in parts]),
-        kl=sum(p.kl for p in parts),
-    )
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    zs = np.asarray(student_logits, dtype=np.float64)
+    zt = np.asarray(teacher_logits, dtype=np.float64)
+    if zs.ndim != 2 or zs.shape != zt.shape:
+        raise ValueError(f"student {zs.shape} and teacher {zt.shape} edge logits must be "
+                         "equal-shape (edges, bins) arrays")
+    if not (np.isfinite(zs).all() and np.isfinite(zt).all()):
+        raise ValueError("edge logits must be finite")
+    lt = _log_softmax(zt, tau)
+    q = np.exp(lt)
+    # One box is one anchor of the kernel, so its KL is summed over edges.
+    kl, grad = _tempered_kl(zs[None], lt[None], q[None], tau)
+    return LossResult(value=kl - float((q * lt).sum()), grad=grad[0], kl=kl)
 
 
 def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
@@ -235,55 +230,6 @@ def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
 # ---------------------------------------------------------------------------
 # box-space losses
 # ---------------------------------------------------------------------------
-
-def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized GIoU and its gradient w.r.t. the first argument's corners.
-
-    Inputs are ``(K, 4)`` arrays of ``(x1, y1, x2, y2)``. Returns
-    ``(giou (K,), dgiou/ds (K, 4))``. Non-smooth corner-alignment points
-    take the one-sided subgradient.
-    """
-    s = np.asarray(boxes_s, dtype=np.float64)
-    g = np.asarray(boxes_g, dtype=np.float64)
-    if s.ndim != 2 or s.shape[1] != 4 or s.shape != g.shape:
-        raise ValueError(f"expected matching (K, 4) box arrays, got {s.shape} and {g.shape}")
-    # Work on (4, K) rows x1, y1, x2, y2; each per-axis quantity is a
-    # (2, K) block with an x row and a y row, so one ufunc call covers both
-    # axes. The single-box calls of the scalar losses are dominated by call
-    # count, not array size.
-    s, g = s.T, g.T
-    lo_s, hi_s, lo_g, hi_g = s[:2], s[2:], g[:2], g[2:]
-    inner = np.minimum(hi_s, hi_g) - np.maximum(lo_s, lo_g)  # iw, ih
-    outer = np.maximum(hi_s, hi_g) - np.minimum(lo_s, lo_g)  # cw, ch
-    size_s = hi_s - lo_s
-    size_g = hi_g - lo_g
-
-    overlap = (inner[0] > 0.0) & (inner[1] > 0.0)
-    inter = np.where(overlap, inner[0] * inner[1], 0.0)
-    union = size_s[0] * size_s[1] + size_g[0] * size_g[1] - inter
-    enclosing = outer[0] * outer[1]
-    if (enclosing <= 0.0).any():
-        raise ValueError("giou undefined: an enclosing box has zero area")
-    if (union <= 0.0).any():
-        raise ValueError("giou undefined: a box pair has zero union area")
-
-    giou = inter / union - (enclosing - union) / enclosing
-
-    # Corner derivatives. Moving x1 or x2 changes an area by its height and
-    # moving y1 or y2 by its width, hence the swapped axis rows ([::-1]).
-    live = np.where(overlap, inner[::-1], 0.0)
-    d_inter = np.where(np.concatenate([lo_s > lo_g, hi_s < hi_g]),
-                       np.concatenate([-live, live]), 0.0)
-    d_area = np.concatenate([-size_s[::-1], size_s[::-1]])
-    d_union = d_area - d_inter
-    span = outer[::-1]
-    d_enc = np.where(np.concatenate([lo_s < lo_g, hi_s > hi_g]),
-                     np.concatenate([-span, span]), 0.0)
-
-    d_giou = (d_inter * union - inter * d_union) / (union * union)
-    d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)
-    return giou, d_giou.T
-
 
 def giou_regression_loss(student_box: BoundingBox, gt_box: BoundingBox) -> LossResult:
     """Box regression loss ``1 - GIoU`` with gradient over the 4 student corners."""
@@ -406,17 +352,6 @@ class SceneTruth:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edge_targets", targets)
         object.__setattr__(self, "points", points)
-
-
-def split_scene_grad(grad: np.ndarray, n_anchors: int, n_classes: int,
-                     n_edges: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat scene gradient into ``(A, C)`` cls and ``(A, E, m)`` edge blocks."""
-    n_cls = n_anchors * n_classes
-    expected = n_cls + n_anchors * n_edges * n_bins
-    if grad.shape != (expected,):
-        raise ValueError(f"flat gradient has shape {grad.shape}, expected ({expected},)")
-    return (grad[:n_cls].reshape(n_anchors, n_classes),
-            grad[n_cls:].reshape(n_anchors, n_edges, n_bins))
 
 
 # Corner k of a box is point[_CORNER_AXIS[k]] + _CORNER_SIGN[k] * edge[_CORNER_EDGE[k]]:
@@ -681,7 +616,7 @@ def total_loss(
     contributes exactly zero.
 
     The gradient is flat: the ``(A, C)`` classification block (C-order)
-    followed by the ``(A, E, m)`` edge block; see :func:`split_scene_grad`.
+    followed by the ``(A, E, m)`` edge block.
     One-shot form of :class:`SceneObjective`, which training loops build
     once and step repeatedly.
     """

@@ -85,6 +85,8 @@ def verify_proposition1(s, p, q, u1: float, tau: float,
         raise ValueError("probability vectors must share one length")
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
+    if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
+        raise ValueError(f"perturbation must be finite, got {perturbation}")
     u2 = 1.0 - u1
     combined = u1 * p + u2 * q
     z_s = _logits_for(s, tau)
@@ -235,8 +237,8 @@ def gradient_rescaling_ratio(
         raise ValueError(f"confidence vector shape {c.shape} does not match {p.shape}")
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if eta_scale < 0.0:
-        raise ValueError(f"eta_scale must be nonnegative, got {eta_scale}")
+    if not (0.0 <= eta_scale < math.inf):
+        raise ValueError(f"eta_scale must be nonnegative and finite, got {eta_scale}")
     i = target.i
     if i + 1 >= p.shape[0]:
         raise ValueError("two-hot target index out of range for the probability vector")
@@ -365,8 +367,8 @@ def _check_rescaling_noise(eta_scale: float, size: int = _RESCALING_SIZE) -> Non
     """Raise ``ValueError`` unless a teacher mean of ``size`` bins, whose
     smallest component is at most ``1 / size``, can sit the Monte-Carlo
     margin inside the simplex."""
-    if eta_scale < 0.0:
-        raise ValueError(f"eta_scale must be non-negative, got {eta_scale!r}")
+    if not (0.0 <= eta_scale < math.inf):
+        raise ValueError(f"eta_scale must be nonnegative and finite, got {eta_scale!r}")
     if _MC_SIMPLEX_MARGIN * eta_scale >= 1.0 / size:
         raise ValueError(f"eta_scale {eta_scale!r} is too large for {size} bins: the Monte-Carlo "
                          f"margin {_MC_SIMPLEX_MARGIN:g} * eta_scale must stay below 1/{size}")

@@ -25,7 +25,6 @@ from locdistill.losses import (
     tbr_loss,
     total_loss,
 )
-from locdistill.boxdist import BoxDistribution, EdgeDistribution
 from locdistill.regions import RegionMasks, assign_main, assign_vlr
 from locdistill.theory import (
     certify_decomposition,
@@ -163,16 +162,9 @@ def test_gradient_suite():
             zs = rng.normal(0, 2, (4, 9))
             zt = rng.normal(0, 2, (4, 9))
             tau = rng.uniform(1, 20)
-            box_t = BoxDistribution(tuple(EdgeDistribution(zt[e], GRID) for e in range(4)))
-
-            def f(flat):
-                box_s = BoxDistribution(tuple(
-                    EdgeDistribution(flat.reshape(4, 9)[e], GRID) for e in range(4)))
-                return ld_box_loss(box_s, box_t, tau).value
-
-            box_s = BoxDistribution(tuple(EdgeDistribution(zs[e], GRID) for e in range(4)))
-            worst = max(worst, _check_grad(ld_box_loss(box_s, box_t, tau).grad,
-                                           f, zs.ravel()))
+            worst = max(worst, _check_grad(
+                ld_box_loss(zs, zt, tau).grad,
+                lambda v: ld_box_loss(v, zt, tau).value, zs))
 
         for _ in range(n):  # distribution focal loss
             z = rng.normal(0, 2, 9)

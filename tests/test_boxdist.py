@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locdistill.boxdist import (
-    BoxDistribution,
-    EdgeDistribution,
     TwoHotTarget,
     decode_expectation,
     encode_target,
@@ -208,40 +206,3 @@ class TestTwoHotTarget:
         assert t.as_weights(4).tolist() == [0.0, 0.25, 0.75, 0.0]
         with pytest.raises(ValueError):
             t.as_weights(2)
-
-
-class TestDistributionTypes:
-    def test_edge_distribution_validates_length(self):
-        g = make_grid(0, 8, 8)
-        with pytest.raises(ValueError):
-            EdgeDistribution(logits=np.zeros(8), grid=g)
-
-    def test_edge_distribution_json_round_trip(self):
-        g = make_grid(-5, 5, 10)
-        e = EdgeDistribution(logits=np.linspace(-1, 1, 11), grid=g)
-        d = e.to_json_dict()
-        assert set(d) == {"logits", "e_min", "e_max", "n"}
-        back = EdgeDistribution.from_json_dict(d)
-        assert back.grid == e.grid
-        assert np.array_equal(back.logits, e.logits)
-
-    def test_edge_decode_uses_expectation(self):
-        g = make_grid(0, 8, 8)
-        e = EdgeDistribution(logits=np.zeros(9), grid=g)
-        assert e.decode() == pytest.approx(4.0, abs=1e-12)
-
-    def test_box_distribution_edge_counts(self):
-        g = make_grid(0, 8, 8)
-        edge = EdgeDistribution(logits=np.zeros(9), grid=g)
-        assert len(BoxDistribution(edges=(edge,) * 4)) == 4
-        assert len(BoxDistribution(edges=(edge,) * 5)) == 5
-        with pytest.raises(ValueError):
-            BoxDistribution(edges=(edge,) * 3)
-
-    def test_rotated_box_mixes_grids(self):
-        g_edges = make_grid(0, 8, 8)
-        g_angle = make_grid(-2, 2, 8)
-        parts = tuple(EdgeDistribution(np.zeros(9), g_edges) for _ in range(4))
-        angle = EdgeDistribution(np.zeros(9), g_angle)
-        box = BoxDistribution(edges=parts + (angle,))
-        assert box.edges[4].grid == g_angle

@@ -50,8 +50,15 @@ class TestConfigValidation:
             build_run_config({"harness": {"bogus": 3}})
 
     def test_field_error_names_section(self):
-        with pytest.raises(ConfigError, match="distill"):
-            build_run_config({"distill": {"tau": -1.0}})
+        nan, inf = float("nan"), float("inf")
+        for section, key, value in [
+                ("distill", "tau", -1.0), ("distill", "tau", nan), ("distill", "tau", inf),
+                ("distill", "tbr_margin", nan), ("harness", "lr", nan),
+                ("harness", "max_offset", inf), ("harness", "frac_vlr", nan),
+                ("harness", "frac_background", nan), ("verify", "inject_error", nan),
+                ("scene", "extent", nan)]:
+            with pytest.raises(ConfigError, match=section):
+                build_run_config({section: {key: value}})
 
     def test_unknown_scheme_lists_valid(self):
         with pytest.raises(ConfigError, match="valid schemes"):
@@ -156,11 +163,12 @@ class TestVerifyCommand:
         assert main(["-o", str(out_b), *FAST_VERIFY, "verify"]) == 0
         assert _read_bytes(out_a / "certificate.json") == _read_bytes(out_b / "certificate.json")
 
-    @pytest.mark.parametrize("eta_scale", ["0.02", "0.0185", "-0.01"])
+    @pytest.mark.parametrize("eta_scale", ["0.02", "0.0185", "-0.01", ".nan"])
     def test_eta_scale_without_room_for_the_margin_is_config_error(self, tmp_path, eta_scale):
         """0.02 leaves no 9-bin teacher mean 6 noise scales inside the simplex;
-        0.0185 leaves almost none, so the redraws run out; a negative value is
-        no noise scale. Each ends promptly with exit 2 and no certificate."""
+        0.0185 leaves almost none, so the redraws run out; a negative or NaN
+        value is no noise scale (NaN noise would make every draw a rejection).
+        Each ends promptly with exit 2 and no certificate."""
         out = tmp_path / "v"
         result = subprocess.run(
             [sys.executable, "-m", "locdistill", "-o", str(out), *FAST_VERIFY,
@@ -362,6 +370,9 @@ class TestSweepValidation:
         ["sweep.param=tau"],  # the default values start at 0.0
         ["sweep.param=gamma_vlr", "sweep.values=[0.25, 1.5]"],
         ["sweep.schemes=[baseline, wat]"],
+        ["sweep.param=tau", "sweep.values=[.nan]"],
+        ["distill.tbr_margin=.nan"],
+        ["harness.lr=.nan"],
     ])
     def test_rejected_before_training(self, tmp_path, overrides):
         out = tmp_path / "sw"

@@ -1,17 +1,11 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from locdistill.geometry import (
     BoundingBox,
-    RotatedBox,
-    RotatedDeltas,
-    decode_rotated,
     diou,
     diou_matrix,
-    encode_rotated,
     giou,
     iou,
 )
@@ -21,11 +15,6 @@ from oracles import grid_overlap_oracle
 
 def _box(x1, y1, x2, y2):
     return BoundingBox(x1, y1, x2, y2)
-
-
-def _angle_gap(a, b):
-    """Angular distance modulo the rectangle's pi period."""
-    return abs((a - b + math.pi / 2) % math.pi - math.pi / 2)
 
 
 coords = st.floats(-20.0, 20.0, allow_nan=False)
@@ -184,76 +173,3 @@ class TestBoundingBoxInvariants:
     def test_list_round_trip(self):
         b = _box(0.5, -1.5, 2.0, 3.5)
         assert BoundingBox.from_list(b.to_list()) == b
-
-
-class TestRotatedBoxes:
-    def test_angle_normalized_into_half_open_interval(self):
-        b = RotatedBox(0, 0, 4, 2, math.pi)  # rectangles repeat with period pi
-        assert -math.pi / 2 <= b.theta < math.pi / 2
-        assert abs(b.theta) < 1e-12
-
-    def test_long_edge_canonical_form(self):
-        b = RotatedBox(0, 0, 1, 2, 0.0)
-        assert b.w == 2.0 and b.h == 1.0
-        assert abs(b.theta + math.pi / 2) < 1e-12
-
-    def test_nonpositive_extent_rejected(self):
-        with pytest.raises(ValueError):
-            RotatedBox(0, 0, 0.0, 1, 0)
-        with pytest.raises(ValueError):
-            RotatedBox(0, 0, 1, -2, 0)
-
-    def test_identity_encoding_is_zero(self):
-        a = RotatedBox(1, 2, 4, 2, 0.3)
-        d = encode_rotated(a, a)
-        assert d.to_list() == [0, 0, 0, 0, 0]
-
-    def test_double_width_encodes_log_two(self):
-        a = RotatedBox(0, 0, 2, 1, 0.0)
-        g = RotatedBox(0, 0, 4, 1, 0.0)
-        d = encode_rotated(a, g)
-        assert abs(d.dw - math.log(2)) < 1e-12
-        assert d.dx == d.dy == d.dh == d.dtheta == 0.0
-
-    def test_decode_zero_deltas_returns_anchor(self):
-        a = RotatedBox(1, -1, 3, 2, -0.7)
-        assert decode_rotated(a, RotatedDeltas(0, 0, 0, 0, 0)) == a
-
-    def test_decode_doubles_width(self):
-        a = RotatedBox(0, 0, 2, 1, 0.2)
-        out = decode_rotated(a, RotatedDeltas(0, 0, math.log(2), 0, 0))
-        assert abs(out.w - 4.0) < 1e-12
-
-    @given(
-        st.floats(-5, 5), st.floats(-5, 5), sizes, sizes,
-        st.floats(-math.pi, math.pi),
-        st.floats(-5, 5), st.floats(-5, 5), sizes, sizes,
-        st.floats(-math.pi, math.pi),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_encode_decode_round_trip(self, acx, acy, aw, ah, at, gcx, gcy, gw, gh, gt):
-        assume(abs(gw - gh) > 1e-6 * max(gw, gh))  # squares leave the swap ambiguous
-        anchor = RotatedBox(acx, acy, aw, ah, at)
-        gt_box = RotatedBox(gcx, gcy, gw, gh, gt)
-        back = decode_rotated(anchor, encode_rotated(anchor, gt_box))
-        assert back.cx == pytest.approx(gt_box.cx, rel=1e-9, abs=1e-9)
-        assert back.cy == pytest.approx(gt_box.cy, rel=1e-9, abs=1e-9)
-        assert back.w == pytest.approx(gt_box.w, rel=1e-9)
-        assert back.h == pytest.approx(gt_box.h, rel=1e-9)
-        assert _angle_gap(back.theta, gt_box.theta) < 1e-9
-
-    @given(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45),
-           st.floats(-0.5, 1.0), st.floats(-1.0, 0.1),
-           st.floats(-math.pi / 2 + 0.01, math.pi / 2 - 0.01))
-    @settings(max_examples=60, deadline=None)
-    def test_decode_encode_round_trip(self, dx, dy, dw, dh, dtheta):
-        # delta ranges keep the decoded long edge on w, so no canonical swap
-        anchor = RotatedBox(0.0, 0.0, 3.0, 1.5, 0.1)
-        deltas = RotatedDeltas(dx, dy, dw, dh, dtheta)
-        decoded = decode_rotated(anchor, deltas)
-        again = encode_rotated(anchor, decoded)
-        assert again.dx == pytest.approx(deltas.dx, abs=1e-9)
-        assert again.dy == pytest.approx(deltas.dy, abs=1e-9)
-        assert again.dw == pytest.approx(deltas.dw, abs=1e-9)
-        assert again.dh == pytest.approx(deltas.dh, abs=1e-9)
-        assert _angle_gap(again.dtheta, deltas.dtheta) < 1e-9

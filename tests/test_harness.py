@@ -19,11 +19,11 @@ from locdistill.harness import (
     init_localizer,
     load_dataset,
     run_seed,
-    sample_edge_value,
     save_dataset,
     train,
     train_teacher,
 )
+from locdistill.harness.data import sample_edge_value
 from locdistill.harness.experiments import _new_student
 
 GRID = make_grid(0, 8, 8)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locdistill.boxdist import (
-    BoxDistribution,
-    EdgeDistribution,
-    TwoHotTarget,
-    encode_target,
-    make_grid,
-)
+from locdistill.boxdist import TwoHotTarget, encode_target, make_grid
 from locdistill.geometry import BoundingBox
 from locdistill.losses import (
     DistillConfig,
@@ -26,7 +20,6 @@ from locdistill.losses import (
     ld_box_loss,
     ld_edge_loss,
     scene_tbr_loss,
-    split_scene_grad,
     tbr_loss,
     total_loss,
 )
@@ -180,44 +173,28 @@ class TestLDEdgeLoss:
 
 
 class TestLDBoxLoss:
-    def _box_dist(self, rng, n_edges=4, grid=GRID):
-        return BoxDistribution(tuple(
-            EdgeDistribution(rng.normal(0, 1, grid.size), grid) for _ in range(n_edges)
-        ))
-
     def test_identical_boxes_zero_kl(self):
-        rng = _rng(41)
-        b = self._box_dist(rng)
-        res = ld_box_loss(b, b, tau=10.0)
+        z = _rng(41).normal(0, 1, (4, GRID.size))
+        res = ld_box_loss(z, z, tau=10.0)
         assert res.kl == 0.0
         assert np.abs(res.grad).max() == 0.0
 
     @pytest.mark.parametrize("n_edges", [4, 5])
     def test_additivity_over_edges(self, n_edges):
         rng = _rng(42)
-        bs = self._box_dist(rng, n_edges)
-        bt = self._box_dist(rng, n_edges)
-        total = ld_box_loss(bs, bt, tau=5.0)
-        parts = [ld_edge_loss(es.logits, et.logits, 5.0)
-                 for es, et in zip(bs.edges, bt.edges)]
+        zs = rng.normal(0, 1, (n_edges, GRID.size))
+        zt = rng.normal(0, 1, (n_edges, GRID.size))
+        total = ld_box_loss(zs, zt, tau=5.0)
+        parts = [ld_edge_loss(es, et, 5.0) for es, et in zip(zs, zt)]
         assert total.value == pytest.approx(sum(p.value for p in parts), abs=1e-12)
         assert total.kl == pytest.approx(sum(p.kl for p in parts), abs=1e-12)
-        assert np.array_equal(total.grad, np.concatenate([p.grad for p in parts]))
+        assert total.grad.shape == (n_edges, GRID.size)
+        assert np.array_equal(total.grad, np.stack([p.grad for p in parts]))
 
     def test_edge_count_mismatch_rejected(self):
         rng = _rng(43)
-        with pytest.raises(ValueError, match="edge count"):
-            ld_box_loss(self._box_dist(rng, 4), self._box_dist(rng, 5), tau=1.0)
-
-    def test_grid_mismatch_rejected(self):
-        rng = _rng(44)
-        bs = self._box_dist(rng, 4)
-        other = make_grid(0, 16, 8)
-        bt = BoxDistribution(tuple(
-            EdgeDistribution(rng.normal(0, 1, 9), other) for _ in range(4)
-        ))
-        with pytest.raises(ValueError, match="grid"):
-            ld_box_loss(bs, bt, tau=1.0)
+        with pytest.raises(ValueError, match="equal-shape"):
+            ld_box_loss(rng.normal(0, 1, (4, 9)), rng.normal(0, 1, (5, 9)), tau=1.0)
 
 
 class TestDFLLoss:
@@ -673,7 +650,8 @@ class TestSceneObjective:
             student, _, _, _ = _random_scene(rng, n_anchors=5)
             value, g_cls, g_edges, components = objective.step(student)
             ref = total_loss(student, teacher, truth, masks, cfg)
-            ref_cls, ref_edges = split_scene_grad(ref.grad, 5, 2, 4, GRID.size)
+            ref_cls = ref.grad[:g_cls.size].reshape(g_cls.shape)
+            ref_edges = ref.grad[g_cls.size:].reshape(g_edges.shape)
             assert value == ref.value
             assert components == ref.components
             assert np.array_equal(g_cls, ref_cls)
@@ -682,8 +660,7 @@ class TestSceneObjective:
                 tbr_value, tbr_edges = objective.tbr_step(student)
                 tbr = scene_tbr_loss(student, teacher, truth, masks.main, cfg)
                 assert tbr_value == tbr.value
-                assert np.array_equal(tbr_edges, split_scene_grad(tbr.grad, 5, 2, 4,
-                                                                  GRID.size)[1])
+                assert np.array_equal(tbr_edges, tbr.grad[g_cls.size:].reshape(g_edges.shape))
 
     def test_student_shape_mismatch_rejected(self):
         rng = _rng(112)
@@ -710,10 +687,6 @@ class TestLossResult:
         with pytest.raises(ValueError):
             LossResult(value=1.0, grad=np.array([np.inf]))
 
-    def test_split_scene_grad_shape_check(self):
-        with pytest.raises(ValueError):
-            split_scene_grad(np.zeros(10), 2, 2, 4, 9)
-
 
 class TestDistillConfig:
     def test_tied_defaults(self):
@@ -734,5 +707,10 @@ class TestDistillConfig:
             DistillConfig(grid=GRID, alpha_pos=0.0)
         with pytest.raises(ValueError):
             DistillConfig(grid=GRID, tbr_margin=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                DistillConfig(grid=GRID, tau=bad)
+            with pytest.raises(ValueError, match="finite"):
+                DistillConfig(grid=GRID, tbr_margin=bad)
         with pytest.raises(ValueError):
             DistillConfig(grid=GRID, w_reg=-0.5)

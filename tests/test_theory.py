@@ -53,6 +53,8 @@ class TestProposition1:
         rng = _rng(4)
         s, p, q = (rng.dirichlet(np.ones(5)) for _ in range(3))
         assert verify_proposition1(s, p, q, 0.4, 3.0, perturbation=1e-6) > 1e-7
+        with pytest.raises(ValueError, match="perturbation must be finite"):
+            certify_proposition1(trials=1, sizes=(5,), perturbation=float("nan"))
 
     def test_certificate(self):
         cert = certify_proposition1(trials=150, sizes=(5, 9, 17), seed=0)
@@ -251,6 +253,11 @@ class TestGradientRescaling:
             certify_rescaling(trials=1, mc_instances=1, eta_scale=0.02)
         with pytest.raises(ValueError, match="simplex boundary"):
             certify_rescaling(trials=1, mc_instances=1, eta_scale=0.0185)
+        with pytest.raises(ValueError, match="eta_scale must be nonnegative and finite"):
+            certify_rescaling(trials=1, mc_instances=1, eta_scale=float("nan"))
+        with pytest.raises(ValueError, match="eta_scale must be nonnegative and finite"):
+            gradient_rescaling_ratio(np.full(4, 0.25), np.zeros(4), float("nan"), 1.0, 1.0,
+                                     5.0, TwoHotTarget(i=1, u1=0.5, u2=0.5), trials=10)
 
 
 class TestIncorrectPositionGradientSum:
