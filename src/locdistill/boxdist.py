@@ -85,14 +85,18 @@ def _as_vector(z, *, name: str = "logits") -> np.ndarray:
     return z
 
 
+def _check_temperature(tau: float) -> None:
+    if not (0.0 < tau < math.inf):
+        raise ValueError(f"temperature must be positive and finite, got {tau}")
+
+
 def generalized_softmax(z, tau: float) -> np.ndarray:
     """Temperature softmax ``p_i = exp(z_i / tau) / sum_j exp(z_j / tau)``.
 
     Stabilized by max-shift. ``tau = 1`` is the plain softmax; large ``tau``
     flattens toward uniform, small ``tau`` sharpens toward the argmax.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     z = _as_vector(z)
     scaled = z / tau
     scaled = scaled - scaled.max()
@@ -160,16 +164,17 @@ def encode_target(y: float, grid: BinGrid) -> TwoHotTarget:
     return TwoHotTarget(i=idx[0], u1=u1[0], u2=u2[0])
 
 
-def _as_probabilities(p, size: int | None = None) -> np.ndarray:
+def _as_probabilities(p, size: int | None = None,
+                      name: str = "probability vector") -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
-        raise ValueError(f"probability vector must be 1-D, got shape {p.shape}")
+        raise ValueError(f"{name} must be 1-D, got shape {p.shape}")
     if size is not None and p.shape[0] != size:
-        raise ValueError(f"probability vector has length {p.shape[0]}, expected {size}")
+        raise ValueError(f"{name} has length {p.shape[0]}, expected {size}")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-        raise ValueError("probability vector must be finite and nonnegative")
+        raise ValueError(f"{name} must be finite and nonnegative")
     if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probability vector must sum to 1, got {p.sum()!r}")
+        raise ValueError(f"{name} must sum to 1, got {p.sum()!r}")
     return p
 
 
@@ -179,8 +184,11 @@ def decode_expectation(p, grid: BinGrid) -> float:
     return float(np.dot(p, grid.endpoints))
 
 
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats over the last axis, with ``0 ln 0 = 0``."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
 def flatness(p) -> float:
     """Shannon entropy in nats; a flatter (more ambiguous) edge scores higher."""
-    p = _as_probabilities(p)
-    nz = p[p > 0.0]
-    return float(-np.dot(nz, np.log(nz)))
+    return float(_entropy(_as_probabilities(p)))

@@ -15,13 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..boxdist import BinGrid
+from ..boxdist import BinGrid, _entropy
 from ..losses import (
     DistillConfig,
     SceneObjective,
     SceneOutputs,
     feature_imitation_loss,
+    _cross_entropy,
     _log_softmax,
+    _tempered,
     _tempered_kl,
 )
 from .data import (
@@ -209,13 +211,15 @@ def train_teacher(
     m = dataset.grid.size
     bayes = binned_mixture(stack.centers[main_idx], stack.weights[main_idx], dataset.grid)
     bayes_main = (1.0 - cfg.label_smoothing) * bayes + cfg.label_smoothing / m
+    # The soft target may be nonzero anywhere, so its cross-entropy picks every entry.
+    every_entry = np.arange(bayes_main.size).reshape(bayes_main.shape)
 
     for _ in range(cfg.teacher_epochs):
         out, hidden = model.forward(x)
         _, g_cls, g_edges, _ = objective.step(out)
         if k:
-            ls = _log_softmax(out.edge_logits[main_idx], 1.0)
-            g_edges[main_idx] += (np.exp(ls) - bayes_main) / k
+            g_edges[main_idx] += _cross_entropy(out.edge_logits[main_idx], every_entry,
+                                                bayes_main, 1.0)[1]
         g_hidden = _hidden_grad(model, g_cls, g_edges)
         _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
     return model
@@ -279,8 +283,7 @@ def _mean_pearson_columns(a: np.ndarray, b: np.ndarray) -> float:
 
 def _mean_kl(z_teacher: np.ndarray, z_student: np.ndarray) -> float:
     """Teacher-to-student KL at unit temperature, averaged per anchor."""
-    lt = _log_softmax(z_teacher, 1.0)
-    return _tempered_kl(z_student, lt, np.exp(lt), 1.0)[0]
+    return _tempered_kl(z_student, *_tempered(z_teacher, 1.0), 1.0)[0]
 
 
 def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
@@ -302,9 +305,7 @@ def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
     decoded = p_edges @ dataset.grid.endpoints
     mae = float(np.abs(decoded[main_idx] - stack.true_edges[main_idx]).mean())
 
-    p_main = p_edges[main_idx]
-    log_p = np.log(np.where(p_main > 0, p_main, 1.0))  # 0 log 0 := 0
-    entropy = float(-(p_main * log_p).sum(axis=-1).mean())
+    entropy = float(_entropy(p_edges[main_idx]).mean())
 
     a = x.shape[0]
     return ExperimentReport(

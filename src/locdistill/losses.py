@@ -5,6 +5,14 @@ gradient with respect to the student quantity it differentiates (logits, box
 corners, or feature entries). Gradients are exact closed forms and are pinned
 against central finite differences by the test suite.
 
+Each logit-space term has one kernel, batched over a leading axis of rows,
+and the composite :class:`SceneObjective` trains with those kernels:
+``_cross_entropy`` (classification and the two-hot DFL) and
+``_tempered_kl`` (KD and LD, with the teacher side from ``_tempered``).
+The scalar functions (:func:`ce_loss`, :func:`dfl_loss`, :func:`kd_loss`,
+:func:`ld_edge_loss`, :func:`ld_box_loss`) are validated one-row calls of
+them, so the finite-difference suite pins the code that trains.
+
 Conventions:
 
 * Cross-entropy ``H(p, g) = -sum_i g_i ln p_i`` weights the student's
@@ -19,12 +27,13 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .boxdist import BinGrid, TwoHotTarget, PROB_SUM_TOL, _as_vector, encode_targets
+from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector,
+                      _check_temperature, encode_targets)
 from .geometry import BoundingBox, _giou_batch
 from .regions import RegionMasks
 
@@ -135,28 +144,75 @@ def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
     return zt
 
 
+def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tempered log-probabilities and probabilities over the last axis: the
+    frozen teacher's side of every distillation term."""
+    lt = _log_softmax(z, tau)
+    return lt, np.exp(lt)
+
+
 # ---------------------------------------------------------------------------
-# logit-space losses
+# loss kernels, batched over a leading axis of K rows
 # ---------------------------------------------------------------------------
 
-def ce_loss(logits, target_weights, tau: float = 1.0) -> LossResult:
-    """Cross-entropy against target weights (one-hot or two-hot).
+def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
+                   weight: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Softmax cross-entropy ``-sum g ln p`` at unit temperature over K rows.
 
-    ``value = -sum_i g_i ln p_i`` with ``p = softmax(z / tau)``;
-    ``grad = (p - g) / tau``, the plain ``p - g`` at ``tau = 1``.
+    ``z`` and ``target`` have shape ``(K, ...)``, distributions on the last
+    axis. ``picks`` holds flat (C-order) indices of shape ``(..., r)``, r per
+    distribution on the last axis, covering the target's nonzero entries;
+    the value is read from those alone. Returns the value summed over the
+    non-row axes and averaged over the K rows, its gradient times
+    ``weight``, which is ``weight * (p - target) / K``, and the
+    probabilities ``p``.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    k = z.shape[0]
+    ls = _log_softmax(z, 1.0)
+    p = np.exp(ls)
+    value = -float((np.take(target, picks) * np.take(ls, picks)).sum(axis=-1).sum() / k)
+    return value, weight * (p - target) / k, p
+
+
+def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
+                 tau: float) -> tuple[float, np.ndarray]:
+    """Mean-per-anchor tempered KL and its gradient w.r.t. the student logits.
+
+    ``z_s`` has shape ``(K, ...)`` with logits on the last axis; ``lt`` and
+    ``q`` are the teacher's tempered log-probabilities and probabilities on
+    the same rows (see :func:`_tempered`). The KL is summed over all
+    non-anchor axes and averaged over the K anchors.
+    """
+    k = z_s.shape[0]
+    ls = _log_softmax(z_s, tau)
+    value = float((q * (lt - ls)).sum() / k)
+    grad = (np.exp(ls) - q) / (tau * k)
+    return value, grad
+
+
+def _one_anchor_kd(zs: np.ndarray, zt: np.ndarray, tau: float) -> LossResult:
+    """The tempered-KL kernel on one anchor of equal-shape logits, with the
+    teacher entropy added back to give the cross-entropy ``value``."""
+    lt, q = _tempered(zt[None], tau)
+    kl, grad = _tempered_kl(zs[None], lt, q, tau)
+    return LossResult(value=kl - float(np.vdot(q, lt)), grad=grad[0], kl=kl)
+
+
+# ---------------------------------------------------------------------------
+# logit-space losses: validated one-row views of the kernels
+# ---------------------------------------------------------------------------
+
+def ce_loss(logits, target_weights) -> LossResult:
+    """Cross-entropy against target weights (one-hot, two-hot or soft).
+
+    ``value = -sum_i g_i ln p_i`` with ``p = softmax(z)``; ``grad = p - g``.
+    """
     z = _as_vector(logits)
-    g = _as_vector(target_weights, name="target weights")
+    g = _as_probabilities(target_weights, name="target weights")
     if z.shape != g.shape:
         raise ValueError(f"logits {z.shape} and target weights {g.shape} differ in length")
-    if np.any(g < 0.0) or abs(g.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError("target weights must be nonnegative and sum to 1")
-    ls = _log_softmax(z, tau)
-    value = -float(np.dot(g, ls))
-    grad = (np.exp(ls) - g) / tau
-    return LossResult(value=value, grad=grad)
+    value, grad, _ = _cross_entropy(z[None], np.flatnonzero(g)[None], g[None], 1.0)
+    return LossResult(value=value, grad=grad[0])
 
 
 def kd_loss(student_logits, teacher_logits, tau: float) -> LossResult:
@@ -167,19 +223,12 @@ def kd_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     entropy so a perfectly matched student scores exactly 0. The gradient for
     either variant is ``(p_tau - q_tau) / tau``.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     zs = _as_vector(student_logits, name="student logits")
     zt = _as_vector(teacher_logits, name="teacher logits")
     if zs.shape != zt.shape:
         raise ValueError(f"student {zs.shape} and teacher {zt.shape} logit lengths differ")
-    ls = _log_softmax(zs, tau)
-    lt = _log_softmax(zt, tau)
-    q = np.exp(lt)
-    value = -float(np.dot(q, ls))
-    kl = float(np.dot(q, lt - ls))
-    grad = (np.exp(ls) - q) / tau
-    return LossResult(value=value, grad=grad, kl=kl)
+    return _one_anchor_kd(zs, zt, tau)
 
 
 def ld_edge_loss(student_logits, teacher_logits, tau: float) -> LossResult:
@@ -197,11 +246,10 @@ def ld_box_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     ``student_logits`` and ``teacher_logits`` are equal-shape ``(E, m)``
     arrays, one row of logits per edge. The value, ``kl`` and gradient are
     those of :func:`ld_edge_loss` summed (value, ``kl``) or stacked
-    (gradient, ``(E, m)``) over the rows; computed as one call of the
+    (gradient, ``(E, m)``) over the rows: the box is one anchor of the
     tempered-KL kernel the composite objective trains with.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     zs = np.asarray(student_logits, dtype=np.float64)
     zt = np.asarray(teacher_logits, dtype=np.float64)
     if zs.ndim != 2 or zs.shape != zt.shape:
@@ -209,11 +257,7 @@ def ld_box_loss(student_logits, teacher_logits, tau: float) -> LossResult:
                          "equal-shape (edges, bins) arrays")
     if not (np.isfinite(zs).all() and np.isfinite(zt).all()):
         raise ValueError("edge logits must be finite")
-    lt = _log_softmax(zt, tau)
-    q = np.exp(lt)
-    # One box is one anchor of the kernel, so its KL is summed over edges.
-    kl, grad = _tempered_kl(zs[None], lt[None], q[None], tau)
-    return LossResult(value=kl - float((q * lt).sum()), grad=grad[0], kl=kl)
+    return _one_anchor_kd(zs, zt, tau)
 
 
 def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
@@ -224,7 +268,8 @@ def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
     """
     z = _as_vector(logits)
     g = target.as_weights(z.shape[0])
-    return ce_loss(z, g, tau=1.0)
+    value, grad, _ = _cross_entropy(z[None], [[target.i, target.i + 1]], g[None], 1.0)
+    return LossResult(value=value, grad=grad[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +301,8 @@ def tbr_loss(
     when active the loss is ``1 - GIoU(student, gt)``, otherwise the result
     is exactly zero with a zero gradient.
     """
-    if margin < 0.0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    if not (0.0 <= margin < math.inf):
+        raise ValueError(f"margin must be nonnegative and finite, got {margin}")
     s = np.asarray(student_box.to_list())
     t = np.asarray(teacher_box.to_list())
     g = np.asarray(gt_box.to_list())
@@ -374,22 +419,6 @@ def _box_grad_to_edges(g_box: np.ndarray) -> np.ndarray:
     return g_box[:, _EDGE_CORNER] * _EDGE_SIGN
 
 
-def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
-                 tau: float) -> tuple[float, np.ndarray]:
-    """Mean-per-anchor tempered KL and its gradient w.r.t. the student logits.
-
-    ``z_s`` has shape ``(K, ...)`` with logits on the last axis; ``lt`` and
-    ``q`` are the teacher's tempered log-probabilities and probabilities on
-    the same rows. The KL is summed over all non-anchor axes and averaged
-    over the K anchors.
-    """
-    k = z_s.shape[0]
-    ls = _log_softmax(z_s, tau)
-    value = float((q * (lt - ls)).sum() / k)
-    grad = (np.exp(ls) - q) / (tau * k)
-    return value, grad
-
-
 def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
                        g_edge_vals: np.ndarray) -> np.ndarray:
     """Chain an edge-value gradient through the softmax expectation decode.
@@ -399,32 +428,6 @@ def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
     w.r.t. the edge logits.
     """
     return g_edge_vals[:, :, None] * p * (endpoints - yhat[:, :, None])
-
-
-def _decoded_boxes(points: np.ndarray, edge_logits: np.ndarray,
-                   endpoints: np.ndarray) -> np.ndarray:
-    """Boxes decoded from edge logits by the softmax expectation."""
-    return _boxes_from_edges(points, np.exp(_log_softmax(edge_logits, 1.0)) @ endpoints)
-
-
-def _tbr_block(z_main: np.ndarray, points: np.ndarray, boxes_t: np.ndarray,
-               boxes_g: np.ndarray, margin: float,
-               endpoints: np.ndarray) -> tuple[float, np.ndarray]:
-    """Teacher-bounded regression over K main rows: the value averaged over
-    the K rows and the ``(K, E, m)`` gradient w.r.t. their edge logits."""
-    k = z_main.shape[0]
-    p_s = np.exp(_log_softmax(z_main, 1.0))
-    yhat = p_s @ endpoints
-    boxes_s = _boxes_from_edges(points, yhat)
-    active = _corner_l2(boxes_s, boxes_g) + margin > _corner_l2(boxes_t, boxes_g)
-    grad = np.zeros_like(p_s)
-    value = 0.0
-    if active.any():
-        giou_vals, dgiou = _giou_batch(boxes_s[active], boxes_g[active])
-        value = float((1.0 - giou_vals).sum() / k)
-        grad[active] = _expectation_chain(p_s[active], yhat[active], endpoints,
-                                          _box_grad_to_edges(-dgiou / k))
-    return value, grad
 
 
 class SceneObjective:
@@ -458,42 +461,39 @@ class SceneObjective:
                 "the box regression term needs nonnegative edge distances (grid.e_min >= 0)"
             )
         self.cfg = cfg
-        self._anchors = np.arange(a)
-        self._labels = truth.labels
+        # Each cross-entropy target with the flat picks of its nonzero entries.
+        self._cls_picks = (np.arange(a) * n_classes + truth.labels)[:, None]
         self._onehot = np.zeros(self.cls_shape)
-        self._onehot[self._anchors, truth.labels] = 1.0
+        np.put(self._onehot, self._cls_picks, 1.0)
         self.main_idx = np.flatnonzero(masks.main)
         self.vlr_idx = np.flatnonzero(masks.vlr)
 
         k = self.main_idx.size
         targets = truth.edge_targets[self.main_idx]
-        idx, self._u1, self._u2 = encode_targets(targets, cfg.grid)
-        rows = np.arange(k)[:, None]
-        cols = np.arange(n_edges)[None, :]
-        self._at_left = (rows, cols, idx)
-        self._at_right = (rows, cols, idx + 1)
+        idx, u1, u2 = encode_targets(targets, cfg.grid)
+        self._dfl_picks = (np.arange(k * n_edges).reshape(k, n_edges, 1) * cfg.grid.size
+                           + np.stack([idx, idx + 1], axis=-1))
         self._two_hot = np.zeros((k, n_edges, cfg.grid.size))
-        self._two_hot[self._at_left] += self._u1
-        self._two_hot[self._at_right] += self._u2
+        np.put(self._two_hot, self._dfl_picks, np.stack([u1, u2], axis=-1))
         self._points = truth.points[self.main_idx]
         self._boxes_g = _boxes_from_edges(self._points, targets)
 
-        # Frozen teacher: main-row edge logits (decoded on first TBR use) and
-        # the tempered log-probabilities and probabilities of each active
-        # distillation term's rows.
+        # Frozen teacher: main-row edge logits (decoded on first TBR use) and,
+        # for each active distillation term, its weight, rows and head, and
+        # the teacher's tempered log-probabilities and probabilities there.
         self._teacher_main_edges = None
-        self._teacher_terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._teacher_terms: dict[str, tuple] = {}
         if teacher is None:
             return
         self._teacher_main_edges = teacher.edge_logits[self.main_idx]
-        for name, weight, rows_idx, logits in (
-                ("ld_main", cfg.w_ld_main, self.main_idx, teacher.edge_logits),
-                ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, teacher.edge_logits),
-                ("kd_main", cfg.w_kd_main, self.main_idx, teacher.cls_logits),
-                ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, teacher.cls_logits)):
+        for name, weight, rows_idx, head in (
+                ("ld_main", cfg.w_ld_main, self.main_idx, "edge_logits"),
+                ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, "edge_logits"),
+                ("kd_main", cfg.w_kd_main, self.main_idx, "cls_logits"),
+                ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, "cls_logits")):
             if weight > 0.0 and rows_idx.size:
-                lt = _log_softmax(logits[rows_idx], cfg.tau)
-                self._teacher_terms[name] = (lt, np.exp(lt))
+                lt, q = _tempered(getattr(teacher, head)[rows_idx], cfg.tau)
+                self._teacher_terms[name] = (weight, rows_idx, head, lt, q)
 
     def _check_student(self, student: SceneOutputs) -> None:
         if (student.cls_logits.shape != self.cls_shape
@@ -509,62 +509,38 @@ class SceneObjective:
         grad_edges (A, E, m), components)``; see :func:`total_loss`."""
         self._check_student(student)
         cfg = self.cfg
-        tau = cfg.tau
-        terms = self._teacher_terms
         endpoints = cfg.grid.endpoints
-        a = self.cls_shape[0]
-        main_idx, vlr_idx = self.main_idx, self.vlr_idx
+        main_idx = self.main_idx
         k_main = main_idx.size
 
         # Classification cross-entropy over every anchor.
-        ls_cls = _log_softmax(student.cls_logits, 1.0)
-        l_cls = float(-ls_cls[self._anchors, self._labels].mean())
-        grad_cls = cfg.w_cls * (np.exp(ls_cls) - self._onehot) / a
+        l_cls, grad_cls, _ = _cross_entropy(student.cls_logits, self._cls_picks,
+                                            self._onehot, cfg.w_cls)
         grad_edges = np.zeros(self.edge_shape)
 
+        # DFL and box regression over the main positives.
         l_reg = l_dfl = 0.0
-        ld_main = ld_vlr = kd_main = kd_vlr = 0.0
         if k_main:
-            z_main = student.edge_logits[main_idx]
-            ls_e = _log_softmax(z_main, 1.0)
-            p_e = np.exp(ls_e)
-            l_dfl = float(-(self._u1 * ls_e[self._at_left]
-                            + self._u2 * ls_e[self._at_right]).sum() / k_main)
-            g_main = cfg.w_dfl * (p_e - self._two_hot) / k_main
-
+            l_dfl, g_main, p_e = _cross_entropy(student.edge_logits[main_idx], self._dfl_picks,
+                                                self._two_hot, cfg.w_dfl)
             yhat = p_e @ endpoints
             boxes_s = _boxes_from_edges(self._points, yhat)
             giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
             l_reg = float((1.0 - giou_vals).mean())
             g_edge_vals = _box_grad_to_edges(-cfg.w_reg * dgiou / k_main)
-            g_main += _expectation_chain(p_e, yhat, endpoints, g_edge_vals)
+            grad_edges[main_idx] = g_main + _expectation_chain(p_e, yhat, endpoints, g_edge_vals)
 
-            if "ld_main" in terms:
-                ld_main, g = _tempered_kl(z_main, *terms["ld_main"], tau)
-                g_main += cfg.w_ld_main * g
-            grad_edges[main_idx] = g_main
-            if "kd_main" in terms:
-                kd_main, g = _tempered_kl(student.cls_logits[main_idx], *terms["kd_main"], tau)
-                grad_cls[main_idx] += cfg.w_kd_main * g
-        if "ld_vlr" in terms:
-            ld_vlr, g = _tempered_kl(student.edge_logits[vlr_idx], *terms["ld_vlr"], tau)
-            grad_edges[vlr_idx] = cfg.w_ld_vlr * g
-        if "kd_vlr" in terms:
-            kd_vlr, g = _tempered_kl(student.cls_logits[vlr_idx], *terms["kd_vlr"], tau)
-            grad_cls[vlr_idx] += cfg.w_kd_vlr * g
+        # Each active distillation term on its own rows.
+        grads = {"cls_logits": grad_cls, "edge_logits": grad_edges}
+        kl = dict.fromkeys(("ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
+        for name, (weight, rows_idx, head, lt, q) in self._teacher_terms.items():
+            kl[name], g = _tempered_kl(getattr(student, head)[rows_idx], lt, q, cfg.tau)
+            grads[head][rows_idx] += weight * g
 
-        components = {
-            "cls": l_cls,
-            "reg": l_reg,
-            "dfl": l_dfl,
-            "ld_main": ld_main,
-            "ld_vlr": ld_vlr,
-            "kd_main": kd_main,
-            "kd_vlr": kd_vlr,
-        }
+        components = {"cls": l_cls, "reg": l_reg, "dfl": l_dfl, **kl}
         value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
-                 + cfg.w_ld_main * ld_main + cfg.w_ld_vlr * ld_vlr
-                 + cfg.w_kd_main * kd_main + cfg.w_kd_vlr * kd_vlr)
+                 + cfg.w_ld_main * kl["ld_main"] + cfg.w_ld_vlr * kl["ld_vlr"]
+                 + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"])
         return value, grad_cls, grad_edges, components
 
     @cached_property
@@ -576,20 +552,30 @@ class SceneObjective:
             raise ValueError(
                 "teacher-bounded regression needs nonnegative edge distances (grid.e_min >= 0)"
             )
-        return _decoded_boxes(self._points, self._teacher_main_edges, self.cfg.grid.endpoints)
+        p_t = np.exp(_log_softmax(self._teacher_main_edges, 1.0))
+        return _boxes_from_edges(self._points, p_t @ self.cfg.grid.endpoints)
 
     def tbr_step(self, student: SceneOutputs) -> tuple[float, np.ndarray]:
         """Teacher-bounded regression at ``student``: ``(value, grad_edges
         (A, E, m))``; see :func:`scene_tbr_loss`."""
         self._check_student(student)
-        boxes_t = self._boxes_t
+        boxes_t, boxes_g = self._boxes_t, self._boxes_g
         grad_edges = np.zeros(self.edge_shape)
-        value = 0.0
-        if self.main_idx.size:
-            value, grad_edges[self.main_idx] = _tbr_block(
-                student.edge_logits[self.main_idx], self._points, boxes_t,
-                self._boxes_g, self.cfg.tbr_margin, self.cfg.grid.endpoints)
-        return value, grad_edges
+        k = self.main_idx.size
+        if not k:
+            return 0.0, grad_edges
+        endpoints = self.cfg.grid.endpoints
+        p_s = np.exp(_log_softmax(student.edge_logits[self.main_idx], 1.0))
+        yhat = p_s @ endpoints
+        boxes_s = _boxes_from_edges(self._points, yhat)
+        active = (_corner_l2(boxes_s, boxes_g) + self.cfg.tbr_margin
+                  > _corner_l2(boxes_t, boxes_g))
+        if not active.any():
+            return 0.0, grad_edges
+        giou_vals, dgiou = _giou_batch(boxes_s[active], boxes_g[active])
+        grad_edges[self.main_idx[active]] = _expectation_chain(
+            p_s[active], yhat[active], endpoints, _box_grad_to_edges(-dgiou / k))
+        return float((1.0 - giou_vals).sum() / k), grad_edges
 
 
 def _flat_grad(grad_cls: np.ndarray, grad_edges: np.ndarray) -> np.ndarray:
@@ -638,27 +624,17 @@ def scene_tbr_loss(
     Boxes are decoded from the edge expectations of both models; the gate
     and loss follow :func:`tbr_loss` per anchor, averaged over main
     positives, and the gradient flows back to the student edge logits
-    through the expectation decode. Flat layout as in :func:`total_loss`;
-    :meth:`SceneObjective.tbr_step` is the compiled form.
+    through the expectation decode. Flat layout as in :func:`total_loss`.
+    One-shot form of :meth:`SceneObjective.tbr_step`.
     """
     a = student.n_anchors
-    if cfg.grid.e_min < 0.0:
-        raise ValueError(
-            "teacher-bounded regression needs nonnegative edge distances (grid.e_min >= 0)"
-        )
     main_mask = np.asarray(main_mask, dtype=bool)
     if main_mask.shape != (a,):
         raise ValueError(f"main mask shape {main_mask.shape} does not match {a} anchors")
-    grad_edges = np.zeros_like(student.edge_logits)
-    main_idx = np.flatnonzero(main_mask)
-    value = 0.0
-    if main_idx.size:
-        endpoints = cfg.grid.endpoints
-        points = truth.points[main_idx]
-        value, grad_edges[main_idx] = _tbr_block(
-            student.edge_logits[main_idx], points,
-            _decoded_boxes(points, teacher.edge_logits[main_idx], endpoints),
-            _boxes_from_edges(points, truth.edge_targets[main_idx]),
-            cfg.tbr_margin, endpoints)
+    masks = RegionMasks(main=main_mask, vlr=np.zeros(a, dtype=bool))
+    # TBR reads no regression weight; zeroing it leaves the grid check to tbr_step.
+    objective = SceneObjective(truth, masks, replace(cfg, w_reg=0.0), teacher,
+                               student.cls_logits.shape[1])
+    value, grad_edges = objective.tbr_step(student)
     return LossResult(value=value,
                       grad=_flat_grad(np.zeros_like(student.cls_logits), grad_edges))

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxdist import PROB_SUM_TOL, TwoHotTarget, generalized_softmax
+from .boxdist import (PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _check_temperature,
+                      generalized_softmax)
 from .losses import dfl_loss, kd_loss
 
 __all__ = [
@@ -83,8 +84,7 @@ def verify_proposition1(s, p, q, u1: float, tau: float,
     q = _check_simplex(q, "second target")
     if s.shape != p.shape or p.shape != q.shape:
         raise ValueError("probability vectors must share one length")
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
         raise ValueError(f"perturbation must be finite, got {perturbation}")
     u2 = 1.0 - u1
@@ -158,14 +158,8 @@ def decompose_localization(l, u1: float, i: int, j: int) -> DecompositionResult:
     ``i`` and ``j`` identify the bracketing positions of the underlying
     two-hot target and must differ; they do not affect the algebra.
     """
-    l = np.asarray(l, dtype=np.float64)
-    if l.ndim != 1:
-        raise ValueError(f"localization vector must be 1-D, got shape {l.shape}")
+    l = _as_probabilities(l, name="localization vector")
     m = l.shape[0]
-    if not np.all(np.isfinite(l)) or np.any(l < 0.0):
-        raise ValueError("localization vector must be finite and nonnegative")
-    if abs(l.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"localization vector must sum to 1, got {l.sum()!r}")
     if not (0.0 < u1 < 1.0):
         raise ValueError(f"u1 must lie strictly inside (0, 1), got {u1}")
     if i == j:
@@ -235,8 +229,7 @@ def gradient_rescaling_ratio(
     c = np.asarray(c, dtype=np.float64)
     if c.shape != p.shape:
         raise ValueError(f"confidence vector shape {c.shape} does not match {p.shape}")
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     if not (0.0 <= eta_scale < math.inf):
         raise ValueError(f"eta_scale must be nonnegative and finite, got {eta_scale}")
     i = target.i

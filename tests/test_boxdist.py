@@ -63,6 +63,9 @@ class TestGeneralizedSoftmax:
             generalized_softmax([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             generalized_softmax([1.0, 2.0], -3.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                generalized_softmax([1.0, 2.0], bad)
 
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(ValueError):

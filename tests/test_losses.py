@@ -123,6 +123,13 @@ class TestKDLoss:
             assert res.kl >= -1e-15
             assert res.value >= 0.0
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_temperature_rejected(self, tau):
+        z = np.array([0.5, -1.0, 2.0])
+        for loss, zs in ((kd_loss, z), (ld_edge_loss, z), (ld_box_loss, np.stack([z, z]))):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                loss(zs, zs, tau)
+
     @given(logit_vectors, st.floats(0.5, 20.0))
     @settings(max_examples=80, deadline=None)
     def test_gradient_sums_to_zero(self, z, tau):
@@ -331,6 +338,9 @@ class TestTBRLoss:
         b = BoundingBox(0, 0, 1, 1)
         with pytest.raises(ValueError):
             tbr_loss(b, b, b, margin=-0.1)
+        for bad in (float("nan"), float("inf")):  # NaN never gated, inf always did
+            with pytest.raises(ValueError, match="margin must be nonnegative and finite"):
+                tbr_loss(b, BoundingBox(0, 0, 2, 2), b, margin=bad)
 
     def test_finite_difference_when_gated(self):
         rng = _rng(72)
@@ -678,6 +688,51 @@ class TestSceneObjective:
         objective = SceneObjective(truth, masks, cfg, None, n_classes=2)
         with pytest.raises(ValueError, match="teacher"):
             objective.tbr_step(student)
+
+
+class TestScalarViewsAreSceneTerms:
+    """Each scalar loss is a one-row call of the kernel the composite
+    objective trains with: on a one-anchor main-positive scene where the
+    term's weight is 1 and every other weight 0, the objective's gradient
+    is the scalar view's, bit for bit."""
+
+    WEIGHTS = ("w_cls", "w_reg", "w_dfl", "w_ld_main", "w_ld_vlr", "w_kd_main", "w_kd_vlr")
+
+    def _scenes(self, weight, n=20):
+        rng = _rng(121)
+        for _ in range(n):
+            student, teacher, truth, _ = _random_scene(rng, n_anchors=1)
+            cfg = DistillConfig(grid=GRID, tau=rng.uniform(0.5, 20.0),
+                                **{w: float(w == weight) for w in self.WEIGHTS})
+            objective = SceneObjective(truth, _masks([1], [0]), cfg, teacher, n_classes=2)
+            _, g_cls, g_edges, components = objective.step(student)
+            yield student, teacher, truth, cfg, g_cls[0], g_edges[0], components
+
+    def test_ce_loss_is_cls(self):
+        for student, _, truth, _, g_cls, _, comps in self._scenes("w_cls"):
+            onehot = np.eye(2)[truth.labels[0]]
+            res = ce_loss(student.cls_logits[0], onehot)
+            assert np.array_equal(res.grad, g_cls)
+            assert res.value == comps["cls"]
+
+    def test_dfl_loss_is_the_dfl_block(self):
+        for student, _, truth, _, _, g_edges, comps in self._scenes("w_dfl"):
+            parts = [dfl_loss(student.edge_logits[0, e], encode_target(y, GRID))
+                     for e, y in enumerate(truth.edge_targets[0])]
+            assert np.array_equal(np.stack([r.grad for r in parts]), g_edges)
+            assert sum(r.value for r in parts) == pytest.approx(comps["dfl"], abs=1e-12)
+
+    def test_kd_loss_is_kd_main(self):
+        for student, teacher, _, cfg, g_cls, _, comps in self._scenes("w_kd_main"):
+            res = kd_loss(student.cls_logits[0], teacher.cls_logits[0], cfg.tau)
+            assert np.array_equal(res.grad, g_cls)
+            assert res.kl == comps["kd_main"]
+
+    def test_ld_box_loss_is_ld_main(self):
+        for student, teacher, _, cfg, _, g_edges, comps in self._scenes("w_ld_main"):
+            res = ld_box_loss(student.edge_logits[0], teacher.edge_logits[0], cfg.tau)
+            assert np.array_equal(res.grad, g_edges)
+            assert res.kl == comps["ld_main"]
 
 
 class TestLossResult:

@@ -49,6 +49,15 @@ class TestProposition1:
         with pytest.raises(ValueError):
             verify_proposition1(ok, np.array([1.0, 0.0]), ok, 0.5, 1.0)  # zero entry
 
+    @pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf")])
+    def test_bad_temperature_rejected(self, tau):
+        ok = np.array([0.3, 0.7])
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            verify_proposition1(ok, ok, ok, 0.5, tau)
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            gradient_rescaling_ratio(np.full(4, 0.25), np.zeros(4), 0.0, 1.0, 1.0, tau,
+                                     TwoHotTarget(i=1, u1=0.5, u2=0.5))
+
     def test_perturbation_hook_breaks_identity(self):
         rng = _rng(4)
         s, p, q = (rng.dirichlet(np.ones(5)) for _ in range(3))
