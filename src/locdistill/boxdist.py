@@ -97,11 +97,16 @@ def generalized_softmax(z, tau: float) -> np.ndarray:
     flattens toward uniform, small ``tau`` sharpens toward the argmax.
     """
     _check_temperature(tau)
-    z = _as_vector(z)
+    return _softmax(_as_vector(z), tau)
+
+
+def _softmax(z: np.ndarray, tau) -> np.ndarray:
+    """The body of :func:`generalized_softmax` over the last axis of ``z``;
+    ``tau`` is a scalar or broadcasts against ``z`` (one per row)."""
     scaled = z / tau
-    scaled = scaled - scaled.max()
+    scaled = scaled - scaled.max(axis=-1, keepdims=True)
     e = np.exp(scaled)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .harness.data import HarnessConfig, save_dataset
 from .harness.experiments import TRACE_COLUMNS, ExperimentReport, _resolve_scheme, run_seed
 from .losses import DistillConfig
 from .regions import _masks_and_diou, unfold_anchors
-from .theory import (_check_rescaling_noise, certify_decomposition, certify_proposition1,
-                     certify_rescaling)
+from .theory import (_check_count, _check_rescaling_noise, _check_sizes, certify_decomposition,
+                     certify_proposition1, certify_rescaling)
 
 __all__ = ["RunConfig", "load_run_config", "main"]
 
@@ -61,10 +61,10 @@ class VerifyConfig:
     inject_error: float = 0.0  # negative-control hook: biases the checked gradient
 
     def __post_init__(self) -> None:
-        if self.trials < 1 or self.mc_trials < 2 or self.mc_instances < 1:
-            raise ValueError("trial counts must be positive")
-        if not self.sizes or any(int(s) < 2 for s in self.sizes):
-            raise ValueError("sizes must be a non-empty list of lengths >= 2")
+        _check_count("trials", self.trials)
+        _check_count("mc_trials", self.mc_trials, 2)
+        _check_count("mc_instances", self.mc_instances)
+        _check_sizes(self.sizes)
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         _check_rescaling_noise(self.eta_scale)
         if not np.isfinite(self.inject_error):

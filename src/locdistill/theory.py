@@ -1,18 +1,27 @@
 """Numerical certification of the distillation-vs-supervision identities.
 
-Three facts are checked to double precision:
+Three facts are checked to double precision. Each certificate draws its
+random trials one by one and then solves all trials of one vector length as
+one stack; the gradients come from the loss kernels that training uses
+(``losses._tempered``, ``losses._tempered_kl`` and ``losses._cross_entropy``).
 
 1. The distillation gradient against a convex combination of two target
    distributions equals the same convex combination of the gradients against
-   each target separately (checked through the real loss code path).
+   each target separately.
 2. Any localization probability vector decomposes into two classification
    probabilities under the affine system {sum p = 1, sum q = 1,
    u1*p + u2*q = l}: for every trial the system's coefficient matrix has
    rank ``len(l) + 1``, and a nonnegative pair (p, q) reconstructs ``l``
-   exactly. All trials of one length are solved as one stack.
+   exactly.
 3. Adding distillation to the two-hot supervised loss rescales its
    per-logit gradient by ``gamma + (lam / tau) * c_i / (u_i - p_i)`` in
-   expectation under an additive teacher-confidence model.
+   expectation under an additive teacher-confidence model. The noise-free
+   identity is solved as one stack; the Monte-Carlo expectation is averaged
+   per instance.
+
+The public one-vector functions (:func:`verify_proposition1`,
+:func:`decompose_localization`, :func:`gradient_rescaling_ratio`) are
+validated one-row calls of the same stacked kernels.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdist import (PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _check_temperature,
-                      generalized_softmax)
-from .losses import dfl_loss, kd_loss
+                      _softmax, generalized_softmax)
+from .losses import _cross_entropy, _tempered, _tempered_kl, dfl_loss, kd_loss
 
 __all__ = [
     "DecompositionResult",
@@ -54,19 +63,53 @@ _RESCALING_SIZE = 9
 
 
 def _check_simplex(p, name: str) -> np.ndarray:
+    """``p`` as float64 if it is a strictly positive probability vector, or an
+    ``(n, m)`` stack whose every row is one."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D probability vector, got shape {p.shape}")
+    if p.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a 1-D probability vector or an (n, m) stack of them, "
+                         f"got shape {p.shape}")
     if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise ValueError(f"{name} must be strictly positive (logit reconstruction needs log)")
-    if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1, got {p.sum()!r}")
+    sums = np.atleast_1d(p.sum(axis=-1))
+    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
+    if off.size:
+        raise ValueError(f"{name} must sum to 1, got {float(sums[off[0]])!r}")
     return p
 
 
-def _logits_for(p: np.ndarray, tau: float) -> np.ndarray:
+def _check_count(name: str, value: int, least: int = 1) -> None:
+    if not value >= least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
+def _check_sizes(sizes) -> None:
+    if len(sizes) == 0 or any(int(m) < 2 for m in sizes):
+        raise ValueError(f"sizes must be a non-empty list of lengths >= 2, got {list(sizes)!r}")
+
+
+def _logits_for(p: np.ndarray, tau) -> np.ndarray:
     """Logits whose tempered softmax reproduces ``p`` (up to rounding)."""
     return tau * np.log(p)
+
+
+def _proposition1_gaps(s: np.ndarray, p: np.ndarray, q: np.ndarray, u1: np.ndarray,
+                       tau: np.ndarray, perturbation: float = 0.0) -> np.ndarray:
+    """Each row's max elementwise gap between the combined-target gradient
+    and the combination of per-target gradients.
+
+    ``s``, ``p`` and ``q`` are ``(n, m)`` stacks of tempered probabilities,
+    ``u1`` and ``tau`` ``(n, 1)`` columns. The three teachers' gradients are
+    one call of the training KD kernel on a ``(1, 3, n, m)`` array: its
+    leading K axis is 1, so the ``1 / (tau * K)`` divisor is the one-row one.
+    ``perturbation`` biases the combined-target gradient (a negative control).
+    """
+    u2 = 1.0 - u1
+    combined = u1 * p + u2 * q
+    lt, q_t = _tempered(_logits_for(np.stack([combined, p, q]), tau)[None], tau)
+    _, grad = _tempered_kl(_logits_for(s, tau)[None, None], lt, q_t, tau)
+    g_combined, g_p, g_q = grad[0]
+    return np.abs(g_combined + perturbation - (u1 * g_p + u2 * g_q)).max(axis=-1)
 
 
 def verify_proposition1(s, p, q, u1: float, tau: float,
@@ -74,26 +117,24 @@ def verify_proposition1(s, p, q, u1: float, tau: float,
     """Max elementwise gap between the combined-target gradient and the
     combination of per-target gradients.
 
-    All three inputs are tempered probability vectors; the gradients are
-    computed through :func:`locdistill.losses.kd_loss` on reconstructed
-    logits. ``perturbation`` biases the combined-target gradient and exists
-    only as a negative-control hook for the verification CLI.
+    All three inputs are tempered probability vectors and ``u1`` in [0, 1]
+    weights the first target; the gradients come from the KD training kernel
+    on reconstructed logits (see :func:`_proposition1_gaps`, of which this is
+    the one-row call). ``perturbation`` biases the combined-target gradient
+    and exists only as a negative-control hook for the verification CLI.
     """
     s = _check_simplex(s, "student probabilities")
     p = _check_simplex(p, "first target")
     q = _check_simplex(q, "second target")
-    if s.shape != p.shape or p.shape != q.shape:
-        raise ValueError("probability vectors must share one length")
+    if s.ndim != 1 or s.shape != p.shape or p.shape != q.shape:
+        raise ValueError("probability vectors must be 1-D and share one length")
+    if not (0.0 <= u1 <= 1.0):  # outside, the combined target leaves the simplex
+        raise ValueError(f"u1 must lie in [0, 1], got {u1!r}")
     _check_temperature(tau)
     if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
         raise ValueError(f"perturbation must be finite, got {perturbation}")
-    u2 = 1.0 - u1
-    combined = u1 * p + u2 * q
-    z_s = _logits_for(s, tau)
-    g_combined = kd_loss(z_s, _logits_for(combined, tau), tau).grad + perturbation
-    g_p = kd_loss(z_s, _logits_for(p, tau), tau).grad
-    g_q = kd_loss(z_s, _logits_for(q, tau), tau).grad
-    return float(np.abs(g_combined - (u1 * g_p + u2 * g_q)).max())
+    return float(_proposition1_gaps(s[None], p[None], q[None], np.array([[u1]]),
+                                    np.array([[tau]]), perturbation)[0])
 
 
 @dataclass(frozen=True)
@@ -190,18 +231,56 @@ class RescalingReport:
 
 
 def _prepare_confidence(p_tau: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Center the confidence vector and shrink it until the teacher stays
-    strictly inside the simplex; any shrink is logged."""
-    c = c - c.mean()
-    scale = 1.0
+    """Center each row of the ``(n, m)`` confidence stack and shrink it until
+    its teacher stays strictly inside the simplex. A call that shrinks any
+    row logs one line: how many rows, and the smallest scale."""
+    c = c - c.mean(axis=-1, keepdims=True)
     floor = 1e-6
-    q = p_tau + c
-    if q.min() < floor:
-        worst = (p_tau - floor) / np.maximum(-c, 1e-300)
-        scale = min(1.0, float(worst[c < 0.0].min())) if np.any(c < 0.0) else 1.0
-        logger.warning("confidence vector scaled by %.6g to keep the teacher on the simplex", scale)
-        c = scale * c
-    return c
+    low = (p_tau + c).min(axis=-1) < floor
+    if not low.any():
+        return c
+    worst = np.where(c < 0.0, (p_tau - floor) / np.maximum(-c, 1e-300), np.inf).min(axis=-1)
+    scale = np.where(low, np.minimum(1.0, worst), 1.0)
+    logger.warning("%d of %d confidence vectors scaled, the smallest by %.6g, to keep the "
+                   "teacher on the simplex", int(low.sum()), low.size, scale.min())
+    return c * scale[:, None]
+
+
+def _rescaling_setup(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray,
+                     u2: np.ndarray, gamma: np.ndarray, lam: np.ndarray, tau: np.ndarray):
+    """The noise-free steps of the rescaling identity for ``(n, m)`` stacks
+    ``p`` and ``c`` and per-row ``(n,)`` two-hot targets ``(i, u1, u2)`` and
+    coefficients. Returns the student logits, ``p_tau``, the prepared
+    confidence, the predicted ratio and the two-hot DFL gradient at ``i``.
+    The DFL gradient is one call of the training cross-entropy kernel."""
+    n, m = p.shape
+    rows = np.arange(n)
+    z_s = np.log(p)
+    p_tau = _softmax(z_s, tau[:, None])
+    c_eff = _prepare_confidence(p_tau, c)
+    predicted = gamma + (lam / tau) * c_eff[rows, i] / (u1 - p[rows, i])
+    target = np.zeros((n, m))
+    target[rows, i] = u1
+    target[rows, i + 1] = u2
+    flat = rows * m + i
+    _, dfl_grad, _ = _cross_entropy(z_s[None], np.stack([flat, flat + 1], axis=-1),
+                                    target[None], 1.0)
+    return z_s, p_tau, c_eff, predicted, dfl_grad[0, rows, i]
+
+
+def _exact_rescaling(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray,
+                     u2: np.ndarray, gamma: np.ndarray, lam: np.ndarray,
+                     tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measured and predicted noise-free rescaling ratios, ``(n,)`` each, for
+    the stacked instances of :func:`_rescaling_setup`. The teacher is
+    ``q_tau = p_tau + c``; its KD gradient is one call of the training KD
+    kernel on a ``(1, n, m)`` array."""
+    z_s, p_tau, c_eff, predicted, dfl_i = _rescaling_setup(p, c, i, u1, u2, gamma, lam, tau)
+    tau_col = tau[:, None]
+    lt, q = _tempered(_logits_for(p_tau + c_eff, tau_col)[None], tau_col)
+    _, kd_grad = _tempered_kl(z_s[None], lt, q, tau_col)
+    ld_i = gamma * dfl_i + lam * kd_grad[0, np.arange(p.shape[0]), i]
+    return ld_i / dfl_i, predicted
 
 
 def gradient_rescaling_ratio(
@@ -227,33 +306,27 @@ def gradient_rescaling_ratio(
     """
     p = _check_simplex(p, "student probabilities")
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != p.shape:
-        raise ValueError(f"confidence vector shape {c.shape} does not match {p.shape}")
+    if p.ndim != 1 or c.shape != p.shape:
+        raise ValueError(f"confidence vector shape {c.shape} does not match the 1-D {p.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("confidence vector must be finite")
     _check_temperature(tau)
     if not (0.0 <= eta_scale < math.inf):
         raise ValueError(f"eta_scale must be nonnegative and finite, got {eta_scale}")
     i = target.i
     if i + 1 >= p.shape[0]:
         raise ValueError("two-hot target index out of range for the probability vector")
-    denom = target.u1 - p[i]
-    if abs(denom) < 1e-9:
+    if abs(target.u1 - p[i]) < 1e-9:
         raise ValueError("predicted ratio is singular: u_i equals p_i at the probed index")
 
-    z_s = np.log(p)
-    p_tau = generalized_softmax(z_s, tau)
-    c_eff = _prepare_confidence(p_tau, c)
-    predicted = gamma + (lam / tau) * c_eff[i] / denom
-    dfl_grad_i = dfl_loss(z_s, target).grad[i]
-
+    row = (p[None], c[None], np.array([i]),
+           *(np.array([v], dtype=np.float64) for v in (target.u1, target.u2, gamma, lam, tau)))
     if eta_scale == 0.0:
-        q_tau = p_tau + c_eff
-        ld_grad_i = (gamma * dfl_grad_i
-                     + lam * kd_loss(z_s, _logits_for(q_tau, tau), tau).grad[i])
-        measured = float(ld_grad_i / dfl_grad_i)
+        measured, predicted = _exact_rescaling(*row)
         return RescalingReport(
-            measured_ratio=measured,
-            predicted_ratio=float(predicted),
-            abs_error=abs(measured - predicted),
+            measured_ratio=measured[0],
+            predicted_ratio=predicted[0],
+            abs_error=abs(measured[0] - predicted[0]),
             trials=0,
         )
 
@@ -261,6 +334,7 @@ def gradient_rescaling_ratio(
         raise ValueError("Monte-Carlo mode needs at least 2 trials")
     if rng is None:
         rng = np.random.default_rng(0)
+    _, p_tau, c_eff, predicted, dfl_grad_i = (a[0] for a in _rescaling_setup(*row))
     m = p.shape[0]
     ratios = np.empty(trials)
     done = 0
@@ -315,9 +389,14 @@ def _spawn_rng(seed: int, tag: int) -> np.random.Generator:
 
 def certify_proposition1(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17),
                          seed: int = 0, perturbation: float = 0.0) -> dict:
-    """Randomized certificate for the combined-target gradient identity."""
+    """Randomized certificate for the combined-target gradient identity:
+    the trials of one length are solved as one stack."""
+    _check_count("trials", trials)
+    _check_sizes(sizes)
+    if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
+        raise ValueError(f"perturbation must be finite, got {perturbation}")
     rng = _spawn_rng(seed, 1)
-    worst = 0.0
+    drawn: dict[int, list] = {}
     for k in range(trials):
         m = sizes[k % len(sizes)]
         s = rng.dirichlet(np.ones(m))
@@ -325,7 +404,15 @@ def certify_proposition1(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17)
         q = rng.dirichlet(np.ones(m))
         u1 = rng.uniform(0.05, 0.95)
         tau = rng.uniform(1.0, 20.0)
-        worst = max(worst, verify_proposition1(s, p, q, u1, tau, perturbation=perturbation))
+        drawn.setdefault(m, []).append((s, p, q, u1, tau))
+    worst = 0.0
+    for draws in drawn.values():
+        s, p, q, u1, tau = (np.array(a) for a in zip(*draws))
+        for name, stack in (("student probabilities", s), ("first target", p),
+                            ("second target", q)):
+            _check_simplex(stack, name)
+        gaps = _proposition1_gaps(s, p, q, u1[:, None], tau[:, None], perturbation)
+        worst = max(worst, float(gaps.max()))
     return {"max_discrepancy": worst, "trials": trials, "sizes": list(sizes)}
 
 
@@ -334,6 +421,8 @@ def certify_decomposition(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17
     """Randomized certificate for the decomposition: the residual, the rank
     and the smallest entry of any returned (p, q), which is nonnegative
     when every pair lies on the simplex."""
+    _check_count("trials", trials)
+    _check_sizes(sizes)
     rng = _spawn_rng(seed, 2)
     drawn: dict[int, tuple[list, list]] = {}
     for k in range(trials):
@@ -382,6 +471,10 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
     when ``eta_scale`` leaves no room for that margin, or when more than
     ``_MC_MAX_REDRAWS`` teacher means per scored instance fall inside it.
     """
+    _check_count("trials", trials)
+    _check_count("mc_instances", mc_instances)
+    _check_count("mc_trials", mc_trials, 2)
+    _check_count("size", size, 2)
     _check_rescaling_noise(eta_scale, size)
     rng = _spawn_rng(seed, 3)
 
@@ -398,16 +491,17 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
         tau = rng.uniform(1.0, 20.0)
         return p, c, gamma, lam, tau, target
 
-    worst = 0.0
-    done = 0
-    while done < trials:
+    exact = []
+    while len(exact) < trials:
         inst = random_instance()
-        if inst is None:
-            continue
-        p, c, gamma, lam, tau, target = inst
-        report = gradient_rescaling_ratio(p, c, 0.0, gamma, lam, tau, target)
-        worst = max(worst, report.abs_error)
-        done += 1
+        if inst is not None:
+            exact.append(inst)
+    p, c, gamma, lam, tau, targets = zip(*exact)
+    i, u1, u2 = (np.array([getattr(t, f) for t in targets]) for f in ("i", "u1", "u2"))
+    measured, predicted = _exact_rescaling(_check_simplex(p, "student probabilities"),
+                                           np.array(c), i, u1, u2, np.array(gamma),
+                                           np.array(lam), np.array(tau))
+    worst = float(np.abs(measured - predicted).max())
 
     mc_max_err_over_se = 0.0
     mc_ok = True

@@ -1,8 +1,11 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locdistill import theory
+from locdistill import losses, theory
 from locdistill.boxdist import TwoHotTarget, generalized_softmax
 from locdistill.losses import dfl_loss, kd_loss
 from locdistill.theory import (
@@ -15,6 +18,8 @@ from locdistill.theory import (
     verify_proposition1,
     _decompose_stack,
     _decomposition_system,
+    _exact_rescaling,
+    _proposition1_gaps,
 )
 
 
@@ -69,6 +74,49 @@ class TestProposition1:
         cert = certify_proposition1(trials=150, sizes=(5, 9, 17), seed=0)
         assert cert["max_discrepancy"] <= 1e-12
         assert cert["trials"] == 150
+
+    def test_perturbation_fails_the_stacked_certificate(self):
+        cert = certify_proposition1(trials=150, sizes=(5, 9, 17), seed=0, perturbation=1e-6)
+        assert cert["max_discrepancy"] > 1e-12
+
+    @pytest.mark.parametrize("u1", [1.5, -0.5, float("nan")])
+    def test_u1_outside_unit_interval_rejected(self, u1):
+        rng = _rng(5)
+        s, p, q = (rng.dirichlet(np.ones(5)) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u1 must lie in"):
+                verify_proposition1(s, p, q, u1, 2.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [5, 9, 17])
+    def test_stack_matches_scalar_kd_path_bit_for_bit(self, m, seed):
+        rng = _rng(40 + seed)
+        n = 30
+        s, p, q = (rng.dirichlet(np.ones(m), size=n) for _ in range(3))
+        u1 = rng.uniform(0.05, 0.95, size=n)
+        tau = rng.uniform(1.0, 20.0, size=n)
+        gaps = _proposition1_gaps(s, p, q, u1[:, None], tau[:, None])
+        for k in range(n):
+            # three scalar kd_loss calls on reconstructed logits
+            u2 = 1.0 - u1[k]
+            z_s = tau[k] * np.log(s[k])
+            g_c, g_p, g_q = (kd_loss(z_s, tau[k] * np.log(t), tau[k]).grad
+                             for t in (u1[k] * p[k] + u2 * q[k], p[k], q[k]))
+            assert gaps[k] == np.abs(g_c - (u1[k] * g_p + u2 * g_q)).max()
+
+    def test_certificate_solves_each_size_as_one_stack(self, monkeypatch):
+        calls = []
+        real = losses._tempered_kl
+
+        def counting(z_s, *args, **kwargs):
+            calls.append(z_s.shape[-1])
+            return real(z_s, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "_tempered_kl", counting)
+        monkeypatch.setattr(losses, "_tempered_kl", counting)  # reached through kd_loss
+        certify_proposition1(1000, (5, 9, 17, 9), seed=0)
+        assert sorted(calls) == [5, 9, 17]
 
 
 class TestDecomposition:
@@ -227,6 +275,59 @@ class TestGradientRescaling:
         with pytest.raises(ValueError, match="singular"):
             gradient_rescaling_ratio(p, np.zeros(4), 0.0, 1.0, 1.0, 5.0, target)
 
+    @staticmethod
+    def _scalar_ratio(p, c, gamma, lam, tau, target):
+        """The noise-free ratio composed from the scalar softmax, dfl_loss and
+        kd_loss, with the one-vector confidence shrink."""
+        i = target.i
+        z_s = np.log(p)
+        p_tau = generalized_softmax(z_s, tau)
+        c = c - c.mean()
+        if (p_tau + c).min() < 1e-6:
+            worst = (p_tau - 1e-6) / np.maximum(-c, 1e-300)
+            c = min(1.0, float(worst[c < 0.0].min())) * c
+        predicted = gamma + (lam / tau) * c[i] / (target.u1 - p[i])
+        dfl_i = dfl_loss(z_s, target).grad[i]
+        kd_i = kd_loss(z_s, tau * np.log(p_tau + c), tau).grad[i]
+        return float((gamma * dfl_i + lam * kd_i) / dfl_i), float(predicted)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [5, 9, 17])
+    def test_exact_stack_matches_scalar_path_bit_for_bit(self, m, seed):
+        rng = _rng(50 + seed)
+        n = 40
+        p = rng.dirichlet(np.ones(m), size=n)
+        c = rng.normal(0.0, 0.03, size=(n, m))  # wide enough that some rows are shrunk
+        i = rng.integers(0, m - 1, size=n)
+        u1 = rng.uniform(0.05, 0.95, size=n)
+        gamma, lam, tau = (rng.uniform(lo, hi, size=n)
+                           for lo, hi in ((0.25, 2.0), (0.25, 2.0), (1.0, 20.0)))
+        measured, predicted = _exact_rescaling(p, c, i, u1, 1.0 - u1, gamma, lam, tau)
+        for k in range(n):
+            target = TwoHotTarget(i=i[k], u1=u1[k], u2=1.0 - u1[k])
+            assert (measured[k], predicted[k]) == self._scalar_ratio(
+                p[k], c[k], gamma[k], lam[k], tau[k], target)
+
+    def test_confidence_shrink_logs_one_line_per_call(self, caplog):
+        p = np.full((3, 4), 0.25)
+        c = np.array([[0.0, 0.0, 0.0, 0.0],
+                      [-0.5, 0.5, 0.0, 0.0],
+                      [-1.0, 1.0, 0.0, 0.0]])
+        ones = np.ones(3)
+        with caplog.at_level(logging.WARNING, logger="locdistill.theory"):
+            _exact_rescaling(p, c, np.zeros(3, dtype=int), 0.9 * ones, 0.1 * ones,
+                             ones, ones, 5.0 * ones)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert message.startswith("2 of 3 confidence vectors scaled")
+        assert "0.249999" in message  # the smallest scale, (0.25 - 1e-6) / 1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="locdistill.theory"):
+            gradient_rescaling_ratio(p[0], c[2], 0.0, 1.0, 1.0, 5.0,
+                                     TwoHotTarget(i=0, u1=0.9, u2=0.1))
+        assert [r.getMessage()[:34] for r in caplog.records] == [
+            "1 of 1 confidence vectors scaled, "]
+
     def test_certificate(self):
         cert = certify_rescaling(trials=100, seed=0, mc_instances=2, mc_trials=20_000)
         assert cert["max_abs_error"] <= 1e-10
@@ -267,6 +368,28 @@ class TestGradientRescaling:
         with pytest.raises(ValueError, match="eta_scale must be nonnegative and finite"):
             gradient_rescaling_ratio(np.full(4, 0.25), np.zeros(4), float("nan"), 1.0, 1.0,
                                      5.0, TwoHotTarget(i=1, u1=0.5, u2=0.5), trials=10)
+
+
+class TestCertificateInputs:
+    @pytest.mark.parametrize("call, field", [
+        (lambda: certify_proposition1(trials=0), "trials"),
+        (lambda: certify_proposition1(sizes=()), "sizes"),
+        (lambda: certify_proposition1(sizes=(5, 1)), "sizes"),
+        (lambda: certify_decomposition(trials=0), "trials"),
+        (lambda: certify_decomposition(sizes=()), "sizes"),
+        (lambda: certify_rescaling(trials=0), "trials"),
+        (lambda: certify_rescaling(trials=1, mc_instances=0), "mc_instances"),
+        (lambda: certify_rescaling(trials=1, mc_trials=1), "mc_trials"),
+    ])
+    def test_empty_certificate_rejected(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            call()
+
+    def test_stack_checked_row_by_row(self):
+        stack = np.array([[0.5, 0.5], [0.3, 0.8]])
+        with pytest.raises(ValueError, match="must sum to 1, got 1.1"):
+            theory._check_simplex(stack, "stack")
+        assert theory._check_simplex(stack[:1], "stack") is not None
 
 
 class TestIncorrectPositionGradientSum:
