@@ -100,13 +100,21 @@ def generalized_softmax(z, tau: float) -> np.ndarray:
     return _softmax(_as_vector(z), tau)
 
 
+def _log_softmax(z: np.ndarray, tau) -> np.ndarray:
+    """Tempered log-softmax over the last axis of ``z``; ``tau`` is a scalar
+    or broadcasts against ``z`` (one per row)."""
+    # In place on the fresh quotient, with the ufunc reductions called
+    # directly: this runs tens of thousands of times per training run.
+    zt = np.asarray(z, dtype=np.float64) / tau
+    zt -= np.maximum.reduce(zt, axis=-1, keepdims=True)
+    zt -= np.log(np.add.reduce(np.exp(zt), axis=-1, keepdims=True))
+    return zt
+
+
 def _softmax(z: np.ndarray, tau) -> np.ndarray:
-    """The body of :func:`generalized_softmax` over the last axis of ``z``;
-    ``tau`` is a scalar or broadcasts against ``z`` (one per row)."""
-    scaled = z / tau
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=-1, keepdims=True)
+    """The body of :func:`generalized_softmax`: the exponential of
+    :func:`_log_softmax`."""
+    return np.exp(_log_softmax(z, tau))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..boxdist import BinGrid, _entropy
+from ..boxdist import BinGrid, _entropy, _log_softmax
 from ..losses import (
     DistillConfig,
     SceneObjective,
     SceneOutputs,
     feature_imitation_loss,
     _cross_entropy,
-    _log_softmax,
     _tempered,
     _tempered_kl,
 )

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector,
-                      _check_temperature, encode_targets)
+                      _check_temperature, _log_softmax, encode_targets)
 from .geometry import BoundingBox, _giou_batch
 from .regions import RegionMasks
 
@@ -134,15 +134,6 @@ class DistillConfig:
 # ---------------------------------------------------------------------------
 # softmax helpers (batched over the last axis)
 # ---------------------------------------------------------------------------
-
-def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
-    # In place on the fresh quotient, with the ufunc reductions called
-    # directly: this runs tens of thousands of times per training run.
-    zt = np.asarray(z, dtype=np.float64) / tau
-    zt -= np.maximum.reduce(zt, axis=-1, keepdims=True)
-    zt -= np.log(np.add.reduce(np.exp(zt), axis=-1, keepdims=True))
-    return zt
-
 
 def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Tempered log-probabilities and probabilities over the last axis: the

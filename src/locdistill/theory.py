@@ -1,8 +1,9 @@
 """Numerical certification of the distillation-vs-supervision identities.
 
-Three facts are checked to double precision. Each certificate draws its
-random trials one by one and then solves all trials of one vector length as
-one stack; the gradients come from the loss kernels that training uses
+Three facts are checked to double precision. Each certificate draws all
+trials of one vector length with one generator call per quantity, taking the
+lengths in order of first appearance, and solves them as one stack; the
+gradients come from the loss kernels that training uses
 (``losses._tempered``, ``losses._tempered_kl`` and ``losses._cross_entropy``).
 
 1. The distillation gradient against a convex combination of two target
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdist import (PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _check_temperature,
-                      _softmax, generalized_softmax)
+                      _softmax)
 from .losses import _cross_entropy, _tempered, _tempered_kl, dfl_loss, kd_loss
 
 __all__ = [
@@ -163,6 +164,19 @@ def _decomposition_system(l: np.ndarray, u1) -> tuple[np.ndarray, np.ndarray]:
     return rows, b
 
 
+def _min_norm_solve(a_mat: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(np.linalg.pinv(a_mat) @ b, np.linalg.matrix_rank(a_mat))`` for a
+    stack of systems, from one SVD. The cutoffs are numpy's own, so ``x`` is
+    the pseudo-inverse solution bit for bit."""
+    u, s, vt = np.linalg.svd(a_mat, full_matrices=False)
+    s_max = s.max(axis=-1, keepdims=True)
+    rank = np.count_nonzero(s > s_max * (max(a_mat.shape[-2:]) * np.finfo(s.dtype).eps),
+                            axis=-1)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s_max)
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    return (pinv @ b[..., None])[..., 0], rank
+
+
 def _decompose_stack(l: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonnegative decompositions of a stack ``l`` of probability vectors,
     shape ``(n, m)``, with weights ``u1`` in (0, 1) of shape ``(n,)``.
@@ -175,9 +189,7 @@ def _decompose_stack(l: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndar
     segment is returned, otherwise ``x_mn`` itself.
     """
     m = l.shape[-1]
-    a_mat, b = _decomposition_system(l, u1)
-    x = (np.linalg.pinv(a_mat) @ b[..., None])[..., 0]
-    rank = np.linalg.matrix_rank(a_mat)
+    x, rank = _min_norm_solve(*_decomposition_system(l, u1))
     toward = np.concatenate([l, l], axis=-1) - x
     t = np.divide(-x, toward, out=np.zeros_like(x), where=x < 0.0).max(axis=-1)
     x = x + t[:, None] * toward
@@ -226,7 +238,8 @@ class RescalingReport:
     def __post_init__(self) -> None:
         for name in ("measured_ratio", "predicted_ratio", "abs_error"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if abs(self.abs_error - abs(self.measured_ratio - self.predicted_ratio)) > 1e-15:
+        # Written so that a NaN anywhere fails it.
+        if not abs(self.abs_error - abs(self.measured_ratio - self.predicted_ratio)) <= 1e-15:
             raise ValueError("abs_error must equal |measured - predicted|")
 
 
@@ -311,6 +324,9 @@ def gradient_rescaling_ratio(
     if not np.isfinite(c).all():
         raise ValueError("confidence vector must be finite")
     _check_temperature(tau)
+    for name, value in (("gamma", gamma), ("lam", lam)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 <= eta_scale < math.inf):
         raise ValueError(f"eta_scale must be nonnegative and finite, got {eta_scale}")
     i = target.i
@@ -335,19 +351,22 @@ def gradient_rescaling_ratio(
     if rng is None:
         rng = np.random.default_rng(0)
     _, p_tau, c_eff, predicted, dfl_grad_i = (a[0] for a in _rescaling_setup(*row))
+    teacher_mean = (p_tau + c_eff)[:, None]
     m = p.shape[0]
     ratios = np.empty(trials)
     done = 0
     while done < trials:
         draw = min(trials - done, 65536)
-        eta = rng.normal(0.0, eta_scale, size=(draw, m))
-        eta -= eta.mean(axis=1, keepdims=True)
-        q_tau = p_tau[None, :] + c_eff[None, :] + eta
-        ok = q_tau.min(axis=1) > 1e-9  # off-simplex draws are rejected and redrawn
+        # Bins-major, so the centring and the simplex check reduce over the
+        # short axis 0 with every draw in one contiguous row.
+        q_tau = rng.normal(0.0, eta_scale, size=(m, draw))
+        q_tau -= q_tau.mean(axis=0)
+        q_tau += teacher_mean
+        ok = q_tau.min(axis=0) > 1e-9  # off-simplex draws are rejected and redrawn
         n_ok = int(ok.sum())
         # (gamma * dfl + (lam / tau) * (p_tau - q_tau))_i / dfl_i, vectorized
         # over trials; identical to composing dfl_loss and kd_loss gradients.
-        num = gamma * dfl_grad_i + (lam / tau) * (p_tau[i] - q_tau[ok, i])
+        num = gamma * dfl_grad_i + (lam / tau) * (p_tau[i] - q_tau[i, ok])
         ratios[done:done + n_ok] = num / dfl_grad_i
         done += n_ok
     measured = float(ratios.mean())
@@ -387,6 +406,16 @@ def _spawn_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag)))
 
 
+def _trials_per_size(trials: int, sizes) -> dict[int, int]:
+    """Trial ``k`` has length ``sizes[k % len(sizes)]``: the number of trials
+    of each distinct length, in order of first appearance, lengths with no
+    trial left out."""
+    counts = dict.fromkeys((int(m) for m in sizes), 0)
+    for k, m in enumerate(sizes):
+        counts[int(m)] += len(range(k, trials, len(sizes)))
+    return {m: n for m, n in counts.items() if n}
+
+
 def certify_proposition1(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17),
                          seed: int = 0, perturbation: float = 0.0) -> dict:
     """Randomized certificate for the combined-target gradient identity:
@@ -396,22 +425,15 @@ def certify_proposition1(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17)
     if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
         raise ValueError(f"perturbation must be finite, got {perturbation}")
     rng = _spawn_rng(seed, 1)
-    drawn: dict[int, list] = {}
-    for k in range(trials):
-        m = sizes[k % len(sizes)]
-        s = rng.dirichlet(np.ones(m))
-        p = rng.dirichlet(np.ones(m))
-        q = rng.dirichlet(np.ones(m))
-        u1 = rng.uniform(0.05, 0.95)
-        tau = rng.uniform(1.0, 20.0)
-        drawn.setdefault(m, []).append((s, p, q, u1, tau))
     worst = 0.0
-    for draws in drawn.values():
-        s, p, q, u1, tau = (np.array(a) for a in zip(*draws))
+    for m, n in _trials_per_size(trials, sizes).items():
+        s, p, q = rng.dirichlet(np.ones(m), size=(3, n))
+        u1 = rng.uniform(0.05, 0.95, size=(n, 1))
+        tau = rng.uniform(1.0, 20.0, size=(n, 1))
         for name, stack in (("student probabilities", s), ("first target", p),
                             ("second target", q)):
             _check_simplex(stack, name)
-        gaps = _proposition1_gaps(s, p, q, u1[:, None], tau[:, None], perturbation)
+        gaps = _proposition1_gaps(s, p, q, u1, tau, perturbation)
         worst = max(worst, float(gaps.max()))
     return {"max_discrepancy": worst, "trials": trials, "sizes": list(sizes)}
 
@@ -424,20 +446,13 @@ def certify_decomposition(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17
     _check_count("trials", trials)
     _check_sizes(sizes)
     rng = _spawn_rng(seed, 2)
-    drawn: dict[int, tuple[list, list]] = {}
-    for k in range(trials):
-        m = sizes[k % len(sizes)]
-        l = rng.dirichlet(np.ones(m))
-        u1 = rng.uniform(0.05, 0.95)
-        rng.choice(m, size=2, replace=False)  # bracketing indices; the algebra ignores them
-        ls, u1s = drawn.setdefault(m, ([], []))
-        ls.append(l)
-        u1s.append(u1)
     worst = 0.0
     ranks_ok = True
     min_entry = math.inf
-    for m, (ls, u1s) in drawn.items():
-        x, residual, rank = _decompose_stack(np.array(ls), np.array(u1s))
+    for m, n in _trials_per_size(trials, sizes).items():
+        l = rng.dirichlet(np.ones(m), size=n)
+        u1 = rng.uniform(0.05, 0.95, size=n)
+        x, residual, rank = _decompose_stack(l, u1)
         worst = max(worst, float(residual.max()))
         ranks_ok = ranks_ok and bool(np.all(rank == m + 1))
         min_entry = min(min_entry, float(x.min()))
@@ -456,6 +471,22 @@ def _check_rescaling_noise(eta_scale: float, size: int = _RESCALING_SIZE) -> Non
                          f"margin {_MC_SIMPLEX_MARGIN:g} * eta_scale must stay below 1/{size}")
 
 
+def _rescaling_instances(rng: np.random.Generator, n: int, size: int) -> tuple:
+    """``n`` candidate rescaling instances of ``size`` bins, one generator
+    call per quantity. Returns the stacks ``(p, c, i, u1, gamma, lam, tau)``
+    of the candidates whose probed ratio is well-conditioned,
+    ``|u1 - p_i| >= 0.05``."""
+    p = rng.dirichlet(np.ones(size), size=n)
+    i = rng.integers(0, size - 1, size=n)
+    u1 = rng.uniform(0.05, 0.95, size=n)
+    c = rng.normal(0.0, 0.01, size=(n, size))
+    gamma = rng.uniform(0.25, 2.0, size=n)
+    lam = rng.uniform(0.25, 2.0, size=n)
+    tau = rng.uniform(1.0, 20.0, size=n)
+    keep = np.abs(u1 - p[np.arange(n), i]) >= 0.05
+    return tuple(a[keep] for a in (p, c, i, u1, gamma, lam, tau))
+
+
 def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_SIZE,
                       mc_instances: int = 5, mc_trials: int = 100_000,
                       eta_scale: float = 0.01) -> dict:
@@ -469,7 +500,8 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
     scored: there the rejection of off-simplex noise draws truncates the
     noise, which the closed form does not model. ``ValueError`` is raised
     when ``eta_scale`` leaves no room for that margin, or when more than
-    ``_MC_MAX_REDRAWS`` teacher means per scored instance fall inside it.
+    ``_MC_MAX_REDRAWS`` teacher means per scored instance fall inside it;
+    otherwise the number redrawn is returned as ``mc_redraws``.
     """
     _check_count("trials", trials)
     _check_count("mc_instances", mc_instances)
@@ -478,29 +510,14 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
     _check_rescaling_noise(eta_scale, size)
     rng = _spawn_rng(seed, 3)
 
-    def random_instance():
-        p = rng.dirichlet(np.ones(size))
-        i = int(rng.integers(0, size - 1))
-        u1 = rng.uniform(0.05, 0.95)
-        target = TwoHotTarget(i=i, u1=u1, u2=1.0 - u1)
-        if abs(target.u1 - p[i]) < 0.05:  # keep the probed ratio well-conditioned
-            return None
-        c = rng.normal(0.0, 0.01, size=size)
-        gamma = rng.uniform(0.25, 2.0)
-        lam = rng.uniform(0.25, 2.0)
-        tau = rng.uniform(1.0, 20.0)
-        return p, c, gamma, lam, tau, target
-
-    exact = []
-    while len(exact) < trials:
-        inst = random_instance()
-        if inst is not None:
-            exact.append(inst)
-    p, c, gamma, lam, tau, targets = zip(*exact)
-    i, u1, u2 = (np.array([getattr(t, f) for t in targets]) for f in ("i", "u1", "u2"))
+    blocks = []  # each block as large as the shortfall, so exactly `trials` are kept
+    kept = 0
+    while kept < trials:
+        blocks.append(_rescaling_instances(rng, trials - kept, size))
+        kept += blocks[-1][0].shape[0]
+    p, c, i, u1, gamma, lam, tau = (np.concatenate(parts) for parts in zip(*blocks))
     measured, predicted = _exact_rescaling(_check_simplex(p, "student probabilities"),
-                                           np.array(c), i, u1, u2, np.array(gamma),
-                                           np.array(lam), np.array(tau))
+                                           c, i, u1, 1.0 - u1, gamma, lam, tau)
     worst = float(np.abs(measured - predicted).max())
 
     mc_max_err_over_se = 0.0
@@ -508,24 +525,22 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
     done = 0
     redraws = 0
     while done < mc_instances:
-        inst = random_instance()
-        if inst is None:
-            continue
-        p, c, gamma, lam, tau, target = inst
-        teacher_mean = generalized_softmax(np.log(p), tau) + c - c.mean()
-        if teacher_mean.min() < _MC_SIMPLEX_MARGIN * eta_scale:
-            redraws += 1
-            if redraws > _MC_MAX_REDRAWS * mc_instances:
-                raise ValueError(f"eta_scale {eta_scale!r}: {redraws} teacher means fell within "
-                                 f"{_MC_SIMPLEX_MARGIN:g} * eta_scale of the simplex boundary")
-            continue
-        report = gradient_rescaling_ratio(
-            p, c, eta_scale, gamma, lam, tau, target,
-            trials=mc_trials, rng=_spawn_rng(seed, 4 + done))
-        ratio = report.abs_error / report.std_error if report.std_error else 0.0
-        mc_max_err_over_se = max(mc_max_err_over_se, ratio)
-        mc_ok = mc_ok and report.abs_error <= 3.0 * report.std_error
-        done += 1
+        p, c, i, u1, gamma, lam, tau = _rescaling_instances(rng, mc_instances - done, size)
+        teacher_mean = _softmax(np.log(p), tau[:, None]) + c - c.mean(axis=-1, keepdims=True)
+        inside = teacher_mean.min(axis=-1) >= _MC_SIMPLEX_MARGIN * eta_scale
+        redraws += int(np.count_nonzero(~inside))
+        if redraws > _MC_MAX_REDRAWS * mc_instances:
+            raise ValueError(f"eta_scale {eta_scale!r}: {redraws} teacher means fell within "
+                             f"{_MC_SIMPLEX_MARGIN:g} * eta_scale of the simplex boundary")
+        for k in np.flatnonzero(inside):
+            target = TwoHotTarget(i=i[k], u1=u1[k], u2=1.0 - u1[k])
+            report = gradient_rescaling_ratio(
+                p[k], c[k], eta_scale, gamma[k], lam[k], tau[k], target,
+                trials=mc_trials, rng=_spawn_rng(seed, 4 + done))
+            ratio = report.abs_error / report.std_error if report.std_error else 0.0
+            mc_max_err_over_se = max(mc_max_err_over_se, ratio)
+            mc_ok = mc_ok and report.abs_error <= 3.0 * report.std_error
+            done += 1
 
     return {
         "max_abs_error": worst,
@@ -533,6 +548,7 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = _RESCALING_
         "mc_ok": mc_ok,
         "mc_max_err_over_se": mc_max_err_over_se,
         "mc_instances": mc_instances,
+        "mc_redraws": redraws,
         "mc_trials": mc_trials,
         "eta_scale": eta_scale,
     }

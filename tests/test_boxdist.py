@@ -107,6 +107,17 @@ class TestGeneralizedSoftmax:
         assert p.tolist() == [1.0, 0.0]
         assert p.sum() == 1.0
 
+    def test_one_softmax_kernel_for_training_and_theory(self):
+        from locdistill import boxdist, losses
+
+        assert losses._log_softmax is boxdist._log_softmax
+        z = np.random.default_rng(5).normal(0, 3, size=(4, 9))
+        tau = np.array([[0.5], [1.0], [3.0], [20.0]])
+        stacked = boxdist._softmax(z, tau)
+        assert np.array_equal(stacked, np.exp(losses._log_softmax(z, tau)))
+        for row, t in zip(range(4), tau[:, 0]):
+            assert np.array_equal(generalized_softmax(z[row], t), stacked[row])
+
     def test_uniform_limit(self):
         z = np.random.default_rng(4).normal(0, 3, size=9)
         dev = [np.abs(generalized_softmax(z, t) - 1 / 9).max() for t in (1e2, 1e4, 1e6)]

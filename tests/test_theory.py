@@ -9,6 +9,7 @@ from locdistill import losses, theory
 from locdistill.boxdist import TwoHotTarget, generalized_softmax
 from locdistill.losses import dfl_loss, kd_loss
 from locdistill.theory import (
+    RescalingReport,
     certify_decomposition,
     certify_proposition1,
     certify_rescaling,
@@ -19,12 +20,43 @@ from locdistill.theory import (
     _decompose_stack,
     _decomposition_system,
     _exact_rescaling,
+    _min_norm_solve,
     _proposition1_gaps,
 )
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+class _CountingRng:
+    """A generator proxy that records ``(method, args, kwargs)`` per call."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def _count_draws(monkeypatch) -> list:
+    calls = []
+    real = theory._spawn_rng
+    monkeypatch.setattr(theory, "_spawn_rng",
+                        lambda seed, tag: _CountingRng(real(seed, tag), calls))
+    return calls
+
+
+def _dirichlet_draws(calls) -> list:
+    """``(length, size)`` of every recorded ``dirichlet`` call."""
+    return [(len(args[0]), kwargs["size"]) for name, args, kwargs in calls
+            if name == "dirichlet"]
 
 
 class TestProposition1:
@@ -117,6 +149,12 @@ class TestProposition1:
         monkeypatch.setattr(losses, "_tempered_kl", counting)  # reached through kd_loss
         certify_proposition1(1000, (5, 9, 17, 9), seed=0)
         assert sorted(calls) == [5, 9, 17]
+
+    def test_certificate_draws_each_size_with_one_call(self, monkeypatch):
+        calls = _count_draws(monkeypatch)
+        certify_proposition1(1000, (5, 9, 17, 9), seed=0)
+        assert _dirichlet_draws(calls) == [(5, (3, 250)), (9, (3, 500)), (17, (3, 250))]
+        assert [name for name, _, _ in calls] == ["dirichlet", "uniform", "uniform"] * 3
 
 
 class TestDecomposition:
@@ -219,7 +257,7 @@ class TestDecomposition:
         assert cert["min_entry"] >= -1e-10
 
     def test_certificate_solves_each_size_as_one_stack(self, monkeypatch):
-        calls = {"pinv": 0, "matrix_rank": 0}
+        calls = {"svd": 0, "pinv": 0, "matrix_rank": 0}
         for name in calls:
             real = getattr(theory.np.linalg, name)
 
@@ -229,7 +267,27 @@ class TestDecomposition:
 
             monkeypatch.setattr(theory.np.linalg, name, counting)
         certify_decomposition(1000, (5, 9, 17, 9), seed=0)
-        assert calls == {"pinv": 3, "matrix_rank": 3}
+        assert calls == {"svd": 3, "pinv": 0, "matrix_rank": 0}
+
+    @pytest.mark.parametrize("m", [5, 9, 17])
+    def test_one_svd_gives_pinv_solution_and_matrix_rank(self, m):
+        rng = _rng(15)
+        l = rng.dirichlet(np.ones(m), size=60)
+        u1 = rng.uniform(0.05, 0.95, size=60)
+        a_mat, b = _decomposition_system(l, u1)
+        x, rank = _min_norm_solve(a_mat, b)
+        assert np.array_equal(x, (np.linalg.pinv(a_mat) @ b[..., None])[..., 0])
+        assert np.array_equal(rank, np.linalg.matrix_rank(a_mat))
+        # a nonnegative minimum-norm solution is what the stack returns
+        on_simplex = x.min(axis=-1) >= 0.0
+        assert 0 < on_simplex.sum() < 60
+        assert np.array_equal(_decompose_stack(l, u1)[0][on_simplex], x[on_simplex])
+
+    def test_certificate_draws_each_size_with_one_call(self, monkeypatch):
+        calls = _count_draws(monkeypatch)
+        certify_decomposition(1000, (5, 9, 17, 9), seed=0)
+        assert _dirichlet_draws(calls) == [(5, 250), (9, 500), (17, 250)]
+        assert [name for name, _, _ in calls] == ["dirichlet", "uniform"] * 3
 
 
 class TestGradientRescaling:
@@ -336,11 +394,11 @@ class TestGradientRescaling:
     def test_certificate_redraws_instances_near_the_simplex_boundary(self, monkeypatch):
         """At these seeds an instance's teacher mean sits within two noise
         scales of the simplex boundary, where rejecting off-simplex draws
-        truncates the noise and the average misses the closed form by 6-16
-        standard errors. Such instances are redrawn, and every scored one
-        keeps its teacher mean 6 noise scales inside the simplex."""
-        from locdistill import theory
-
+        truncates the noise: scored with no margin, the average misses the
+        closed form by 3-27 standard errors. Such instances are redrawn, and
+        every scored one keeps its teacher mean 6 noise scales inside the
+        simplex."""
+        seeds = (0, 2, 4, 21)
         scored = []
         real = theory.gradient_rescaling_ratio
 
@@ -350,13 +408,46 @@ class TestGradientRescaling:
             return real(p, c, eta_scale, *args, **kwargs)
 
         monkeypatch.setattr(theory, "gradient_rescaling_ratio", recording)
-        for seed in (12, 14, 15, 26):
+        for seed in seeds:
             cert = certify_rescaling(seed=seed, eta_scale=0.01)
             assert cert["mc_ok"], f"seed {seed}: {cert['mc_max_err_over_se']:.1f} SE"
+            assert cert["mc_redraws"] >= 1, f"seed {seed} redrew no teacher mean"
         assert len(scored) == 4 * 5
         for p, c, tau in scored:
             teacher_mean = generalized_softmax(np.log(p), tau) + c - c.mean()
             assert teacher_mean.min() >= theory._MC_SIMPLEX_MARGIN * 0.01
+
+        scored.clear()
+        monkeypatch.setattr(theory, "_MC_SIMPLEX_MARGIN", 0.0)
+        for seed in seeds:
+            cert = certify_rescaling(seed=seed, eta_scale=0.01)
+            assert not cert["mc_ok"], f"seed {seed} passes without the margin"
+            assert cert["mc_redraws"] == 0
+        for k, seed in enumerate(seeds):
+            nearest = min((generalized_softmax(np.log(p), tau) + c - c.mean()).min()
+                          for p, c, tau in scored[5 * k:5 * k + 5])
+            assert nearest < 2.0 * 0.01, f"seed {seed}: nearest teacher mean {nearest:.4f}"
+
+    def test_nan_coefficients_rejected(self):
+        p, c = np.full(4, 0.25), np.zeros(4)
+        target = TwoHotTarget(i=1, u1=0.5, u2=0.5)
+        for field, gamma, lam in (("gamma", float("nan"), 1.0), ("lam", 1.0, float("nan")),
+                                  ("gamma", float("inf"), 1.0)):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                gradient_rescaling_ratio(p, c, 0.0, gamma, lam, 5.0, target)
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                gradient_rescaling_ratio(p, c, 0.01, gamma, lam, 5.0, target, trials=10)
+
+    @pytest.mark.parametrize("measured, predicted, abs_error", [
+        (float("nan"), 1.0, float("nan")),
+        (1.0, 1.0, float("nan")),
+        (float("nan"), float("nan"), 0.0),
+        (1.0, 2.0, 0.5),
+    ])
+    def test_report_rejects_inconsistent_or_nan_error(self, measured, predicted, abs_error):
+        with pytest.raises(ValueError, match="abs_error must equal"):
+            RescalingReport(measured_ratio=measured, predicted_ratio=predicted,
+                            abs_error=abs_error)
 
     def test_noise_scale_without_room_for_the_margin_rejected(self):
         with pytest.raises(ValueError, match="too large for 9 bins"):
