@@ -57,7 +57,6 @@ TRACE_COLUMNS = ("step", "L_cls", "L_reg", "L_DFL", "LD_main", "LD_vlr",
 class SchemeSpec:
     """Which loss terms a training scheme enables."""
 
-    needs_teacher: bool
     ld_main: bool = False
     ld_vlr: bool = False
     kd_main: bool = False
@@ -65,16 +64,20 @@ class SchemeSpec:
     tbr: bool = False
     fi: bool = False
 
+    @property
+    def needs_teacher(self) -> bool:
+        """Whether any enabled term reads the teacher."""
+        return any((self.ld_main, self.ld_vlr, self.kd_main, self.kd_vlr, self.tbr, self.fi))
+
 
 SCHEMES: dict[str, SchemeSpec] = {
-    "baseline": SchemeSpec(needs_teacher=False),
-    "tbr": SchemeSpec(needs_teacher=True, tbr=True),
-    "kd_main": SchemeSpec(needs_teacher=True, kd_main=True),
-    "ld_main": SchemeSpec(needs_teacher=True, ld_main=True),
-    "ld_main_vlr": SchemeSpec(needs_teacher=True, ld_main=True, ld_vlr=True),
-    "selective": SchemeSpec(needs_teacher=True, ld_main=True, ld_vlr=True,
-                            kd_main=True),
-    "feature_imitation": SchemeSpec(needs_teacher=True, fi=True),
+    "baseline": SchemeSpec(),
+    "tbr": SchemeSpec(tbr=True),
+    "kd_main": SchemeSpec(kd_main=True),
+    "ld_main": SchemeSpec(ld_main=True),
+    "ld_main_vlr": SchemeSpec(ld_main=True, ld_vlr=True),
+    "selective": SchemeSpec(ld_main=True, ld_vlr=True, kd_main=True),
+    "feature_imitation": SchemeSpec(fi=True),
 }
 
 

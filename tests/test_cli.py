@@ -6,6 +6,7 @@ import sys
 import pytest
 import yaml
 
+from locdistill import theory
 from locdistill.cli import ConfigError, build_run_config, load_run_config, main
 
 
@@ -146,6 +147,7 @@ class TestVerifyCommand:
         assert cert["decomposition_min_entry"] >= -1e-10
         assert cert["checks"]["decomposition_simplex"] is True
         assert cert["rescaling_abs_err"] <= 1e-10
+        assert cert["rescaling_mc_abs_err"] <= 1e-10
         assert {"trials", "seed", "checks", "tolerances"} <= set(cert)
 
     def test_injected_error_fails(self, tmp_path):
@@ -163,12 +165,42 @@ class TestVerifyCommand:
         assert main(["-o", str(out_b), *FAST_VERIFY, "verify"]) == 0
         assert _read_bytes(out_a / "certificate.json") == _read_bytes(out_b / "certificate.json")
 
-    @pytest.mark.parametrize("eta_scale", ["0.02", "0.0185", "-0.01", ".nan"])
+    def test_closed_form_defect_fails_both_rescaling_checks(self, tmp_path, monkeypatch,
+                                                            capsys):
+        real = theory._rescaling_setup
+
+        def biased(*args):
+            z_s, p_tau, c_eff, predicted, dfl_i = real(*args)
+            return z_s, p_tau, c_eff, predicted * (1.0 + 1e-9), dfl_i
+
+        monkeypatch.setattr(theory, "_rescaling_setup", biased)
+        out = tmp_path / "vdefect"
+        assert main(["-o", str(out), *FAST_VERIFY, "verify"]) == 1
+        checks = json.loads((out / "certificate.json").read_text())["checks"]
+        assert [name for name, ok in checks.items() if not ok] == [
+            "rescaling_exact", "rescaling_monte_carlo"]
+        assert "rescaling_exact, rescaling_monte_carlo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta_scale", ["0.02", "0.0185"])
+    def test_wide_eta_scale_runs(self, tmp_path, eta_scale):
+        out = tmp_path / "v"
+        assert main(["-o", str(out), *FAST_VERIFY,
+                     "--set", f"verify.eta_scale={eta_scale}", "verify"]) == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["eta_scale"] == float(eta_scale)
+        assert cert["rescaling_mc_abs_err"] <= 1e-10
+
+    def test_odd_mc_trials_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["-o", str(out), *FAST_VERIFY, "--set", "verify.mc_trials=4001",
+                     "verify"]) == 2
+        assert "mc_trials" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+    @pytest.mark.parametrize("eta_scale", ["-0.01", ".nan"])
     def test_eta_scale_without_room_for_the_margin_is_config_error(self, tmp_path, eta_scale):
-        """0.02 leaves no 9-bin teacher mean 6 noise scales inside the simplex;
-        0.0185 leaves almost none, so the redraws run out; a negative or NaN
-        value is no noise scale (NaN noise would make every draw a rejection).
-        Each ends promptly with exit 2 and no certificate."""
+        """A negative or NaN value is no noise scale: it ends promptly with
+        exit 2 and no certificate. Every finite nonnegative scale runs."""
         out = tmp_path / "v"
         result = subprocess.run(
             [sys.executable, "-m", "locdistill", "-o", str(out), *FAST_VERIFY,

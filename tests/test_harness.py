@@ -10,6 +10,7 @@ from locdistill.boxdist import flatness, make_grid
 from locdistill.cli import RunConfig, SweepConfig, build_run_config, cmd_sweep
 from locdistill.losses import DistillConfig, total_loss
 from locdistill.harness import (
+    SCHEMES,
     EdgeAmbiguity,
     HarnessConfig,
     SceneStack,
@@ -318,6 +319,10 @@ class TestExperimentRunner:
             build_run_config({"experiment": {"schemes": []}})
         with pytest.raises(ValueError):
             build_run_config({"sweep": {"values": []}})
+
+    def test_only_the_baseline_trains_without_a_teacher(self):
+        assert [name for name, spec in SCHEMES.items() if not spec.needs_teacher] == [
+            "baseline"]
 
     def test_ambiguity_sweep_reproducible(self, tmp_path):
         kwargs = dict(levels=[0.0, 0.8], schemes=["baseline"], seeds=[0])
