@@ -121,16 +121,17 @@ def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, n
     g = np.asarray(boxes_g, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] != 4 or s.shape != g.shape:
         raise ValueError(f"expected matching (K, 4) box arrays, got {s.shape} and {g.shape}")
-    # Work on (4, K) rows x1, y1, x2, y2; each per-axis quantity is a
-    # (2, K) block with an x row and a y row, so one ufunc call covers both
-    # axes. The single-box calls of the scalar losses are dominated by call
-    # count, not array size.
-    s, g = s.T, g.T
-    lo_s, hi_s, lo_g, hi_g = s[:2], s[2:], g[:2], g[2:]
-    inner = np.minimum(hi_s, hi_g) - np.maximum(lo_s, lo_g)  # iw, ih
-    outer = np.maximum(hi_s, hi_g) - np.minimum(lo_s, lo_g)  # cw, ch
-    size_s = hi_s - lo_s
-    size_g = hi_g - lo_g
+    # Work on (4, K) rows x1, y1, x2, y2, copied contiguous: each per-axis
+    # quantity is then a contiguous (2, K) block with an x row and a y row,
+    # so one ufunc call covers both axes. Per-corner minima and maxima and
+    # comparisons take one call over all four rows. The single-box calls of
+    # the scalar losses are dominated by call count, not array size.
+    s, g = s.T.copy(), g.T.copy()
+    near, far = np.minimum(s, g), np.maximum(s, g)
+    inner = near[2:] - far[:2]  # iw, ih
+    outer = far[2:] - near[:2]  # cw, ch
+    size_s = s[2:] - s[:2]
+    size_g = g[2:] - g[:2]
 
     overlap = (inner[0] > 0.0) & (inner[1] > 0.0)
     inter = np.where(overlap, inner[0] * inner[1], 0.0)
@@ -145,13 +146,14 @@ def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, n
 
     # Corner derivatives. Moving x1 or x2 changes an area by its height and
     # moving y1 or y2 by its width, hence the swapped axis rows ([::-1]).
+    s_above, s_below = s > g, s < g
     live = np.where(overlap, inner[::-1], 0.0)
-    d_inter = np.where(np.concatenate([lo_s > lo_g, hi_s < hi_g]),
+    d_inter = np.where(np.concatenate([s_above[:2], s_below[2:]]),
                        np.concatenate([-live, live]), 0.0)
     d_area = np.concatenate([-size_s[::-1], size_s[::-1]])
     d_union = d_area - d_inter
     span = outer[::-1]
-    d_enc = np.where(np.concatenate([lo_s < lo_g, hi_s > hi_g]),
+    d_enc = np.where(np.concatenate([s_below[:2], s_above[2:]]),
                      np.concatenate([-span, span]), 0.0)
 
     d_giou = (d_inter * union - inter * d_union) / (union * union)

@@ -12,6 +12,7 @@ plus isotropic noise, which keeps every head learnable by a linear model.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -69,12 +70,6 @@ class EdgeAmbiguity:
     @property
     def mean(self) -> float:
         return float(sum(c * w for c, w in zip(self.centers, self.weights)))
-
-
-def sample_edge_value(amb: EdgeAmbiguity, rng: np.random.Generator) -> float:
-    """Draw one observed edge position from the mixture."""
-    k = rng.choice(len(amb.centers), p=np.asarray(amb.weights))
-    return amb.centers[k]
 
 
 def binned_mixture(centers, weights, grid: BinGrid) -> np.ndarray:
@@ -171,12 +166,6 @@ class HarnessConfig:
     train_features: bool = True
     tbr_weight: float = 1.0
     fi_weight: float = 1.0
-    # Multiplies the LD loss weights when composing scheme configs. The
-    # tempered-softmax gradient carries a 1/tau factor and tau-compressed
-    # probability gaps, so with plain fixed-step descent the LD terms need
-    # roughly tau^2 more weight to converge within a desk-scale epoch
-    # budget (a per-parameter optimizer would absorb this automatically).
-    ld_weight_boost: float = 100.0
     # Scale on the two-hot supervised weight inside LD schemes: the
     # distilled distributions carry the edge supervision, so the sampled
     # targets run at reduced weight rather than fighting the teacher.
@@ -207,124 +196,121 @@ class HarnessConfig:
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ValueError("label_smoothing must lie in [0, 1)")
         for name in ("max_offset", "feature_noise", "lr", "tbr_weight", "fi_weight",
-                     "ld_weight_boost", "ld_dfl_scale", "anchor_half"):
+                     "ld_dfl_scale", "anchor_half"):
             if not (0 <= getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be nonnegative and finite")
 
 
-def _standardize_latent(edges, spreads, dx, dy) -> np.ndarray:
-    mid = 0.5 * (_OBJECT_EDGE_LO + _OBJECT_EDGE_HI)
-    half = 0.5 * (_OBJECT_EDGE_HI - _OBJECT_EDGE_LO)
-    r2 = dx * dx + dy * dy
-    return np.concatenate([
-        (np.asarray(edges) - mid) / half,
-        np.asarray(spreads) - 0.5,
-        [dx / 3.0, dy / 3.0, (r2 - 10.0) / 15.0],
-    ])
+def _cdf(weights) -> list[float]:
+    """The cumulative distribution ``Generator.choice(p=weights)`` draws
+    against, computed as it computes it."""
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
-def _make_sample(
-    rng: np.random.Generator,
-    cfg: HarnessConfig,
-    dcfg: DistillConfig,
-    encoder: np.ndarray,
-) -> tuple:
-    """One anchor's row: the columns of :class:`SceneStack`, with the edge
-    mixtures as :class:`EdgeAmbiguity` objects."""
-    grid = dcfg.grid
-    stratum = rng.choice(3, p=[1.0 - cfg.frac_vlr - cfg.frac_background,
-                               cfg.frac_vlr, cfg.frac_background])
-    obj_edges = rng.uniform(_OBJECT_EDGE_LO, _OBJECT_EDGE_HI, size=N_EDGES)
-
-    offset = cfg.ambiguity * cfg.max_offset
-    ambiguity = []
-    spreads = np.zeros(N_EDGES)
-    for k in range(N_EDGES):
-        if offset > 0.0 and rng.random() < cfg.ambiguous_edge_prob:
-            centers = (obj_edges[k] - offset, obj_edges[k] + offset)
-            if centers[0] < grid.e_min or centers[1] > grid.e_max:
-                raise ValueError(
-                    f"ambiguity mixture center outside regression range "
-                    f"[{grid.e_min}, {grid.e_max}]: {centers}"
-                )
-            ambiguity.append(EdgeAmbiguity(centers, (0.5, 0.5)))
-            spreads[k] = offset
-        else:
-            ambiguity.append(EdgeAmbiguity((obj_edges[k],), (1.0,)))
-
-    if stratum == 0:
-        dx = dy = 0.0
-    else:
-        lo, hi = _VLR_SHIFT if stratum == 1 else _BACKGROUND_SHIFT
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        radius = rng.uniform(lo, hi)
-        dx, dy = radius * np.cos(angle), radius * np.sin(angle)
-
-    t, b, l, r = obj_edges
-    gt_box = BoundingBox(dx - l, dy - t, dx + r, dy + b)
-    half = cfg.anchor_half
-    anchor_box = BoundingBox(-half, -half, half, half)
-    masks = compute_region_masks([anchor_box], [gt_box], dcfg.alpha_pos, dcfg.gamma_vlr)
-    is_main = bool(masks.main[0])
-    is_vlr = bool(masks.vlr[0])
-
-    observed_obj = np.array([sample_edge_value(a, rng) for a in ambiguity])
-    # Point-to-side distances seen from the anchor point at the origin;
-    # rows of non-positive anchors are unsupervised placeholders, clipped
-    # into the regression range.
-    shift = np.array([-dy, dy, -dx, dx])
-    true_dist = np.clip(obj_edges + shift, grid.e_min, grid.e_max)
-    observed_dist = np.clip(observed_obj + shift, grid.e_min, grid.e_max)
-
-    latent = _standardize_latent(obj_edges, spreads, dx, dy)
-    features = encoder @ latent + cfg.feature_noise * rng.standard_normal(cfg.input_dim)
-    return (features, true_dist, observed_dist, ambiguity, anchor_box.to_list(),
-            gt_box.to_list(), is_main, is_vlr)
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """One categorical draw against a :func:`_cdf`: the index
+    ``rng.choice(len(cdf), p=weights)`` picks, from the same single
+    ``rng.random()``, so the generator's stream is unchanged."""
+    return bisect.bisect_right(cdf, rng.random())
 
 
-def _split(rows) -> SceneStack:
-    """Stack per-anchor rows (see :func:`_make_sample`) into a split."""
-    if not rows:
-        raise ValueError("a split needs at least one sample")
-    features, true_edges, observed, mixtures, anchors, gts, main, vlr = zip(*rows)
-    flat = [amb for mix in mixtures for amb in mix]
-    n_comp = [len(amb.centers) for amb in flat]
-    if any(len(mix) != N_EDGES for mix in mixtures) or max(n_comp) > N_COMPONENTS:
-        raise ValueError(f"each sample needs {N_EDGES} edge mixtures of at most "
-                         f"{N_COMPONENTS} components")
-    shape = (len(rows), N_EDGES, N_COMPONENTS)
-    # Single-component mixtures repeat their center at zero weight.
-    centers = [amb.centers + amb.centers[:1] * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
-    weights = [amb.weights + (0.0,) * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
-    return SceneStack(
-        features=np.array(features, dtype=np.float64),
-        true_edges=np.array(true_edges, dtype=np.float64),
-        observed_edges=np.array(observed, dtype=np.float64),
-        centers=np.array(centers).reshape(shape),
-        weights=np.array(weights).reshape(shape),
-        n_components=np.array(n_comp).reshape(shape[:2]),
-        anchor_boxes=np.array(anchors, dtype=np.float64),
-        gt_boxes=np.array(gts, dtype=np.float64),
-        main=np.array(main, dtype=bool),
-        vlr=np.array(vlr, dtype=bool),
-    )
+def sample_edge_value(amb: EdgeAmbiguity, rng: np.random.Generator) -> float:
+    """Draw one observed edge position from the mixture."""
+    return amb.centers[_draw(_cdf(amb.weights), rng)]
 
 
 def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
-    """Deterministically generate train and held-out splits for one seed."""
+    """Deterministically generate train and held-out splits for one seed.
+
+    Each sample draws, in order: its stratum, four object edges, which
+    edges are ambiguous, the anchor's offset from the object (VLR and
+    background strata), one observation per edge mixture, and its feature
+    noise. Everything else is computed from those draws for all samples at
+    once.
+    """
+    grid = dcfg.grid
     mid = 0.5 * (_OBJECT_EDGE_LO + _OBJECT_EDGE_HI)
-    if mid - cfg.max_offset < dcfg.grid.e_min or mid + cfg.max_offset > dcfg.grid.e_max:
+    if mid - cfg.max_offset < grid.e_min or mid + cfg.max_offset > grid.e_max:
         raise ValueError(
             "max_offset pushes mixture centers outside the regression range"
         )
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_DATA)))
     encoder = rng.normal(0.0, 1.0 / np.sqrt(_N_LATENT), size=(cfg.input_dim, _N_LATENT))
-    rows = [_make_sample(rng, cfg, dcfg, encoder)
-            for _ in range(cfg.n_train + cfg.n_heldout)]
+    n = cfg.n_train + cfg.n_heldout
+    offset = cfg.ambiguity * cfg.max_offset
+    stratum_cdf = _cdf([1.0 - cfg.frac_vlr - cfg.frac_background,
+                        cfg.frac_vlr, cfg.frac_background])
+    edge_cdfs = (_cdf((1.0,)), _cdf((0.5, 0.5)))  # by ambiguity of the edge
+
+    edges = np.empty((n, N_EDGES))
+    ambiguous = np.zeros((n, N_EDGES), dtype=bool)
+    shifts = np.zeros((n, 2))  # anchor point (dx, dy) relative to the object
+    picks = np.empty((n, N_EDGES), dtype=np.int64)
+    noise = np.empty((n, cfg.input_dim))
+    for i in range(n):
+        stratum = _draw(stratum_cdf, rng)
+        edges[i] = rng.uniform(_OBJECT_EDGE_LO, _OBJECT_EDGE_HI, size=N_EDGES)
+        flags = [offset > 0.0 and rng.random() < cfg.ambiguous_edge_prob
+                 for _ in range(N_EDGES)]
+        if stratum:
+            lo, hi = _VLR_SHIFT if stratum == 1 else _BACKGROUND_SHIFT
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            radius = rng.uniform(lo, hi)
+            shifts[i] = radius * np.cos(angle), radius * np.sin(angle)
+        ambiguous[i] = flags
+        picks[i] = [_draw(edge_cdfs[flag], rng) for flag in flags]
+        noise[i] = rng.standard_normal(cfg.input_dim)
+
+    # Ambiguous edges mix two centers at +-offset with equal weight; the
+    # others are one center, padded by repeating it at zero weight.
+    spreads = np.where(ambiguous, offset, 0.0)
+    centers = np.stack([edges - spreads, edges + spreads], axis=-1)
+    out_of_range = ambiguous & ((centers[..., 0] < grid.e_min) | (centers[..., 1] > grid.e_max))
+    if out_of_range.any():
+        raise ValueError(
+            f"ambiguity mixture center outside regression range "
+            f"[{grid.e_min}, {grid.e_max}]: {tuple(centers[out_of_range][0].tolist())}"
+        )
+    weights = np.where(ambiguous[..., None], 0.5, np.array([1.0, 0.0]))
+    observed = np.take_along_axis(centers, picks[..., None], axis=-1)[..., 0]
+
+    dx, dy = shifts.T
+    t, b, l, r = edges.T
+    gt_boxes = np.stack([dx - l, dy - t, dx + r, dy + b], axis=1)
+    half = cfg.anchor_half
+    anchor = BoundingBox(-half, -half, half, half)
+    # One shared anchor, so the samples' gt boxes are assigned in one call
+    # with the roles swapped: iou and diou are symmetric bit for bit.
+    masks = compute_region_masks([BoundingBox(*box) for box in gt_boxes.tolist()], [anchor],
+                                 dcfg.alpha_pos, dcfg.gamma_vlr)
+
+    # Point-to-side distances seen from the anchor point at the origin;
+    # rows of non-positive anchors are unsupervised placeholders, clipped
+    # into the regression range.
+    shift = np.stack([-dy, dy, -dx, dx], axis=1)
+    latent = np.concatenate([
+        (edges - mid) / (0.5 * (_OBJECT_EDGE_HI - _OBJECT_EDGE_LO)),
+        spreads - 0.5,
+        np.stack([dx / 3.0, dy / 3.0, (dx * dx + dy * dy - 10.0) / 15.0], axis=1),
+    ], axis=1)
+    columns = dict(
+        features=np.array([encoder @ row for row in latent]) + cfg.feature_noise * noise,
+        true_edges=np.clip(edges + shift, grid.e_min, grid.e_max),
+        observed_edges=np.clip(observed + shift, grid.e_min, grid.e_max),
+        centers=centers,
+        weights=weights,
+        n_components=np.where(ambiguous, 2, 1),
+        anchor_boxes=np.tile(anchor.to_list(), (n, 1)),
+        gt_boxes=gt_boxes,
+        main=masks.main,
+        vlr=masks.vlr,
+    )
     return Dataset(
-        train=_split(rows[: cfg.n_train]),
-        heldout=_split(rows[cfg.n_train:]),
-        grid=dcfg.grid,
+        train=SceneStack(**{k: v[:cfg.n_train] for k, v in columns.items()}),
+        heldout=SceneStack(**{k: v[cfg.n_train:] for k, v in columns.items()}),
+        grid=grid,
     )
 
 
@@ -357,6 +343,34 @@ def _row_from_json(d: dict) -> tuple:
         BoundingBox.from_list(d["gt_box"]).to_list(),
         bool(d["main"]),
         bool(d["vlr"]),
+    )
+
+
+def _split(rows) -> SceneStack:
+    """Stack per-anchor rows (see :func:`_row_from_json`) into a split."""
+    if not rows:
+        raise ValueError("a split needs at least one sample")
+    features, true_edges, observed, mixtures, anchors, gts, main, vlr = zip(*rows)
+    flat = [amb for mix in mixtures for amb in mix]
+    n_comp = [len(amb.centers) for amb in flat]
+    if any(len(mix) != N_EDGES for mix in mixtures) or max(n_comp) > N_COMPONENTS:
+        raise ValueError(f"each sample needs {N_EDGES} edge mixtures of at most "
+                         f"{N_COMPONENTS} components")
+    shape = (len(rows), N_EDGES, N_COMPONENTS)
+    # Single-component mixtures repeat their center at zero weight.
+    centers = [amb.centers + amb.centers[:1] * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
+    weights = [amb.weights + (0.0,) * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
+    return SceneStack(
+        features=np.array(features, dtype=np.float64),
+        true_edges=np.array(true_edges, dtype=np.float64),
+        observed_edges=np.array(observed, dtype=np.float64),
+        centers=np.array(centers).reshape(shape),
+        weights=np.array(weights).reshape(shape),
+        n_components=np.array(n_comp).reshape(shape[:2]),
+        anchor_boxes=np.array(anchors, dtype=np.float64),
+        gt_boxes=np.array(gts, dtype=np.float64),
+        main=np.array(main, dtype=bool),
+        vlr=np.array(vlr, dtype=bool),
     )
 
 

@@ -11,6 +11,7 @@ whatever distillation signal their scheme enables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from ..losses import (
     SceneObjective,
     SceneOutputs,
     feature_imitation_loss,
-    _cross_entropy,
     _tempered,
     _tempered_kl,
 )
@@ -38,6 +38,7 @@ from .models import LinearLocalizer, init_localizer
 __all__ = [
     "SchemeSpec",
     "SCHEMES",
+    "DivergenceError",
     "ExperimentReport",
     "train",
     "train_teacher",
@@ -82,21 +83,23 @@ SCHEMES: dict[str, SchemeSpec] = {
 
 
 def scheme_config(scheme: SchemeSpec, base: DistillConfig,
-                  ld_weight_boost: float = 1.0,
                   ld_dfl_scale: float = 1.0) -> DistillConfig:
-    """Zero out the distillation weights a scheme does not use and apply the
-    desk-scale knobs (see :class:`HarnessConfig`).
+    """Zero out the distillation weights a scheme does not use and weight
+    its LD terms by ``tau**2``, which keeps the LD step independent of
+    ``tau`` (Hinton et al., arXiv:1503.02531, section 2).
 
-    In LD schemes the two-hot supervised term runs at a reduced weight:
-    the distilled distributions carry the edge supervision, and at full
-    weight the noisy sampled targets drown the teacher signal.
+    In LD schemes the two-hot supervised term runs at ``ld_dfl_scale``
+    times its weight: the distilled distributions carry the edge
+    supervision, and at full weight the noisy sampled targets drown the
+    teacher signal.
     """
     distills_boxes = scheme.ld_main or scheme.ld_vlr
+    ld_scale = base.tau * base.tau
     return replace(
         base,
         w_dfl=base.w_dfl * ld_dfl_scale if distills_boxes else base.w_dfl,
-        w_ld_main=base.w_ld_main * ld_weight_boost if scheme.ld_main else 0.0,
-        w_ld_vlr=base.w_ld_vlr * ld_weight_boost if scheme.ld_vlr else 0.0,
+        w_ld_main=base.w_ld_main * ld_scale if scheme.ld_main else 0.0,
+        w_ld_vlr=base.w_ld_vlr * ld_scale if scheme.ld_vlr else 0.0,
         w_kd_main=base.w_kd_main if scheme.kd_main else 0.0,
         w_kd_vlr=base.w_kd_vlr if scheme.kd_vlr else 0.0,
     )
@@ -125,6 +128,19 @@ def _hidden_grad(model: LinearLocalizer, g_cls, g_edges) -> np.ndarray:
             + g_edges.reshape(len(g_edges), -1) @ w_edges.reshape(-1, w_edges.shape[-1]))
 
 
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss: names the scheme (or
+    ``teacher``), the seed, the temperature and the step."""
+
+    def __init__(self, who: str, seed: int, tau: float, step: int) -> None:
+        super().__init__(who, seed, tau, step)
+
+    def __str__(self) -> str:
+        who, seed, tau, step = self.args
+        return (f"{who} training diverged: non-finite loss at step {step} "
+                f"(seed {seed}, tau {tau:g})")
+
+
 def train(
     model: LinearLocalizer,
     dataset: Dataset,
@@ -132,13 +148,15 @@ def train(
     teacher: LinearLocalizer | None,
     cfg: HarnessConfig,
     dcfg: DistillConfig,
+    seed: int = 0,
 ) -> tuple[LinearLocalizer, list[dict]]:
     """Train a student in place under one scheme; returns the model and the
-    per-epoch loss trace (components before each update step)."""
+    per-epoch loss trace (components before each update step). ``seed``
+    only names the run in a :class:`DivergenceError`."""
     spec = _resolve_scheme(scheme)
     if spec.needs_teacher and teacher is None:
         raise ValueError(f"scheme {scheme!r} distills from a teacher but none was given")
-    run_cfg = scheme_config(spec, dcfg, cfg.ld_weight_boost, cfg.ld_dfl_scale)
+    run_cfg = scheme_config(spec, dcfg, cfg.ld_dfl_scale)
 
     stack = dataset.train
     x = stack.features
@@ -154,33 +172,34 @@ def train(
             f"(student {model.hidden_dim}, teacher {teacher_hidden.shape[1]})"
         )
 
-    objective = SceneObjective(stack.truth, stack.masks, run_cfg, teacher_out, N_CLASSES)
+    objective = SceneObjective(stack.truth, stack.masks, run_cfg, teacher_out, N_CLASSES,
+                               tbr_weight=cfg.tbr_weight if spec.tbr else 0.0)
     everywhere = np.ones(a, dtype=bool)
     trace: list[dict] = []
-    for step in range(cfg.epochs):
-        out, hidden = model.forward(x)
-        value, g_cls, g_edges, comps = objective.step(out)
-        if spec.tbr:
-            tbr_value, tbr_grad = objective.tbr_step(out)
-            value += cfg.tbr_weight * tbr_value
-            g_edges = g_edges + cfg.tbr_weight * tbr_grad
-        g_hidden = _hidden_grad(model, g_cls, g_edges)
-        if spec.fi:
-            fi = feature_imitation_loss(hidden, teacher_hidden, everywhere)
-            value += cfg.fi_weight * fi.value
-            g_hidden = g_hidden + cfg.fi_weight * fi.grad
-        trace.append({
-            "step": step,
-            "L_cls": comps["cls"],
-            "L_reg": comps["reg"],
-            "L_DFL": comps["dfl"],
-            "LD_main": comps["ld_main"],
-            "LD_vlr": comps["ld_vlr"],
-            "KD_main": comps["kd_main"],
-            "KD_vlr": comps["kd_vlr"],
-            "total": value,
-        })
-        _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
+    # The finite check on each step's loss replaces numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.epochs):
+            out, hidden = model.forward(x)
+            value, g_cls, g_edges, comps = objective.step(out)
+            g_hidden = _hidden_grad(model, g_cls, g_edges)
+            if spec.fi:
+                fi = feature_imitation_loss(hidden, teacher_hidden, everywhere)
+                value += cfg.fi_weight * fi.value
+                g_hidden = g_hidden + cfg.fi_weight * fi.grad
+            if not math.isfinite(value):
+                raise DivergenceError(scheme, seed, dcfg.tau, step)
+            trace.append({
+                "step": step,
+                "L_cls": comps["cls"],
+                "L_reg": comps["reg"],
+                "L_DFL": comps["dfl"],
+                "LD_main": comps["ld_main"],
+                "LD_vlr": comps["ld_vlr"],
+                "KD_main": comps["kd_main"],
+                "KD_vlr": comps["kd_vlr"],
+                "total": value,
+            })
+            _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
     return model, trace
 
 
@@ -192,9 +211,10 @@ def train_teacher(
 ) -> LinearLocalizer:
     """Train the teacher on the true mixtures.
 
-    Supervision: classification cross-entropy everywhere, soft
-    cross-entropy against the binned true mixture plus regression to the
-    true box on main positives.
+    Supervision: classification cross-entropy everywhere, and on main
+    positives the edge cross-entropy against the binned true mixture (in
+    place of the two-hot DFL target, at unit weight) plus regression to the
+    true box.
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_TEACHER)))
     model = init_localizer(cfg.input_dim, cfg.teacher_hidden_dim, N_CLASSES,
@@ -202,28 +222,26 @@ def train_teacher(
     stack = dataset.train
     x = stack.features
     main_idx = np.flatnonzero(stack.main)
-    k = main_idx.size
-    # Regression/soft-distribution supervision targets the true geometry.
-    true_truth = replace(stack.truth, edge_targets=stack.true_edges)
-    reg_cfg = replace(dcfg, w_dfl=0.0, w_ld_main=0.0, w_ld_vlr=0.0,
-                      w_kd_main=0.0, w_kd_vlr=0.0)
-    objective = SceneObjective(true_truth, stack.masks, reg_cfg, None, N_CLASSES)
     # Smoothed distribution targets keep the teacher's logits bounded, so
     # distilling students have a finite equilibrium to converge to.
     m = dataset.grid.size
     bayes = binned_mixture(stack.centers[main_idx], stack.weights[main_idx], dataset.grid)
     bayes_main = (1.0 - cfg.label_smoothing) * bayes + cfg.label_smoothing / m
-    # The soft target may be nonzero anywhere, so its cross-entropy picks every entry.
-    every_entry = np.arange(bayes_main.size).reshape(bayes_main.shape)
+    # Regression targets the true geometry.
+    true_truth = replace(stack.truth, edge_targets=stack.true_edges)
+    teacher_cfg = replace(dcfg, w_dfl=1.0, w_ld_main=0.0, w_ld_vlr=0.0,
+                          w_kd_main=0.0, w_kd_vlr=0.0)
+    objective = SceneObjective(true_truth, stack.masks, teacher_cfg, None, N_CLASSES,
+                               edge_dists=bayes_main)
 
-    for _ in range(cfg.teacher_epochs):
-        out, hidden = model.forward(x)
-        _, g_cls, g_edges, _ = objective.step(out)
-        if k:
-            g_edges[main_idx] += _cross_entropy(out.edge_logits[main_idx], every_entry,
-                                                bayes_main, 1.0)[1]
-        g_hidden = _hidden_grad(model, g_cls, g_edges)
-        _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # see train
+        for step in range(cfg.teacher_epochs):
+            out, hidden = model.forward(x)
+            value, g_cls, g_edges, _ = objective.step(out)
+            if not math.isfinite(value):
+                raise DivergenceError("teacher", seed, dcfg.tau, step)
+            g_hidden = _hidden_grad(model, g_cls, g_edges)
+            _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
     return model
 
 
@@ -337,7 +355,7 @@ def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, scheme: str, seed: int,
     spec = _resolve_scheme(scheme)
     student = _new_student(cfg, dataset.grid, seed)
     student, trace = train(student, dataset, scheme,
-                           teacher if spec.needs_teacher else None, cfg, dcfg)
+                           teacher if spec.needs_teacher else None, cfg, dcfg, seed)
     return evaluate(student, teacher, dataset, scheme=scheme, seed=seed, trace=trace)
 
 

@@ -161,7 +161,10 @@ def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
     k = z.shape[0]
     ls = _log_softmax(z, 1.0)
     p = np.exp(ls)
-    value = -float((np.take(target, picks) * np.take(ls, picks)).sum(axis=-1).sum() / k)
+    # Methods and ufunc reductions called directly, as np.take and
+    # ndarray.sum would call them: this runs on every training step.
+    picked = target.take(picks) * ls.take(picks)
+    value = -float(np.add.reduce(np.add.reduce(picked, axis=-1), axis=None) / k)
     return value, weight * (p - target) / k, p
 
 
@@ -176,7 +179,7 @@ def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
     """
     k = z_s.shape[0]
     ls = _log_softmax(z_s, tau)
-    value = float((q * (lt - ls)).sum() / k)
+    value = float(np.add.reduce(q * (lt - ls), axis=None) / k)
     grad = (np.exp(ls) - q) / (tau * k)
     return value, grad
 
@@ -338,28 +341,34 @@ def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:
 
 @dataclass(frozen=True)
 class SceneOutputs:
-    """One model's head outputs for every anchor of a scene."""
+    """One model's head outputs for every anchor of a scene.
+
+    Built unchecked, since a training loop builds one per step; the public
+    losses and :class:`SceneObjective` validate the outputs they are given
+    (see :func:`_checked`).
+    """
 
     cls_logits: np.ndarray   # (A, C)
     edge_logits: np.ndarray  # (A, E, m)
 
-    def __post_init__(self) -> None:
-        cls_logits = np.asarray(self.cls_logits, dtype=np.float64)
-        edge_logits = np.asarray(self.edge_logits, dtype=np.float64)
-        if cls_logits.ndim != 2:
-            raise ValueError(f"cls_logits must be (anchors, classes), got {cls_logits.shape}")
-        if edge_logits.ndim != 3:
-            raise ValueError(f"edge_logits must be (anchors, edges, bins), got {edge_logits.shape}")
-        if cls_logits.shape[0] != edge_logits.shape[0]:
-            raise ValueError("cls_logits and edge_logits disagree on the anchor count")
-        if not (np.isfinite(cls_logits).all() and np.isfinite(edge_logits).all()):
-            raise ValueError("scene logits must be finite")
-        object.__setattr__(self, "cls_logits", cls_logits)
-        object.__setattr__(self, "edge_logits", edge_logits)
-
     @property
     def n_anchors(self) -> int:
         return self.cls_logits.shape[0]
+
+
+def _checked(outputs: SceneOutputs) -> SceneOutputs:
+    """``outputs`` as float64 arrays, after checking shapes and finiteness."""
+    cls_logits = np.asarray(outputs.cls_logits, dtype=np.float64)
+    edge_logits = np.asarray(outputs.edge_logits, dtype=np.float64)
+    if cls_logits.ndim != 2:
+        raise ValueError(f"cls_logits must be (anchors, classes), got {cls_logits.shape}")
+    if edge_logits.ndim != 3:
+        raise ValueError(f"edge_logits must be (anchors, edges, bins), got {edge_logits.shape}")
+    if cls_logits.shape[0] != edge_logits.shape[0]:
+        raise ValueError("cls_logits and edge_logits disagree on the anchor count")
+    if not (np.isfinite(cls_logits).all() and np.isfinite(edge_logits).all()):
+        raise ValueError("scene logits must be finite")
+    return SceneOutputs(cls_logits=cls_logits, edge_logits=edge_logits)
 
 
 @dataclass(frozen=True)
@@ -426,15 +435,24 @@ class SceneObjective:
 
     Built once per (truth, masks, config, teacher outputs): it validates
     the inputs and computes everything that does not depend on the
-    student, namely the main/VLR indices, the one-hot labels, the two-hot
-    targets, the ground-truth boxes, and the frozen teacher's tempered
-    log-probabilities on the rows each active distillation term reads.
-    :meth:`step` then does only student-dependent work; :func:`total_loss`
-    is its one-shot form and defines the math.
+    student, namely the main/VLR indices, the one-hot labels, the main
+    rows' edge target distributions, the ground-truth boxes, and the
+    frozen teacher's tempered log-probabilities on the rows each active
+    distillation term reads. :meth:`step` then does only student-dependent
+    work and checks nothing: it is a training loop's inner step, and
+    :func:`total_loss` is its validated one-shot form and defines the math.
+
+    The main rows' edge targets default to the two-hot encodings of
+    ``truth.edge_targets`` (DFL). ``edge_dists``, ``(K, E, m)`` over the K
+    main positives, replaces them with any target distributions (the
+    general distribution of GFL); the term keeps the weight ``w_dfl``.
+    ``tbr_weight > 0`` adds that multiple of teacher-bounded regression
+    (:meth:`tbr_step`) to every step, on the boxes the step decodes anyway.
     """
 
     def __init__(self, truth: SceneTruth, masks: RegionMasks, cfg: DistillConfig,
-                 teacher: SceneOutputs | None, n_classes: int) -> None:
+                 teacher: SceneOutputs | None, n_classes: int,
+                 edge_dists: np.ndarray | None = None, tbr_weight: float = 0.0) -> None:
         a, n_edges = truth.edge_targets.shape
         self.cls_shape = (a, int(n_classes))
         self.edge_shape = (a, n_edges, cfg.grid.size)
@@ -444,14 +462,19 @@ class SceneObjective:
             raise ValueError("class labels out of range")
         if cfg.distills and teacher is None:
             raise ValueError("distillation weights are active but no teacher outputs given")
-        if teacher is not None and (teacher.cls_logits.shape != self.cls_shape
-                                    or teacher.edge_logits.shape != self.edge_shape):
-            raise ValueError("teacher and student scene outputs must have identical shapes")
+        if teacher is not None:
+            teacher = _checked(teacher)
+            if (teacher.cls_logits.shape != self.cls_shape
+                    or teacher.edge_logits.shape != self.edge_shape):
+                raise ValueError("teacher and student scene outputs must have identical shapes")
         if cfg.w_reg > 0.0 and cfg.grid.e_min < 0.0:
             raise ValueError(
                 "the box regression term needs nonnegative edge distances (grid.e_min >= 0)"
             )
+        if not (0.0 <= tbr_weight < math.inf):
+            raise ValueError(f"tbr_weight must be nonnegative and finite, got {tbr_weight}")
         self.cfg = cfg
+        self.tbr_weight = float(tbr_weight)
         # Each cross-entropy target with the flat picks of its nonzero entries.
         self._cls_picks = (np.arange(a) * n_classes + truth.labels)[:, None]
         self._onehot = np.zeros(self.cls_shape)
@@ -461,11 +484,19 @@ class SceneObjective:
 
         k = self.main_idx.size
         targets = truth.edge_targets[self.main_idx]
-        idx, u1, u2 = encode_targets(targets, cfg.grid)
-        self._dfl_picks = (np.arange(k * n_edges).reshape(k, n_edges, 1) * cfg.grid.size
-                           + np.stack([idx, idx + 1], axis=-1))
-        self._two_hot = np.zeros((k, n_edges, cfg.grid.size))
-        np.put(self._two_hot, self._dfl_picks, np.stack([u1, u2], axis=-1))
+        if edge_dists is None:
+            idx, u1, u2 = encode_targets(targets, cfg.grid)
+            self._edge_picks = (np.arange(k * n_edges).reshape(k, n_edges, 1) * cfg.grid.size
+                                + np.stack([idx, idx + 1], axis=-1))
+            self._edge_dists = np.zeros((k, n_edges, cfg.grid.size))
+            np.put(self._edge_dists, self._edge_picks, np.stack([u1, u2], axis=-1))
+        else:
+            self._edge_dists = np.asarray(edge_dists, dtype=np.float64)
+            if self._edge_dists.shape != (k, n_edges, cfg.grid.size):
+                raise ValueError(f"edge_dists must be {(k, n_edges, cfg.grid.size)} over the "
+                                 f"main positives, got {self._edge_dists.shape}")
+            # A general distribution may be nonzero anywhere: pick every entry.
+            self._edge_picks = np.arange(self._edge_dists.size).reshape(self._edge_dists.shape)
         self._points = truth.points[self.main_idx]
         self._boxes_g = _boxes_from_edges(self._points, targets)
 
@@ -474,17 +505,18 @@ class SceneObjective:
         # the teacher's tempered log-probabilities and probabilities there.
         self._teacher_main_edges = None
         self._teacher_terms: dict[str, tuple] = {}
-        if teacher is None:
-            return
-        self._teacher_main_edges = teacher.edge_logits[self.main_idx]
-        for name, weight, rows_idx, head in (
-                ("ld_main", cfg.w_ld_main, self.main_idx, "edge_logits"),
-                ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, "edge_logits"),
-                ("kd_main", cfg.w_kd_main, self.main_idx, "cls_logits"),
-                ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, "cls_logits")):
-            if weight > 0.0 and rows_idx.size:
-                lt, q = _tempered(getattr(teacher, head)[rows_idx], cfg.tau)
-                self._teacher_terms[name] = (weight, rows_idx, head, lt, q)
+        if teacher is not None:
+            self._teacher_main_edges = teacher.edge_logits[self.main_idx]
+            for name, weight, rows_idx, head in (
+                    ("ld_main", cfg.w_ld_main, self.main_idx, "edge_logits"),
+                    ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, "edge_logits"),
+                    ("kd_main", cfg.w_kd_main, self.main_idx, "cls_logits"),
+                    ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, "cls_logits")):
+                if weight > 0.0 and rows_idx.size:
+                    lt, q = _tempered(getattr(teacher, head)[rows_idx], cfg.tau)
+                    self._teacher_terms[name] = (weight, rows_idx, head, lt, q)
+        if self.tbr_weight > 0.0:
+            _ = self._boxes_t  # without a teacher, fail here rather than at the first step
 
     def _check_student(self, student: SceneOutputs) -> None:
         if (student.cls_logits.shape != self.cls_shape
@@ -497,8 +529,9 @@ class SceneObjective:
     def step(self, student: SceneOutputs
              ) -> tuple[float, np.ndarray, np.ndarray, dict[str, float]]:
         """The objective at ``student``: ``(value, grad_cls (A, C),
-        grad_edges (A, E, m), components)``; see :func:`total_loss`."""
-        self._check_student(student)
+        grad_edges (A, E, m), components)``; see :func:`total_loss`. With a
+        ``tbr_weight``, its multiple of TBR is in the value and gradient but
+        not in the components."""
         cfg = self.cfg
         endpoints = cfg.grid.endpoints
         main_idx = self.main_idx
@@ -509,15 +542,15 @@ class SceneObjective:
                                             self._onehot, cfg.w_cls)
         grad_edges = np.zeros(self.edge_shape)
 
-        # DFL and box regression over the main positives.
+        # Edge cross-entropy (DFL) and box regression over the main positives.
         l_reg = l_dfl = 0.0
         if k_main:
-            l_dfl, g_main, p_e = _cross_entropy(student.edge_logits[main_idx], self._dfl_picks,
-                                                self._two_hot, cfg.w_dfl)
+            l_dfl, g_main, p_e = _cross_entropy(student.edge_logits[main_idx], self._edge_picks,
+                                                self._edge_dists, cfg.w_dfl)
             yhat = p_e @ endpoints
             boxes_s = _boxes_from_edges(self._points, yhat)
             giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
-            l_reg = float((1.0 - giou_vals).mean())
+            l_reg = float(np.add.reduce(1.0 - giou_vals) / k_main)  # the mean
             g_edge_vals = _box_grad_to_edges(-cfg.w_reg * dgiou / k_main)
             grad_edges[main_idx] = g_main + _expectation_chain(p_e, yhat, endpoints, g_edge_vals)
 
@@ -532,6 +565,10 @@ class SceneObjective:
         value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
                  + cfg.w_ld_main * kl["ld_main"] + cfg.w_ld_vlr * kl["ld_vlr"]
                  + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"])
+        if self.tbr_weight > 0.0 and k_main:
+            l_tbr, rows, g_tbr = self._tbr(p_e, yhat, boxes_s, giou_vals, dgiou)
+            value += self.tbr_weight * l_tbr
+            grad_edges[rows] += self.tbr_weight * g_tbr
         return value, grad_cls, grad_edges, components
 
     @cached_property
@@ -546,27 +583,33 @@ class SceneObjective:
         p_t = np.exp(_log_softmax(self._teacher_main_edges, 1.0))
         return _boxes_from_edges(self._points, p_t @ self.cfg.grid.endpoints)
 
+    def _tbr(self, p_s: np.ndarray, yhat: np.ndarray, boxes_s: np.ndarray,
+             giou_vals: np.ndarray, dgiou: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """TBR from the student's decoded main rows (probabilities, edge
+        expectations, boxes, and their GIoU and its gradient to the ground
+        truth): the value, the anchors whose gate is open and their
+        ``(n, E, m)`` edge-logit gradient."""
+        boxes_g = self._boxes_g
+        active = (_corner_l2(boxes_s, boxes_g) + self.cfg.tbr_margin
+                  > _corner_l2(self._boxes_t, boxes_g))
+        k = self.main_idx.size
+        grad = _expectation_chain(p_s[active], yhat[active], self.cfg.grid.endpoints,
+                                  _box_grad_to_edges(-dgiou[active] / k))
+        return float(np.add.reduce(1.0 - giou_vals[active]) / k), self.main_idx[active], grad
+
     def tbr_step(self, student: SceneOutputs) -> tuple[float, np.ndarray]:
         """Teacher-bounded regression at ``student``: ``(value, grad_edges
         (A, E, m))``; see :func:`scene_tbr_loss`."""
-        self._check_student(student)
-        boxes_t, boxes_g = self._boxes_t, self._boxes_g
+        _ = self._boxes_t  # needs a teacher even on a scene without positives
         grad_edges = np.zeros(self.edge_shape)
-        k = self.main_idx.size
-        if not k:
+        if not self.main_idx.size:
             return 0.0, grad_edges
-        endpoints = self.cfg.grid.endpoints
         p_s = np.exp(_log_softmax(student.edge_logits[self.main_idx], 1.0))
-        yhat = p_s @ endpoints
+        yhat = p_s @ self.cfg.grid.endpoints
         boxes_s = _boxes_from_edges(self._points, yhat)
-        active = (_corner_l2(boxes_s, boxes_g) + self.cfg.tbr_margin
-                  > _corner_l2(boxes_t, boxes_g))
-        if not active.any():
-            return 0.0, grad_edges
-        giou_vals, dgiou = _giou_batch(boxes_s[active], boxes_g[active])
-        grad_edges[self.main_idx[active]] = _expectation_chain(
-            p_s[active], yhat[active], endpoints, _box_grad_to_edges(-dgiou / k))
-        return float((1.0 - giou_vals).sum() / k), grad_edges
+        value, rows, grad = self._tbr(p_s, yhat, boxes_s, *_giou_batch(boxes_s, self._boxes_g))
+        grad_edges[rows] = grad
+        return value, grad_edges
 
 
 def _flat_grad(grad_cls: np.ndarray, grad_edges: np.ndarray) -> np.ndarray:
@@ -597,7 +640,9 @@ def total_loss(
     One-shot form of :class:`SceneObjective`, which training loops build
     once and step repeatedly.
     """
+    student = _checked(student)
     objective = SceneObjective(truth, masks, cfg, teacher, student.cls_logits.shape[1])
+    objective._check_student(student)
     value, grad_cls, grad_edges, components = objective.step(student)
     return LossResult(value=value, grad=_flat_grad(grad_cls, grad_edges),
                       components=components)
@@ -618,6 +663,7 @@ def scene_tbr_loss(
     through the expectation decode. Flat layout as in :func:`total_loss`.
     One-shot form of :meth:`SceneObjective.tbr_step`.
     """
+    student = _checked(student)
     a = student.n_anchors
     main_mask = np.asarray(main_mask, dtype=bool)
     if main_mask.shape != (a,):
@@ -626,6 +672,7 @@ def scene_tbr_loss(
     # TBR reads no regression weight; zeroing it leaves the grid check to tbr_step.
     objective = SceneObjective(truth, masks, replace(cfg, w_reg=0.0), teacher,
                                student.cls_logits.shape[1])
+    objective._check_student(student)
     value, grad_edges = objective.tbr_step(student)
     return LossResult(value=value,
                       grad=_flat_grad(np.zeros_like(student.cls_logits), grad_edges))

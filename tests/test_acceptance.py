@@ -13,6 +13,7 @@ from locdistill.boxdist import encode_target, make_grid
 from locdistill.geometry import BoundingBox, diou, giou, iou
 from locdistill.losses import (
     DistillConfig,
+    SceneObjective,
     SceneOutputs,
     SceneTruth,
     ce_loss,
@@ -204,16 +205,20 @@ def test_gradient_suite():
         cfg = DistillConfig(grid=GRID, tau=7.0)
         for _ in range(n):  # full composite objective
             student, teacher, truth, masks = _scene(rng)
+            # One compiled objective per instance, stepped at every perturbed
+            # input; at the base point it must agree with the one-shot form.
+            objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2)
 
             def f(flat):
                 outputs = SceneOutputs(cls_logits=flat[:4].reshape(2, 2),
                                        edge_logits=flat[4:].reshape(2, 4, 9))
-                return total_loss(outputs, teacher, truth, masks, cfg).value
+                return objective.step(outputs)[0]
 
             flat = np.concatenate([student.cls_logits.ravel(),
                                    student.edge_logits.ravel()])
-            worst = max(worst, _check_grad(
-                total_loss(student, teacher, truth, masks, cfg).grad, f, flat))
+            reference = total_loss(student, teacher, truth, masks, cfg)
+            assert f(flat) == reference.value
+            worst = max(worst, _check_grad(reference.grad, f, flat))
 
         elapsed = time.monotonic() - start
         assert elapsed < 30.0

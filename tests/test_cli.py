@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -29,6 +30,17 @@ FAST_SWEEP = [
     "--set", "harness.n_train=32",
     "--set", "harness.n_heldout=24",
 ]
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML was built without libyaml")
+
+
+class _NoFlags:
+    seed = None
+    output_dir = None
+    threads = None
 
 
 def _read_bytes(path):
@@ -124,6 +136,30 @@ class TestOverrides:
 
         cfg = load_run_config(None, ["verify.inject_error=1e-6"], Args())
         assert cfg.verify.inject_error == 1e-6
+
+    @needs_libyaml
+    @pytest.mark.parametrize("text", ["1e-6", "[1, 2.5, x]", "0x10", "~", "yes",
+                                      "2001-12-14"])
+    def test_both_yaml_loaders_parse_overrides_alike(self, text, monkeypatch):
+        from locdistill import cli
+
+        parsed = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+            parsed.append(cli._parse_override_value(text))
+        assert parsed[0] == parsed[1]
+        assert type(parsed[0]) is type(parsed[1])
+
+    @needs_libyaml
+    def test_both_yaml_loaders_load_the_default_config_alike(self, monkeypatch):
+        from locdistill import cli
+
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+        configs = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+            configs.append(load_run_config(str(DEFAULT_CONFIG), [], _NoFlags()))
+        assert configs[0] == configs[1]
 
     def test_malformed_set_rejected(self):
         class Args:
@@ -262,6 +298,16 @@ class TestExperimentCommand:
                      "--set", "experiment.seeds=[0, 1]", "experiment"]) == 0
         assert calls == [0, 1]
         assert (out / "datasets" / "seed1_heldout.jsonl").exists()
+
+    def test_divergence_exits_1_with_one_line(self, tmp_path, capsys):
+        code = main(["-o", str(tmp_path / "div"), "--set", "harness.lr=1e6",
+                     "--set", "harness.epochs=30", "--set", "harness.teacher_epochs=30",
+                     "--set", "experiment.seeds=[0]", "experiment"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: teacher training diverged: non-finite loss at step ")
+        assert err.endswith("(seed 0, tau 10)\n")
 
     def test_worker_count_leaves_outputs_bitwise_equal(self, tmp_path):
         trees = []

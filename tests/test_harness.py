@@ -24,8 +24,8 @@ from locdistill.harness import (
     train,
     train_teacher,
 )
-from locdistill.harness.data import sample_edge_value
-from locdistill.harness.experiments import _new_student
+from locdistill.harness.data import _cdf, _draw, sample_edge_value
+from locdistill.harness.experiments import DivergenceError, _new_student, scheme_config
 
 GRID = make_grid(0, 8, 8)
 DCFG = DistillConfig(grid=GRID)
@@ -129,6 +129,36 @@ class TestMixtureSampling:
         single = np.array([binned_mixture(a.centers, a.weights, GRID) for a in ambs])
         assert batched.reshape(-1, GRID.size).tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("p", [
+        (1.0 - FAST.frac_vlr - FAST.frac_background, FAST.frac_vlr, FAST.frac_background),
+        (0.75, 0.0, 0.25),
+        (0.5, 0.5),
+        (1.0,),
+    ], ids=["stratum", "stratum_without_vlr", "two_centers", "one_center"])
+    def test_cdf_draw_is_generator_choice(self, p):
+        """Drawing against the precomputed cdf picks what ``choice`` picks
+        and consumes the same single uniform, so the stream is unchanged."""
+        cdf = _cdf(p)
+        by_choice, by_cdf = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(2000):
+            assert _draw(cdf, by_cdf) == by_choice.choice(len(p), p=np.asarray(p))
+        assert by_cdf.random() == by_choice.random()
+
+    @pytest.mark.parametrize("ambiguity", [0.0, 0.8])
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 1.0])
+    def test_dataset_masks_equal_per_sample_assignment(self, ambiguity, gamma):
+        from locdistill.geometry import BoundingBox
+        from locdistill.regions import compute_region_masks
+
+        dcfg = DistillConfig(grid=GRID, gamma_vlr=gamma)
+        ds = gen_dataset(replace(FAST, ambiguity=ambiguity), dcfg, seed=6)
+        for split in (ds.train, ds.heldout):
+            for anchor, gt, main, vlr in zip(split.anchor_boxes, split.gt_boxes,
+                                             split.main, split.vlr):
+                masks = compute_region_masks([BoundingBox(*anchor)], [BoundingBox(*gt)],
+                                             dcfg.alpha_pos, gamma)
+                assert (main, vlr) == (masks.main[0], masks.vlr[0])
+
     def test_invalid_mixture_rejected(self):
         with pytest.raises(ValueError):
             EdgeAmbiguity(centers=(1.0,), weights=(0.5,))
@@ -206,6 +236,32 @@ class TestTraining:
         teacher = copy.deepcopy(student)
         _, trace = train(student, ds, "ld_main", teacher, FAST, DCFG)
         assert trace[0]["LD_main"] == 0.0
+
+    def test_divergence_is_a_named_error(self):
+        ds = gen_dataset(FAST, DCFG, seed=0)
+        student = _new_student(FAST, GRID, 0)
+        with pytest.raises(DivergenceError) as info:
+            train(student, ds, "baseline", None, replace(FAST, lr=1e6), DCFG, seed=3)
+        assert info.value.args[:3] == ("baseline", 3, 10.0)
+        assert str(info.value).startswith("baseline training diverged: non-finite loss at step ")
+        with pytest.raises(DivergenceError, match=r"^teacher .*\(seed 5, tau 10\)$"):
+            train_teacher(ds, replace(FAST, lr=1e6), DCFG, seed=5)
+
+    def test_ld_weight_is_tau_squared(self):
+        for tau in (1.0, 3.0, 10.0):
+            base = DistillConfig(grid=GRID, tau=tau, w_reg=2.0)  # LD weights tie to w_reg
+            cfg = scheme_config(SCHEMES["selective"], base, 0.25)
+            assert cfg.w_ld_main == cfg.w_ld_vlr == 2.0 * tau * tau
+            assert cfg.w_kd_main == DCFG.w_cls  # KD stays unscaled
+        assert scheme_config(SCHEMES["ld_main"], DCFG).w_ld_main == 100.0
+
+    def test_ld_main_trains_at_unit_temperature(self):
+        """At tau = 1 the LD step is as large as at tau = 10; the fixed
+        boost of 100 this weighting replaced made this run diverge."""
+        cfg = HarnessConfig(epochs=150, teacher_epochs=225)
+        _, (report,) = run_seed(cfg, replace(DCFG, tau=1.0), ["ld_main"], seed=0)
+        assert len(report.trace) == 150
+        assert np.isfinite(report.trace[-1]["total"])
 
     def test_convex_instance_has_monotone_trace(self):
         # frozen features + no box-regression term: CE/DFL of a linear map is convex

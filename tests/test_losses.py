@@ -627,7 +627,7 @@ def _scheme_configs():
 
     h = HarnessConfig()
     base = DistillConfig(grid=GRID, tau=7.0)
-    return {name: scheme_config(spec, base, h.ld_weight_boost, h.ld_dfl_scale)
+    return {name: scheme_config(spec, base, h.ld_dfl_scale)
             for name, spec in SCHEMES.items()}
 
 
@@ -673,13 +673,17 @@ class TestSceneObjective:
                 assert np.array_equal(tbr_edges, tbr.grad[g_cls.size:].reshape(g_edges.shape))
 
     def test_student_shape_mismatch_rejected(self):
+        # ``step`` is the unchecked inner step; the one-shot forms check.
         rng = _rng(112)
         _, teacher, truth, masks = _random_scene(rng, n_anchors=3)
-        objective = SceneObjective(truth, masks, DistillConfig(grid=GRID), teacher,
-                                   n_classes=2)
+        cfg = DistillConfig(grid=GRID)
         wrong, _, _, _ = _random_scene(rng, n_anchors=4)
         with pytest.raises(ValueError, match="do not match"):
-            objective.step(wrong)
+            total_loss(wrong, teacher, truth, masks, cfg)
+        wrong_bins = SceneOutputs(cls_logits=teacher.cls_logits,
+                                  edge_logits=teacher.edge_logits[:, :, :-1])
+        with pytest.raises(ValueError, match="do not match"):
+            scene_tbr_loss(wrong_bins, teacher, truth, masks.main, cfg)
 
     def test_tbr_needs_teacher(self):
         rng = _rng(113)
