@@ -13,11 +13,12 @@ an ``(E, m)`` array and a scene an ``(A, E, m)`` array, all on the single
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._checks import check_count, check_finite, check_positive, check_unit_interval
 
 __all__ = [
     "BinGrid",
@@ -42,17 +43,13 @@ class BinGrid:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e_min", float(self.e_min))
-        object.__setattr__(self, "e_max", float(self.e_max))
-        object.__setattr__(self, "n", int(self.n))
-        if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
-            raise ValueError("BinGrid bounds must be finite")
+        for name in ("e_min", "e_max"):
+            object.__setattr__(self, name, check_finite(name, float(getattr(self, name))))
+        object.__setattr__(self, "n", check_count("n", self.n))
         if self.e_min >= self.e_max:
             raise ValueError(
                 f"BinGrid requires e_min < e_max, got [{self.e_min}, {self.e_max}]"
             )
-        if self.n < 1:
-            raise ValueError(f"BinGrid requires n >= 1 sub-intervals, got {self.n}")
 
     @cached_property
     def endpoints(self) -> np.ndarray:
@@ -85,18 +82,13 @@ def _as_vector(z, *, name: str = "logits") -> np.ndarray:
     return z
 
 
-def _check_temperature(tau: float) -> None:
-    if not (0.0 < tau < math.inf):
-        raise ValueError(f"temperature must be positive and finite, got {tau}")
-
-
 def generalized_softmax(z, tau: float) -> np.ndarray:
     """Temperature softmax ``p_i = exp(z_i / tau) / sum_j exp(z_j / tau)``.
 
     Stabilized by max-shift. ``tau = 1`` is the plain softmax; large ``tau``
     flattens toward uniform, small ``tau`` sharpens toward the argmax.
     """
-    _check_temperature(tau)
+    check_positive("temperature", tau)
     return _softmax(_as_vector(z), tau)
 
 
@@ -129,26 +121,30 @@ class TwoHotTarget:
     u2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "u1", float(self.u1))
-        object.__setattr__(self, "u2", float(self.u2))
-        if self.i < 0:
-            raise ValueError(f"TwoHotTarget index must be nonnegative, got {self.i}")
-        if not (0.0 <= self.u1 <= 1.0 and 0.0 <= self.u2 <= 1.0):
-            raise ValueError(f"TwoHotTarget weights must lie in [0, 1], got {self.u1}, {self.u2}")
+        object.__setattr__(self, "i", check_count("i", self.i, 0))
+        for name in ("u1", "u2"):
+            object.__setattr__(self, name, check_unit_interval(name, float(getattr(self, name))))
         if abs(self.u1 + self.u2 - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"TwoHotTarget weights must sum to 1, got {self.u1 + self.u2}")
 
     def as_weights(self, length: int) -> np.ndarray:
         """Dense weight vector: ``u1`` at ``i``, ``u2`` at ``i + 1``."""
-        if self.i + 1 >= length:
-            raise ValueError(
-                f"two-hot index {self.i} out of range for vector of length {length}"
-            )
-        g = np.zeros(length, dtype=np.float64)
-        g[self.i] = self.u1
-        g[self.i + 1] = self.u2
-        return g
+        return _two_hot(self.i, self.u1, self.u2, length)[0]
+
+
+def _two_hot(idx, u1, u2, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense two-hot weights of targets ``(idx, u1, u2)``, each of one shape
+    ``S``, on vectors of ``length`` entries: the ``S + (length,)`` weights,
+    ``u1`` at ``idx`` and ``u2`` at ``idx + 1``, and the ``S + (2,)`` flat
+    C-order indices of those two entries."""
+    idx = np.asarray(idx)
+    if idx.size and idx.max() + 1 >= length:
+        raise ValueError(f"two-hot index {idx.max()} out of range for vector of length {length}")
+    picks = (np.arange(idx.size).reshape(idx.shape + (1,)) * length
+             + np.stack([idx, idx + 1], axis=-1))
+    weights = np.zeros(idx.shape + (length,))
+    np.put(weights, picks, np.stack([u1, u2], axis=-1))
+    return weights, picks
 
 
 def encode_targets(y, grid: BinGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,6 +191,35 @@ def decode_expectation(p, grid: BinGrid) -> float:
     """Decode a distribution to a value as the expectation over endpoints."""
     p = _as_probabilities(p, size=grid.size)
     return float(np.dot(p, grid.endpoints))
+
+
+def _decode(z: np.ndarray, grid: BinGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Edge logits ``z`` (bins on the last axis) decoded at unit temperature:
+    the probabilities and their expectations over the grid's endpoints."""
+    p = np.exp(_log_softmax(z, 1.0))
+    return p, p @ grid.endpoints
+
+
+# Edges are ordered (t, b, l, r): distances from a sample point to the top,
+# bottom, left and right sides. Corner k of a box is
+# point[_CORNER_AXIS[k]] + _CORNER_SIGN[k] * edge[_CORNER_EDGE[k]]:
+# (x1, y1, x2, y2) = (px - l, py - t, px + r, py + b).
+_CORNER_AXIS = np.array([0, 1, 0, 1])
+_CORNER_EDGE = np.array([2, 0, 3, 1])
+_CORNER_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+# The inverse map: edge e moves corner _EDGE_CORNER[e] with sign _EDGE_SIGN[e].
+_EDGE_CORNER = np.array([1, 3, 0, 2])
+_EDGE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def _boxes_from_edges(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(K, 4) corner boxes from (K, 2) sample points and (t, b, l, r) distances."""
+    return points[:, _CORNER_AXIS] + edges[:, _CORNER_EDGE] * _CORNER_SIGN
+
+
+def _box_grad_to_edges(g_box: np.ndarray) -> np.ndarray:
+    """Map a corner gradient (x1, y1, x2, y2) to an edge gradient (t, b, l, r)."""
+    return g_box[:, _EDGE_CORNER] * _EDGE_SIGN
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:

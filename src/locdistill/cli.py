@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from ._checks import check_count, check_finite, check_nonnegative, check_positive
 from .boxdist import BinGrid
 from .geometry import BoundingBox
 from .harness.data import HarnessConfig, save_dataset
@@ -32,8 +33,8 @@ from .harness.experiments import (TRACE_COLUMNS, DivergenceError, ExperimentRepo
                                   _resolve_scheme, run_seed)
 from .losses import DistillConfig
 from .regions import _masks_and_diou, unfold_anchors
-from .theory import (_check_count, _check_noise_scale, _check_pairs, _check_sizes,
-                     certify_decomposition, certify_proposition1, certify_rescaling)
+from .theory import (_check_pairs, _check_sizes, certify_decomposition, certify_proposition1,
+                     certify_rescaling)
 
 __all__ = ["RunConfig", "load_run_config", "main"]
 
@@ -62,14 +63,17 @@ class VerifyConfig:
     inject_error: float = 0.0  # negative-control hook: biases the checked gradient
 
     def __post_init__(self) -> None:
-        _check_count("trials", self.trials)
-        _check_pairs("mc_trials", self.mc_trials)
-        _check_count("mc_instances", self.mc_instances)
-        _check_sizes(self.sizes)
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        _check_noise_scale(self.eta_scale)
-        if not np.isfinite(self.inject_error):
-            raise ValueError(f"inject_error must be finite, got {self.inject_error}")
+        object.__setattr__(self, "trials", check_count("trials", self.trials))
+        object.__setattr__(self, "mc_trials", _check_pairs("mc_trials", self.mc_trials))
+        object.__setattr__(self, "mc_instances", check_count("mc_instances", self.mc_instances))
+        object.__setattr__(self, "sizes", _check_sizes(self.sizes))
+        check_nonnegative("eta_scale", self.eta_scale)
+        check_finite("inject_error", self.inject_error)
+
+
+def _check_distinct(name: str, values: tuple) -> None:
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must be distinct, got {list(values)}")
 
 
 def _set_schemes_and_seeds(section) -> None:
@@ -80,8 +84,11 @@ def _set_schemes_and_seeds(section) -> None:
         _resolve_scheme(s)
     if not schemes or not section.seeds:
         raise ValueError("schemes and seeds must be non-empty")
+    seeds = tuple(check_count("seeds", s, 0) for s in section.seeds)
+    _check_distinct("schemes", schemes)
+    _check_distinct("seeds", seeds)
     object.__setattr__(section, "schemes", schemes)
-    object.__setattr__(section, "seeds", tuple(int(s) for s in section.seeds))
+    object.__setattr__(section, "seeds", seeds)
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,7 @@ class SweepConfig:
             raise ValueError("sweep values must be non-empty")
         _set_schemes_and_seeds(self)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _check_distinct("values", self.values)
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,9 @@ class SceneConfig:
     extent: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.n_locations < 1 or self.anchors_per_location < 1 or self.n_gts < 1:
-            raise ValueError("scene counts must be positive")
-        if not (0 < self.extent < np.inf):
-            raise ValueError("scene extent must be positive and finite")
+        for name in ("n_locations", "anchors_per_location", "n_gts"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        check_positive("extent", self.extent)
 
 
 @dataclass(frozen=True)
@@ -142,8 +149,8 @@ class RunConfig:
     scene: SceneConfig = SceneConfig()
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        object.__setattr__(self, "threads", check_count("threads", self.threads))
         if self.distill is None:
             object.__setattr__(self, "distill", DistillConfig(grid=self.grid))
         for value in self.sweep.values:
@@ -210,15 +217,10 @@ def build_run_config(raw: dict) -> RunConfig:
             continue
         preset = {"grid": grid} if name == "distill" else {}
         sections[name] = _build_section(cls, raw.get(name, {}), name, **preset)
-    try:
-        seed = int(raw.get("seed", 0))
-        threads = int(raw.get("threads", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed/threads: {exc}") from exc
     output_dir = str(raw.get("output_dir", "out"))
     try:
-        return RunConfig(seed=seed, output_dir=output_dir, threads=threads,
-                         grid=grid, **sections)
+        return RunConfig(seed=raw.get("seed", 0), output_dir=output_dir,
+                         threads=raw.get("threads", 1), grid=grid, **sections)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -14,10 +14,11 @@ everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import check_finite
 
 __all__ = [
     "BoundingBox",
@@ -26,12 +27,6 @@ __all__ = [
     "diou",
     "diou_matrix",
 ]
-
-
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name}: coordinates must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -48,11 +43,8 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "y1", float(self.y1))
-        object.__setattr__(self, "x2", float(self.x2))
-        object.__setattr__(self, "y2", float(self.y2))
-        _require_finite("BoundingBox", self.x1, self.y1, self.x2, self.y2)
+        for name in ("x1", "y1", "x2", "y2"):
+            object.__setattr__(self, name, check_finite(name, float(getattr(self, name))))
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise ValueError(
                 f"BoundingBox requires x1 <= x2 and y1 <= y2, got "

@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..boxdist import BinGrid, encode_targets
+from .._checks import check_count, check_nonnegative, check_unit_interval
+from ..boxdist import BinGrid, _boxes_from_edges, encode_targets
 from ..geometry import BoundingBox
 from ..losses import DistillConfig, SceneTruth
 from ..regions import RegionMasks, compute_region_masks
@@ -151,7 +152,6 @@ class HarnessConfig:
 
     input_dim: int = 64
     hidden_dim: int = 48
-    teacher_hidden_dim: int | None = None  # defaults to hidden_dim
     n_train: int = 192
     n_heldout: int = 128
     ambiguity: float = 0.8
@@ -178,18 +178,13 @@ class HarnessConfig:
     anchor_half: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.teacher_hidden_dim is None:
-            object.__setattr__(self, "teacher_hidden_dim", self.hidden_dim)
-        for name in ("input_dim", "hidden_dim", "teacher_hidden_dim", "n_train",
-                     "n_heldout", "epochs", "teacher_epochs"):
-            v = int(getattr(self, name))
-            if v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
-            object.__setattr__(self, name, v)
-        if not (0.0 <= self.ambiguity <= 1.0):
-            raise ValueError(f"ambiguity level must lie in [0, 1], got {self.ambiguity}")
-        if not (0.0 <= self.ambiguous_edge_prob <= 1.0):
-            raise ValueError("ambiguous_edge_prob must lie in [0, 1]")
+        for name in ("input_dim", "hidden_dim", "n_train", "n_heldout", "epochs",
+                     "teacher_epochs"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        if not isinstance(self.train_features, bool):
+            raise ValueError(f"train_features must be true or false, got {self.train_features!r}")
+        check_unit_interval("ambiguity", self.ambiguity)
+        check_unit_interval("ambiguous_edge_prob", self.ambiguous_edge_prob)
         if not (self.frac_vlr >= 0 and self.frac_background >= 0
                 and self.frac_vlr + self.frac_background < 1.0):
             raise ValueError("stratum fractions must be nonnegative and leave room for positives")
@@ -197,8 +192,7 @@ class HarnessConfig:
             raise ValueError("label_smoothing must lie in [0, 1)")
         for name in ("max_offset", "feature_noise", "lr", "tbr_weight", "fi_weight",
                      "ld_dfl_scale", "anchor_half"):
-            if not (0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be nonnegative and finite")
+            check_nonnegative(name, getattr(self, name))
 
 
 def _cdf(weights) -> list[float]:
@@ -276,9 +270,7 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     weights = np.where(ambiguous[..., None], 0.5, np.array([1.0, 0.0]))
     observed = np.take_along_axis(centers, picks[..., None], axis=-1)[..., 0]
 
-    dx, dy = shifts.T
-    t, b, l, r = edges.T
-    gt_boxes = np.stack([dx - l, dy - t, dx + r, dy + b], axis=1)
+    gt_boxes = _boxes_from_edges(shifts, edges)
     half = cfg.anchor_half
     anchor = BoundingBox(-half, -half, half, half)
     # One shared anchor, so the samples' gt boxes are assigned in one call
@@ -289,6 +281,7 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     # Point-to-side distances seen from the anchor point at the origin;
     # rows of non-positive anchors are unsupervised placeholders, clipped
     # into the regression range.
+    dx, dy = shifts.T
     shift = np.stack([-dy, dy, -dx, dx], axis=1)
     latent = np.concatenate([
         (edges - mid) / (0.5 * (_OBJECT_EDGE_HI - _OBJECT_EDGE_LO)),

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..boxdist import BinGrid, _entropy, _log_softmax
+from .._checks import check_finite
+from ..boxdist import BinGrid, _decode, _entropy
 from ..losses import (
     DistillConfig,
     SceneObjective,
@@ -52,6 +53,9 @@ _SEED_TAG_STUDENT = 0x57D0
 
 TRACE_COLUMNS = ("step", "L_cls", "L_reg", "L_DFL", "LD_main", "LD_vlr",
                  "KD_main", "KD_vlr", "total")
+# The objective's component behind each loss column of a trace.
+_TRACE_COMPONENTS = dict(zip(TRACE_COLUMNS[1:-1], ("cls", "reg", "dfl", "ld_main", "ld_vlr",
+                                                   "kd_main", "kd_vlr")))
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,33 @@ class DivergenceError(ArithmeticError):
                 f"(seed {seed}, tau {tau:g})")
 
 
+def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
+             cfg: HarnessConfig, epochs: int, run: tuple[str, int, float],
+             imitate: np.ndarray | None = None, trace: list[dict] | None = None) -> None:
+    """Full-batch gradient descent on ``objective`` for ``epochs`` steps, in
+    place. ``imitate`` adds feature imitation of those hidden features to
+    every step, ``trace`` collects each step's loss components before its
+    update, and ``run`` is the ``(who, seed, tau)`` a
+    :class:`DivergenceError` names."""
+    everywhere = np.ones(x.shape[0], dtype=bool)
+    # The finite check on each step's loss replaces numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(epochs):
+            out, hidden = model.forward(x)
+            value, g_cls, g_edges, comps = objective.step(out)
+            g_hidden = _hidden_grad(model, g_cls, g_edges)
+            if imitate is not None:
+                fi = feature_imitation_loss(hidden, imitate, everywhere)
+                value += cfg.fi_weight * fi.value
+                g_hidden = g_hidden + cfg.fi_weight * fi.grad
+            if not math.isfinite(value):
+                raise DivergenceError(*run, step)
+            if trace is not None:
+                row = {column: comps[key] for column, key in _TRACE_COMPONENTS.items()}
+                trace.append({"step": step, **row, "total": value})
+            _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
+
+
 def train(
     model: LinearLocalizer,
     dataset: Dataset,
@@ -160,46 +191,15 @@ def train(
 
     stack = dataset.train
     x = stack.features
-    a = x.shape[0]
     teacher_out: SceneOutputs | None = None
     teacher_hidden = None
     if teacher is not None:
         teacher_out, teacher_hidden = teacher.forward(x)
-    if spec.fi and teacher_hidden is not None \
-            and teacher_hidden.shape[1] != model.hidden_dim:
-        raise ValueError(
-            "feature imitation needs matching hidden sizes "
-            f"(student {model.hidden_dim}, teacher {teacher_hidden.shape[1]})"
-        )
-
     objective = SceneObjective(stack.truth, stack.masks, run_cfg, teacher_out, N_CLASSES,
                                tbr_weight=cfg.tbr_weight if spec.tbr else 0.0)
-    everywhere = np.ones(a, dtype=bool)
     trace: list[dict] = []
-    # The finite check on each step's loss replaces numpy's overflow warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.epochs):
-            out, hidden = model.forward(x)
-            value, g_cls, g_edges, comps = objective.step(out)
-            g_hidden = _hidden_grad(model, g_cls, g_edges)
-            if spec.fi:
-                fi = feature_imitation_loss(hidden, teacher_hidden, everywhere)
-                value += cfg.fi_weight * fi.value
-                g_hidden = g_hidden + cfg.fi_weight * fi.grad
-            if not math.isfinite(value):
-                raise DivergenceError(scheme, seed, dcfg.tau, step)
-            trace.append({
-                "step": step,
-                "L_cls": comps["cls"],
-                "L_reg": comps["reg"],
-                "L_DFL": comps["dfl"],
-                "LD_main": comps["ld_main"],
-                "LD_vlr": comps["ld_vlr"],
-                "KD_main": comps["kd_main"],
-                "KD_vlr": comps["kd_vlr"],
-                "total": value,
-            })
-            _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
+    _descend(model, x, objective, cfg, cfg.epochs, (scheme, seed, dcfg.tau),
+             imitate=teacher_hidden if spec.fi else None, trace=trace)
     return model, trace
 
 
@@ -216,9 +216,7 @@ def train_teacher(
     place of the two-hot DFL target, at unit weight) plus regression to the
     true box.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_TEACHER)))
-    model = init_localizer(cfg.input_dim, cfg.teacher_hidden_dim, N_CLASSES,
-                           N_EDGES, dataset.grid.size, rng)
+    model = _new_model(cfg, dataset.grid, seed, _SEED_TAG_TEACHER)
     stack = dataset.train
     x = stack.features
     main_idx = np.flatnonzero(stack.main)
@@ -233,15 +231,7 @@ def train_teacher(
                           w_kd_main=0.0, w_kd_vlr=0.0)
     objective = SceneObjective(true_truth, stack.masks, teacher_cfg, None, N_CLASSES,
                                edge_dists=bayes_main)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # see train
-        for step in range(cfg.teacher_epochs):
-            out, hidden = model.forward(x)
-            value, g_cls, g_edges, _ = objective.step(out)
-            if not math.isfinite(value):
-                raise DivergenceError("teacher", seed, dcfg.tau, step)
-            g_hidden = _hidden_grad(model, g_cls, g_edges)
-            _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
+    _descend(model, x, objective, cfg, cfg.teacher_epochs, ("teacher", seed, dcfg.tau))
     return model
 
 
@@ -264,10 +254,8 @@ class ExperimentReport:
 
     def __post_init__(self) -> None:
         for name in self.METRICS:
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"report metric {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name,
+                               check_finite(f"report metric {name}", float(getattr(self, name))))
         for name in ("pearson_features", "pearson_box_logits"):
             v = getattr(self, name)
             if not (-1.0 - 1e-12 <= v <= 1.0 + 1e-12):
@@ -321,8 +309,7 @@ def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
     main_idx = np.flatnonzero(stack.main)
     if main_idx.size == 0:
         raise ValueError("held-out split has no main positives to score MAE on")
-    p_edges = np.exp(_log_softmax(out_s.edge_logits, 1.0))
-    decoded = p_edges @ dataset.grid.endpoints
+    p_edges, decoded = _decode(out_s.edge_logits, dataset.grid)
     mae = float(np.abs(decoded[main_idx] - stack.true_edges[main_idx]).mean())
 
     entropy = float(_entropy(p_edges[main_idx]).mean())
@@ -342,8 +329,9 @@ def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
     )
 
 
-def _new_student(cfg: HarnessConfig, grid: BinGrid, seed: int) -> LinearLocalizer:
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_STUDENT)))
+def _new_model(cfg: HarnessConfig, grid: BinGrid, seed: int,
+               tag: int = _SEED_TAG_STUDENT) -> LinearLocalizer:
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), tag)))
     return init_localizer(cfg.input_dim, cfg.hidden_dim, N_CLASSES, N_EDGES,
                           grid.size, rng)
 
@@ -353,7 +341,7 @@ def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, scheme: str, seed: int,
     """Train and evaluate one (scheme, seed) cell on the seed's dataset and
     teacher, which every scheme of the seed shares."""
     spec = _resolve_scheme(scheme)
-    student = _new_student(cfg, dataset.grid, seed)
+    student = _new_model(cfg, dataset.grid, seed)
     student, trace = train(student, dataset, scheme,
                            teacher if spec.needs_teacher else None, cfg, dcfg, seed)
     return evaluate(student, teacher, dataset, scheme=scheme, seed=seed, trace=trace)

@@ -26,14 +26,15 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from ._checks import check_finite, check_nonnegative, check_positive, check_unit_interval
 from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector,
-                      _check_temperature, _log_softmax, encode_targets)
+                      _box_grad_to_edges, _boxes_from_edges, _decode, _log_softmax,
+                      _two_hot, encode_targets)
 from .geometry import BoundingBox, _giou_batch
 from .regions import RegionMasks
 
@@ -73,10 +74,8 @@ class LossResult:
     components: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", check_finite("loss value", float(self.value)))
         g = np.asarray(self.grad, dtype=np.float64)
-        if not math.isfinite(self.value):
-            raise ValueError(f"loss value must be finite, got {self.value!r}")
         if not np.isfinite(g).all():
             raise ValueError("loss gradient must be finite")
         object.__setattr__(self, "grad", g)
@@ -105,14 +104,10 @@ class DistillConfig:
     tbr_margin: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tau < math.inf):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not (0.0 <= self.gamma_vlr <= 1.0):
-            raise ValueError(f"gamma_vlr must lie in [0, 1], got {self.gamma_vlr}")
-        if not (0.0 < self.alpha_pos <= 1.0):
-            raise ValueError(f"alpha_pos must lie in (0, 1], got {self.alpha_pos}")
-        if not (0.0 <= self.tbr_margin < math.inf):
-            raise ValueError(f"tbr_margin must be nonnegative and finite, got {self.tbr_margin}")
+        check_positive("tau", self.tau)
+        check_unit_interval("gamma_vlr", self.gamma_vlr)
+        check_unit_interval("alpha_pos", self.alpha_pos, open_low=True)
+        check_nonnegative("tbr_margin", self.tbr_margin)
         ties = {"w_ld_main": self.w_reg, "w_ld_vlr": self.w_reg,
                 "w_kd_main": self.w_cls, "w_kd_vlr": self.w_cls}
         for name, tied in ties.items():
@@ -120,10 +115,7 @@ class DistillConfig:
                 object.__setattr__(self, name, float(tied))
         for name in ("w_cls", "w_reg", "w_dfl", "w_ld_main", "w_ld_vlr",
                      "w_kd_main", "w_kd_vlr"):
-            v = float(getattr(self, name))
-            if v < 0.0 or not np.isfinite(v):
-                raise ValueError(f"{name} must be a nonnegative finite weight, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, check_nonnegative(name, float(getattr(self, name))))
 
     @property
     def distills(self) -> bool:
@@ -217,7 +209,7 @@ def kd_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     entropy so a perfectly matched student scores exactly 0. The gradient for
     either variant is ``(p_tau - q_tau) / tau``.
     """
-    _check_temperature(tau)
+    check_positive("temperature", tau)
     zs = _as_vector(student_logits, name="student logits")
     zt = _as_vector(teacher_logits, name="teacher logits")
     if zs.shape != zt.shape:
@@ -243,7 +235,7 @@ def ld_box_loss(student_logits, teacher_logits, tau: float) -> LossResult:
     (gradient, ``(E, m)``) over the rows: the box is one anchor of the
     tempered-KL kernel the composite objective trains with.
     """
-    _check_temperature(tau)
+    check_positive("temperature", tau)
     zs = np.asarray(student_logits, dtype=np.float64)
     zt = np.asarray(teacher_logits, dtype=np.float64)
     if zs.ndim != 2 or zs.shape != zt.shape:
@@ -261,8 +253,8 @@ def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
     ``p_k - u1*[k = i] - u2*[k = i+1]`` (so ``p_i - u1`` at the left index).
     """
     z = _as_vector(logits)
-    g = target.as_weights(z.shape[0])
-    value, grad, _ = _cross_entropy(z[None], [[target.i, target.i + 1]], g[None], 1.0)
+    g, picks = _two_hot(target.i, target.u1, target.u2, z.shape[0])
+    value, grad, _ = _cross_entropy(z[None], picks[None], g[None], 1.0)
     return LossResult(value=value, grad=grad[0])
 
 
@@ -295,8 +287,7 @@ def tbr_loss(
     when active the loss is ``1 - GIoU(student, gt)``, otherwise the result
     is exactly zero with a zero gradient.
     """
-    if not (0.0 <= margin < math.inf):
-        raise ValueError(f"margin must be nonnegative and finite, got {margin}")
+    check_nonnegative("margin", margin)
     s = np.asarray(student_box.to_list())
     t = np.asarray(teacher_box.to_list())
     g = np.asarray(gt_box.to_list())
@@ -399,26 +390,6 @@ class SceneTruth:
         object.__setattr__(self, "points", points)
 
 
-# Corner k of a box is point[_CORNER_AXIS[k]] + _CORNER_SIGN[k] * edge[_CORNER_EDGE[k]]:
-# (x1, y1, x2, y2) = (px - l, py - t, px + r, py + b) with edges (t, b, l, r).
-_CORNER_AXIS = np.array([0, 1, 0, 1])
-_CORNER_EDGE = np.array([2, 0, 3, 1])
-_CORNER_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
-# The inverse map: edge e moves corner _EDGE_CORNER[e] with sign _EDGE_SIGN[e].
-_EDGE_CORNER = np.array([1, 3, 0, 2])
-_EDGE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
-
-
-def _boxes_from_edges(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """(K, 4) corner boxes from sample points and (t, b, l, r) distances."""
-    return points[:, _CORNER_AXIS] + edges[:, _CORNER_EDGE] * _CORNER_SIGN
-
-
-def _box_grad_to_edges(g_box: np.ndarray) -> np.ndarray:
-    """Map a corner gradient (x1, y1, x2, y2) to an edge gradient (t, b, l, r)."""
-    return g_box[:, _EDGE_CORNER] * _EDGE_SIGN
-
-
 def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
                        g_edge_vals: np.ndarray) -> np.ndarray:
     """Chain an edge-value gradient through the softmax expectation decode.
@@ -471,10 +442,8 @@ class SceneObjective:
             raise ValueError(
                 "the box regression term needs nonnegative edge distances (grid.e_min >= 0)"
             )
-        if not (0.0 <= tbr_weight < math.inf):
-            raise ValueError(f"tbr_weight must be nonnegative and finite, got {tbr_weight}")
         self.cfg = cfg
-        self.tbr_weight = float(tbr_weight)
+        self.tbr_weight = float(check_nonnegative("tbr_weight", tbr_weight))
         # Each cross-entropy target with the flat picks of its nonzero entries.
         self._cls_picks = (np.arange(a) * n_classes + truth.labels)[:, None]
         self._onehot = np.zeros(self.cls_shape)
@@ -485,11 +454,8 @@ class SceneObjective:
         k = self.main_idx.size
         targets = truth.edge_targets[self.main_idx]
         if edge_dists is None:
-            idx, u1, u2 = encode_targets(targets, cfg.grid)
-            self._edge_picks = (np.arange(k * n_edges).reshape(k, n_edges, 1) * cfg.grid.size
-                                + np.stack([idx, idx + 1], axis=-1))
-            self._edge_dists = np.zeros((k, n_edges, cfg.grid.size))
-            np.put(self._edge_dists, self._edge_picks, np.stack([u1, u2], axis=-1))
+            self._edge_dists, self._edge_picks = _two_hot(*encode_targets(targets, cfg.grid),
+                                                          cfg.grid.size)
         else:
             self._edge_dists = np.asarray(edge_dists, dtype=np.float64)
             if self._edge_dists.shape != (k, n_edges, cfg.grid.size):
@@ -580,8 +546,8 @@ class SceneObjective:
             raise ValueError(
                 "teacher-bounded regression needs nonnegative edge distances (grid.e_min >= 0)"
             )
-        p_t = np.exp(_log_softmax(self._teacher_main_edges, 1.0))
-        return _boxes_from_edges(self._points, p_t @ self.cfg.grid.endpoints)
+        _, yhat = _decode(self._teacher_main_edges, self.cfg.grid)
+        return _boxes_from_edges(self._points, yhat)
 
     def _tbr(self, p_s: np.ndarray, yhat: np.ndarray, boxes_s: np.ndarray,
              giou_vals: np.ndarray, dgiou: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -604,8 +570,7 @@ class SceneObjective:
         grad_edges = np.zeros(self.edge_shape)
         if not self.main_idx.size:
             return 0.0, grad_edges
-        p_s = np.exp(_log_softmax(student.edge_logits[self.main_idx], 1.0))
-        yhat = p_s @ self.cfg.grid.endpoints
+        p_s, yhat = _decode(student.edge_logits[self.main_idx], self.cfg.grid)
         boxes_s = _boxes_from_edges(self._points, yhat)
         value, rows, grad = self._tbr(p_s, yhat, boxes_s, *_giou_batch(boxes_s, self._boxes_g))
         grad_edges[rows] = grad

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_unit_interval
 from .geometry import BoundingBox, diou_matrix, iou
 
 __all__ = [
@@ -50,13 +51,6 @@ class RegionMasks:
         return self.main.shape[0]
 
 
-def _validate_thresholds(alpha_pos: float, gamma: float | None = None) -> None:
-    if not (0.0 < alpha_pos <= 1.0):
-        raise ValueError(f"alpha_pos must lie in (0, 1], got {alpha_pos}")
-    if gamma is not None and not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-
-
 def assign_main(
     anchors: list[BoundingBox], gts: list[BoundingBox], alpha_pos: float
 ) -> np.ndarray:
@@ -64,7 +58,7 @@ def assign_main(
 
     An empty ground-truth list is a valid background scene (all False).
     """
-    _validate_thresholds(alpha_pos)
+    check_unit_interval("alpha_pos", alpha_pos, open_low=True)
     if not anchors:
         raise ValueError("assign_main: anchor list is empty")
     out = np.zeros(len(anchors), dtype=bool)
@@ -94,7 +88,7 @@ def assign_vlr(
     ``gamma = 0`` admits every anchor with ``0 <= DIoU <= alpha_pos``;
     as ``gamma`` grows toward 1 the region shrinks to empty.
     """
-    _validate_thresholds(alpha_pos, gamma)
+    check_unit_interval("gamma", gamma)  # alpha_pos is checked by assign_main
     if not anchors:
         raise ValueError("assign_vlr: anchor list is empty")
     return _diou_band(assign_main(anchors, gts, alpha_pos), anchors, gts, alpha_pos, gamma)[1]
@@ -118,7 +112,7 @@ def _masks_and_diou(
 ) -> tuple[RegionMasks, np.ndarray]:
     """:func:`compute_region_masks` plus the ``(len(anchors), len(gts))``
     DIoU matrix it assigned the VLR from, each DIoU computed once."""
-    _validate_thresholds(alpha_pos, gamma)
+    check_unit_interval("gamma", gamma)  # alpha_pos is checked by assign_main
     main = assign_main(anchors, gts, alpha_pos)
     x, vlr = _diou_band(main, anchors, gts, alpha_pos, gamma)
     return RegionMasks(main=main, vlr=vlr), x

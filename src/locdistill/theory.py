@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxdist import (PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _check_temperature,
-                      _softmax)
+from ._checks import (check_count, check_finite, check_nonnegative, check_positive,
+                      check_unit_interval)
+from .boxdist import PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _softmax, _two_hot
 from .losses import _cross_entropy, _tempered, _tempered_kl, dfl_loss, kd_loss
 
 __all__ = [
@@ -72,25 +73,17 @@ def _check_simplex(p, name: str) -> np.ndarray:
     return p
 
 
-def _check_count(name: str, value: int, least: int = 1) -> None:
-    if not value >= least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+def _check_sizes(sizes) -> tuple[int, ...]:
+    if len(sizes) == 0:
+        raise ValueError("sizes must be a non-empty list of lengths")
+    return tuple(check_count("sizes", m, 2) for m in sizes)
 
 
-def _check_sizes(sizes) -> None:
-    if len(sizes) == 0 or any(int(m) < 2 for m in sizes):
-        raise ValueError(f"sizes must be a non-empty list of lengths >= 2, got {list(sizes)!r}")
-
-
-def _check_noise_scale(eta_scale: float) -> None:
-    if not (0.0 <= eta_scale < math.inf):
-        raise ValueError(f"eta_scale must be nonnegative and finite, got {eta_scale!r}")
-
-
-def _check_pairs(name: str, value: int) -> None:
-    """Antithetic Monte-Carlo draws come in pairs."""
-    if not (value >= 2 and value % 2 == 0):
+def _check_pairs(name: str, value) -> int:
+    """``value`` as an ``int``: antithetic Monte-Carlo draws come in pairs."""
+    if not (value >= 2 and value % 2 == 0):  # an even float is integral
         raise ValueError(f"{name} must be an even number of at least 2 draws, got {value!r}")
+    return int(value)
 
 
 def _logits_for(p: np.ndarray, tau) -> np.ndarray:
@@ -133,11 +126,9 @@ def verify_proposition1(s, p, q, u1: float, tau: float,
     q = _check_simplex(q, "second target")
     if s.ndim != 1 or s.shape != p.shape or p.shape != q.shape:
         raise ValueError("probability vectors must be 1-D and share one length")
-    if not (0.0 <= u1 <= 1.0):  # outside, the combined target leaves the simplex
-        raise ValueError(f"u1 must lie in [0, 1], got {u1!r}")
-    _check_temperature(tau)
-    if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
-        raise ValueError(f"perturbation must be finite, got {perturbation}")
+    check_unit_interval("u1", u1)  # outside, the combined target leaves the simplex
+    check_positive("temperature", tau)
+    check_finite("perturbation", perturbation)  # a NaN gap would vanish in the certificate's max
     return float(_proposition1_gaps(s[None], p[None], q[None], np.array([[u1]]),
                                     np.array([[tau]]), perturbation)[0])
 
@@ -270,12 +261,8 @@ def _rescaling_setup(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray
     p_tau = _softmax(z_s, tau[:, None])
     c_eff = _prepare_confidence(p_tau, c)
     predicted = gamma + (lam / tau) * c_eff[rows, i] / (u1 - p[rows, i])
-    target = np.zeros((n, m))
-    target[rows, i] = u1
-    target[rows, i + 1] = u2
-    flat = rows * m + i
-    _, dfl_grad, _ = _cross_entropy(z_s[None], np.stack([flat, flat + 1], axis=-1),
-                                    target[None], 1.0)
+    target, picks = _two_hot(i, u1, u2, m)
+    _, dfl_grad, _ = _cross_entropy(z_s[None], picks, target[None], 1.0)
     return z_s, p_tau, c_eff, predicted, dfl_grad[0, rows, i]
 
 
@@ -326,11 +313,10 @@ def gradient_rescaling_ratio(
         raise ValueError(f"confidence vector shape {c.shape} does not match the 1-D {p.shape}")
     if not np.isfinite(c).all():
         raise ValueError("confidence vector must be finite")
-    _check_temperature(tau)
-    for name, value in (("gamma", gamma), ("lam", lam)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    _check_noise_scale(eta_scale)
+    check_positive("temperature", tau)
+    check_finite("gamma", gamma)
+    check_finite("lam", lam)
+    check_nonnegative("eta_scale", eta_scale)
     i = target.i
     if i + 1 >= p.shape[0]:
         raise ValueError("two-hot target index out of range for the probability vector")
@@ -348,7 +334,7 @@ def gradient_rescaling_ratio(
             trials=0,
         )
 
-    _check_pairs("trials", trials)
+    trials = _check_pairs("trials", trials)
     if rng is None:
         rng = np.random.default_rng(0)
     _, p_tau, c_eff, predicted, dfl_grad_i = (a[0] for a in _rescaling_setup(*row))
@@ -401,9 +387,9 @@ def _trials_per_size(trials: int, sizes) -> dict[int, int]:
     """Trial ``k`` has length ``sizes[k % len(sizes)]``: the number of trials
     of each distinct length, in order of first appearance, lengths with no
     trial left out."""
-    counts = dict.fromkeys((int(m) for m in sizes), 0)
+    counts = dict.fromkeys(sizes, 0)
     for k, m in enumerate(sizes):
-        counts[int(m)] += len(range(k, trials, len(sizes)))
+        counts[m] += len(range(k, trials, len(sizes)))
     return {m: n for m, n in counts.items() if n}
 
 
@@ -411,10 +397,9 @@ def certify_proposition1(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17)
                          seed: int = 0, perturbation: float = 0.0) -> dict:
     """Randomized certificate for the combined-target gradient identity:
     the trials of one length are solved as one stack."""
-    _check_count("trials", trials)
-    _check_sizes(sizes)
-    if not math.isfinite(perturbation):  # a NaN gap would vanish in the certificate's max
-        raise ValueError(f"perturbation must be finite, got {perturbation}")
+    trials = check_count("trials", trials)
+    sizes = _check_sizes(sizes)
+    check_finite("perturbation", perturbation)
     rng = _spawn_rng(seed, 1)
     worst = 0.0
     for m, n in _trials_per_size(trials, sizes).items():
@@ -434,8 +419,8 @@ def certify_decomposition(trials: int = 1000, sizes: tuple[int, ...] = (5, 9, 17
     """Randomized certificate for the decomposition: the residual, the rank
     and the smallest entry of any returned (p, q), which is nonnegative
     when every pair lies on the simplex."""
-    _check_count("trials", trials)
-    _check_sizes(sizes)
+    trials = check_count("trials", trials)
+    sizes = _check_sizes(sizes)
     rng = _spawn_rng(seed, 2)
     worst = 0.0
     ranks_ok = True
@@ -485,11 +470,11 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
     :func:`_rescaling_draws` on one generator, and each part reports its
     largest absolute error against the closed form.
     """
-    _check_count("trials", trials)
-    _check_count("mc_instances", mc_instances)
-    _check_pairs("mc_trials", mc_trials)
-    _check_count("size", size, 2)
-    _check_noise_scale(eta_scale)
+    trials = check_count("trials", trials)
+    mc_instances = check_count("mc_instances", mc_instances)
+    mc_trials = _check_pairs("mc_trials", mc_trials)
+    size = check_count("size", size, 2)
+    check_nonnegative("eta_scale", eta_scale)
     rng = _spawn_rng(seed, 3)
 
     p, c, i, u1, gamma, lam, tau = _rescaling_draws(rng, trials, size)

@@ -327,6 +327,10 @@ def test_harness_qualitative_reproduction():
             assert fi.pearson_features > 0.6, \
                 f"seed {seed}: imitation feature r {fi.pearson_features:.3f}"
 
+            # (d) logit mimicking outperforms feature imitation on held-out MAE
+            assert mimic.mae_edges < fi.mae_edges, \
+                f"seed {seed}: mimic MAE {mimic.mae_edges:.3f} vs imitation {fi.mae_edges:.3f}"
+
         assert mae_wins >= 4, f"LD beat TBR on MAE in only {mae_wins}/5 seeds"
         elapsed = time.monotonic() - start
         assert elapsed < 60.0

@@ -92,6 +92,43 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             build_run_config({"threads": 0})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "seeds", [0, 0]),
+        ("experiment", "schemes", ["baseline", "baseline"]),
+        ("sweep", "seeds", [1, 1]),
+        ("sweep", "schemes", ["tbr", "tbr"]),
+        ("sweep", "values", [0.5, 0.5]),
+    ])
+    def test_repeated_entries_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must be distinct"):
+            build_run_config({section: {key: value}})
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "verify.trials=100.5", "verify"],
+        ["--set", "verify.mc_instances=1.5", "verify"],
+        ["--set", "scene.n_locations=2.5", "dump-assignment"],
+        ["--seed", "-1", "verify"],
+        ["--set", "experiment.seeds=[-1]", "experiment"],
+        ["--set", "harness.epochs=2.7", "experiment"],
+        ["--set", "seed=1.9", "verify"],
+        ["--set", "verify.sizes=[5.5]", "verify"],
+        ["--set", "threads=true", "experiment"],
+        ["--set", "harness.train_features=maybe", "experiment"],
+    ])
+    def test_bad_integer_or_boolean_is_config_error(self, tmp_path, capsys, argv):
+        fast = {"verify": FAST_VERIFY, "experiment": FAST_EXPERIMENT}.get(argv[-1], [])
+        out = tmp_path / "out"
+        assert main(["-o", str(out), *fast, *argv]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_integral_floats_are_counts(self):
+        cfg = load_run_config(None, ["seed=2.0", "verify.trials=1e3", "harness.epochs=60.0",
+                                     "experiment.seeds=[0.0, 1]"], _NoFlags())
+        for value, expected in ((cfg.seed, 2), (cfg.verify.trials, 1000),
+                                (cfg.harness.epochs, 60), (cfg.experiment.seeds[0], 0)):
+            assert value == expected and type(value) is int
+
 
 class TestOverrides:
     def test_dotted_set_overrides_file(self, tmp_path):
@@ -451,6 +488,9 @@ class TestSweepValidation:
         ["sweep.param=tau", "sweep.values=[.nan]"],
         ["distill.tbr_margin=.nan"],
         ["harness.lr=.nan"],
+        ["sweep.values=[0.5, 0.5]"],
+        ["sweep.seeds=[0, 0]"],
+        ["sweep.schemes=[baseline, baseline]"],
     ])
     def test_rejected_before_training(self, tmp_path, overrides):
         out = tmp_path / "sw"
