@@ -1,7 +1,8 @@
 """Argument checks shared by the public functions and the config sections.
 
 Each takes the field's name, so every message reads ``<name> must ...``,
-and returns the value it passed.
+and returns the value it passed. Booleans are rejected everywhere: ``True``
+compares as 1, so a config's ``lr: true`` would otherwise train at 1.
 """
 
 from __future__ import annotations
@@ -11,26 +12,27 @@ import numbers
 
 
 def check_finite(name: str, value):
-    if not math.isfinite(value):
+    if isinstance(value, bool) or not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def check_positive(name: str, value):
-    if not (0.0 < value < math.inf):
+    if isinstance(value, bool) or not (0.0 < value < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def check_nonnegative(name: str, value):
-    if not (0.0 <= value < math.inf):
+    if isinstance(value, bool) or not (0.0 <= value < math.inf):
         raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
     return value
 
 
 def check_unit_interval(name: str, value, *, open_low: bool = False):
     """``value`` in ``[0, 1]``, or in ``(0, 1]`` with ``open_low``."""
-    if not ((0.0 < value if open_low else 0.0 <= value) and value <= 1.0):
+    if isinstance(value, bool) or not ((0.0 < value if open_low else 0.0 <= value)
+                                       and value <= 1.0):
         raise ValueError(f"{name} must lie in {'(' if open_low else '['}0, 1], got {value!r}")
     return value
 

@@ -9,6 +9,12 @@ distributions are decoded back to values by expectation.
 Logits themselves stay plain arrays: one edge is an ``(m,)`` vector, one box
 an ``(E, m)`` array and a scene an ``(A, E, m)`` array, all on the single
 :class:`BinGrid` that the distillation config carries.
+
+The private kernels (softmax, decode, entropy, two-hot, edges to boxes) work
+bins first: the short axis (bins, classes, edges or corners) leads and the
+anchor axis comes last, the reverse (``.T``) of the public layout. Each numpy
+call then runs over contiguous rows of anchors rather than over many rows of
+a few bins. The public functions and layouts above are unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ class BinGrid:
 
     def __post_init__(self) -> None:
         for name in ("e_min", "e_max"):
-            object.__setattr__(self, name, check_finite(name, float(getattr(self, name))))
+            object.__setattr__(self, name, float(check_finite(name, getattr(self, name))))
         object.__setattr__(self, "n", check_count("n", self.n))
         if self.e_min >= self.e_max:
             raise ValueError(
@@ -93,13 +99,18 @@ def generalized_softmax(z, tau: float) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray, tau) -> np.ndarray:
-    """Tempered log-softmax over the last axis of ``z``; ``tau`` is a scalar
-    or broadcasts against ``z`` (one per row)."""
-    # In place on the fresh quotient, with the ufunc reductions called
-    # directly: this runs tens of thousands of times per training run.
-    zt = np.asarray(z, dtype=np.float64) / tau
-    zt -= np.maximum.reduce(zt, axis=-1, keepdims=True)
-    zt -= np.log(np.add.reduce(np.exp(zt), axis=-1, keepdims=True))
+    """Tempered log-softmax over axis 0 of ``z`` (the bins); ``tau`` is a
+    scalar or broadcasts against ``z[0]`` (one per column). The result is
+    C-contiguous whatever the layout of ``z``, so a transposed view is read
+    once and every reduction runs over whole rows."""
+    zt = np.true_divide(np.asarray(z, dtype=np.float64), tau, order="C")
+    zt -= np.maximum.reduce(zt, axis=0)
+    e = np.exp(zt)
+    # numpy adds the rows of a leading axis in order, but sums a lone column
+    # pairwise; its running sum keeps the row order, so a one-column call is
+    # bit for bit the same column of a stacked call.
+    zt -= np.log(np.add.reduce(e, axis=0) if e.size > e.shape[0]
+                 else np.add.accumulate(e, axis=0)[-1])
     return zt
 
 
@@ -134,16 +145,16 @@ class TwoHotTarget:
 
 def _two_hot(idx, u1, u2, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense two-hot weights of targets ``(idx, u1, u2)``, each of one shape
-    ``S``, on vectors of ``length`` entries: the ``S + (length,)`` weights,
-    ``u1`` at ``idx`` and ``u2`` at ``idx + 1``, and the ``S + (2,)`` flat
-    C-order indices of those two entries."""
+    ``S``, bins first: the ``(length,) + S`` weights, ``u1`` at ``idx`` and
+    ``u2`` at ``idx + 1``, and the ``(2,) + S`` flat C-order indices of
+    those two entries."""
     idx = np.asarray(idx)
     if idx.size and idx.max() + 1 >= length:
         raise ValueError(f"two-hot index {idx.max()} out of range for vector of length {length}")
-    picks = (np.arange(idx.size).reshape(idx.shape + (1,)) * length
-             + np.stack([idx, idx + 1], axis=-1))
-    weights = np.zeros(idx.shape + (length,))
-    np.put(weights, picks, np.stack([u1, u2], axis=-1))
+    picks = idx * idx.size + np.arange(idx.size).reshape(idx.shape)
+    picks = np.stack([picks, picks + idx.size])
+    weights = np.zeros((length,) + idx.shape)
+    np.put(weights, picks, np.stack([u1, u2]))
     return weights, picks
 
 
@@ -193,38 +204,47 @@ def decode_expectation(p, grid: BinGrid) -> float:
     return float(np.dot(p, grid.endpoints))
 
 
+def _expectation(p: np.ndarray, grid: BinGrid) -> np.ndarray:
+    """Expectations over the grid's endpoints of probabilities ``p`` with
+    the bins on axis 0: one vector-matrix product over every column."""
+    return (grid.endpoints @ p.reshape(p.shape[0], -1)).reshape(p.shape[1:])
+
+
 def _decode(z: np.ndarray, grid: BinGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Edge logits ``z`` (bins on the last axis) decoded at unit temperature:
-    the probabilities and their expectations over the grid's endpoints."""
-    p = np.exp(_log_softmax(z, 1.0))
-    return p, p @ grid.endpoints
+    """Edge logits ``z`` (bins on axis 0) decoded at unit temperature: the
+    probabilities and their expectations over the grid's endpoints."""
+    p = _softmax(z, 1.0)
+    return p, _expectation(p, grid)
 
 
 # Edges are ordered (t, b, l, r): distances from a sample point to the top,
 # bottom, left and right sides. Corner k of a box is
 # point[_CORNER_AXIS[k]] + _CORNER_SIGN[k] * edge[_CORNER_EDGE[k]]:
-# (x1, y1, x2, y2) = (px - l, py - t, px + r, py + b).
+# (x1, y1, x2, y2) = (px - l, py - t, px + r, py + b). The signs are columns,
+# for (corners, K) arrays.
 _CORNER_AXIS = np.array([0, 1, 0, 1])
 _CORNER_EDGE = np.array([2, 0, 3, 1])
-_CORNER_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+_CORNER_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
 # The inverse map: edge e moves corner _EDGE_CORNER[e] with sign _EDGE_SIGN[e].
 _EDGE_CORNER = np.array([1, 3, 0, 2])
-_EDGE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+_EDGE_SIGN = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
 def _boxes_from_edges(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """(K, 4) corner boxes from (K, 2) sample points and (t, b, l, r) distances."""
-    return points[:, _CORNER_AXIS] + edges[:, _CORNER_EDGE] * _CORNER_SIGN
+    """(4, K) corner boxes from (2, K) sample points and (4, K) (t, b, l, r)
+    distances."""
+    return points[_CORNER_AXIS] + edges[_CORNER_EDGE] * _CORNER_SIGN
 
 
 def _box_grad_to_edges(g_box: np.ndarray) -> np.ndarray:
-    """Map a corner gradient (x1, y1, x2, y2) to an edge gradient (t, b, l, r)."""
-    return g_box[:, _EDGE_CORNER] * _EDGE_SIGN
+    """Map a (4, K) corner gradient (x1, y1, x2, y2) to a (4, K) edge
+    gradient (t, b, l, r)."""
+    return g_box[_EDGE_CORNER] * _EDGE_SIGN
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in nats over the last axis, with ``0 ln 0 = 0``."""
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    """Shannon entropy in nats over axis 0 (the bins), with ``0 ln 0 = 0``."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0)
 
 
 def flatness(p) -> float:

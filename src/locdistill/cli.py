@@ -31,7 +31,7 @@ from .geometry import BoundingBox
 from .harness.data import HarnessConfig, save_dataset
 from .harness.experiments import (TRACE_COLUMNS, DivergenceError, ExperimentReport,
                                   _resolve_scheme, run_seed)
-from .losses import DistillConfig
+from .losses import DistillConfig, _require_distances
 from .regions import _masks_and_diou, unfold_anchors
 from .theory import (_check_pairs, _check_sizes, certify_decomposition, certify_proposition1,
                      certify_rescaling)
@@ -277,6 +277,20 @@ def load_run_config(config_path: str | None, overrides: list[str],
     return build_run_config(raw)
 
 
+def _check_training_grid(cfg: RunConfig, schemes) -> None:
+    """Reject at load what training would reject after generating data: box
+    regression, and TBR when a scheme trains with it, decode boxes from edge
+    distances, so they need a grid of nonnegative ones."""
+    tbr = cfg.harness.tbr_weight > 0.0 and any(_resolve_scheme(s).tbr for s in schemes)
+    for term, active in (("the box regression term", cfg.distill.w_reg > 0.0),
+                         ("teacher-bounded regression", tbr)):
+        if active:
+            try:
+                _require_distances(cfg.grid, term)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -515,6 +529,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, args.overrides, args)
+        if args.command in ("experiment", "sweep"):
+            _check_training_grid(cfg, getattr(cfg, args.command).schemes)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -105,20 +105,18 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized GIoU and its gradient w.r.t. the first argument's corners.
 
-    Inputs are ``(K, 4)`` arrays of ``(x1, y1, x2, y2)``. Returns
-    ``(giou (K,), dgiou/ds (K, 4))``. Non-smooth corner-alignment points
+    Inputs are ``(4, K)`` arrays with rows ``x1, y1, x2, y2``. Returns
+    ``(giou (K,), dgiou/ds (4, K))``. Non-smooth corner-alignment points
     take the one-sided subgradient.
     """
     s = np.asarray(boxes_s, dtype=np.float64)
     g = np.asarray(boxes_g, dtype=np.float64)
-    if s.ndim != 2 or s.shape[1] != 4 or s.shape != g.shape:
-        raise ValueError(f"expected matching (K, 4) box arrays, got {s.shape} and {g.shape}")
-    # Work on (4, K) rows x1, y1, x2, y2, copied contiguous: each per-axis
-    # quantity is then a contiguous (2, K) block with an x row and a y row,
-    # so one ufunc call covers both axes. Per-corner minima and maxima and
+    if s.ndim != 2 or s.shape[0] != 4 or s.shape != g.shape:
+        raise ValueError(f"expected matching (4, K) box arrays, got {s.shape} and {g.shape}")
+    # Each per-axis quantity is a (2, K) block with an x row and a y row, so
+    # one ufunc call covers both axes. Per-corner minima and maxima and
     # comparisons take one call over all four rows. The single-box calls of
     # the scalar losses are dominated by call count, not array size.
-    s, g = s.T.copy(), g.T.copy()
     near, far = np.minimum(s, g), np.maximum(s, g)
     inner = near[2:] - far[:2]  # iw, ih
     outer = far[2:] - near[:2]  # cw, ch
@@ -150,7 +148,7 @@ def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, n
 
     d_giou = (d_inter * union - inter * d_union) / (union * union)
     d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)
-    return giou, d_giou.T
+    return giou, d_giou
 
 
 def giou(a: BoundingBox, b: BoundingBox) -> float:
@@ -159,7 +157,8 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     The 1x1 view of :func:`_giou_batch`, the kernel the box-regression
     losses train with.
     """
-    vals, _ = _giou_batch(np.asarray([a.to_list()]), np.asarray([b.to_list()]))
+    vals, _ = _giou_batch(np.asarray(a.to_list())[:, None],
+                          np.asarray(b.to_list())[:, None])
     return float(vals[0])
 
 

@@ -183,8 +183,9 @@ class HarnessConfig:
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if not isinstance(self.train_features, bool):
             raise ValueError(f"train_features must be true or false, got {self.train_features!r}")
-        check_unit_interval("ambiguity", self.ambiguity)
-        check_unit_interval("ambiguous_edge_prob", self.ambiguous_edge_prob)
+        for name in ("ambiguity", "ambiguous_edge_prob", "frac_vlr", "frac_background",
+                     "label_smoothing"):
+            check_unit_interval(name, getattr(self, name))
         if not (self.frac_vlr >= 0 and self.frac_background >= 0
                 and self.frac_vlr + self.frac_background < 1.0):
             raise ValueError("stratum fractions must be nonnegative and leave room for positives")
@@ -270,7 +271,7 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     weights = np.where(ambiguous[..., None], 0.5, np.array([1.0, 0.0]))
     observed = np.take_along_axis(centers, picks[..., None], axis=-1)[..., 0]
 
-    gt_boxes = _boxes_from_edges(shifts, edges)
+    gt_boxes = _boxes_from_edges(shifts.T, edges.T).T
     half = cfg.anchor_half
     anchor = BoundingBox(-half, -half, half, half)
     # One shared anchor, so the samples' gt boxes are assigned in one call

@@ -290,8 +290,9 @@ def _mean_pearson_columns(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _mean_kl(z_teacher: np.ndarray, z_student: np.ndarray) -> float:
-    """Teacher-to-student KL at unit temperature, averaged per anchor."""
-    return _tempered_kl(z_student, *_tempered(z_teacher, 1.0), 1.0)[0]
+    """Teacher-to-student KL at unit temperature, averaged per anchor, on
+    the bins-first (``.T``) views of ``(A, ...)`` logits."""
+    return _tempered_kl(z_student.T, *_tempered(z_teacher.T, 1.0), 1.0)[0]
 
 
 def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
@@ -309,10 +310,10 @@ def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
     main_idx = np.flatnonzero(stack.main)
     if main_idx.size == 0:
         raise ValueError("held-out split has no main positives to score MAE on")
-    p_edges, decoded = _decode(out_s.edge_logits, dataset.grid)
-    mae = float(np.abs(decoded[main_idx] - stack.true_edges[main_idx]).mean())
+    p_main, decoded = _decode(out_s.edge_logits[main_idx].T, dataset.grid)
+    mae = float(np.abs(decoded - stack.true_edges[main_idx].T).mean())
 
-    entropy = float(_entropy(p_edges[main_idx]).mean())
+    entropy = float(_entropy(p_main).mean())
 
     a = x.shape[0]
     return ExperimentReport(

@@ -5,13 +5,21 @@ gradient with respect to the student quantity it differentiates (logits, box
 corners, or feature entries). Gradients are exact closed forms and are pinned
 against central finite differences by the test suite.
 
-Each logit-space term has one kernel, batched over a leading axis of rows,
-and the composite :class:`SceneObjective` trains with those kernels:
+Each logit-space term has one kernel, batched over K anchors, and the
+composite :class:`SceneObjective` trains with those kernels:
 ``_cross_entropy`` (classification and the two-hot DFL) and
 ``_tempered_kl`` (KD and LD, with the teacher side from ``_tempered``).
 The scalar functions (:func:`ce_loss`, :func:`dfl_loss`, :func:`kd_loss`,
-:func:`ld_edge_loss`, :func:`ld_box_loss`) are validated one-row calls of
-them, so the finite-difference suite pins the code that trains.
+:func:`ld_edge_loss`, :func:`ld_box_loss`) are validated one-anchor calls
+of them, so the finite-difference suite pins the code that trains.
+
+The kernels work bins first: a distribution's short axis (bins or classes)
+leads, then any edge axis, and the K anchors come last, the reverse (``.T``)
+of the public ``(A, C)`` and ``(A, E, m)`` layout; boxes are ``(4, K)``
+corner rows. Every numpy call of a training step then runs over contiguous
+rows of K anchors. :class:`SceneObjective` transposes the student's logits
+once per step and scatters its gradients back, so the public layouts,
+:class:`SceneOutputs` and the scalar losses are unchanged.
 
 Conventions:
 
@@ -33,8 +41,8 @@ import numpy as np
 
 from ._checks import check_finite, check_nonnegative, check_positive, check_unit_interval
 from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector,
-                      _box_grad_to_edges, _boxes_from_edges, _decode, _log_softmax,
-                      _two_hot, encode_targets)
+                      _box_grad_to_edges, _boxes_from_edges, _decode, _expectation,
+                      _log_softmax, _softmax, _two_hot, encode_targets)
 from .geometry import BoundingBox, _giou_batch
 from .regions import RegionMasks
 
@@ -115,7 +123,7 @@ class DistillConfig:
                 object.__setattr__(self, name, float(tied))
         for name in ("w_cls", "w_reg", "w_dfl", "w_ld_main", "w_ld_vlr",
                      "w_kd_main", "w_kd_vlr"):
-            object.__setattr__(self, name, check_nonnegative(name, float(getattr(self, name))))
+            object.__setattr__(self, name, float(check_nonnegative(name, getattr(self, name))))
 
     @property
     def distills(self) -> bool:
@@ -124,52 +132,47 @@ class DistillConfig:
 
 
 # ---------------------------------------------------------------------------
-# softmax helpers (batched over the last axis)
+# loss kernels, bins first: distributions on axis 0, K anchors on the last
 # ---------------------------------------------------------------------------
 
 def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tempered log-probabilities and probabilities over the last axis: the
-    frozen teacher's side of every distillation term."""
+    """Tempered log-probabilities and probabilities over axis 0: the frozen
+    teacher's side of every distillation term."""
     lt = _log_softmax(z, tau)
     return lt, np.exp(lt)
 
 
-# ---------------------------------------------------------------------------
-# loss kernels, batched over a leading axis of K rows
-# ---------------------------------------------------------------------------
-
 def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
                    weight: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Softmax cross-entropy ``-sum g ln p`` at unit temperature over K rows.
+    """Softmax cross-entropy ``-sum g ln p`` at unit temperature over K anchors.
 
-    ``z`` and ``target`` have shape ``(K, ...)``, distributions on the last
-    axis. ``picks`` holds flat (C-order) indices of shape ``(..., r)``, r per
-    distribution on the last axis, covering the target's nonzero entries;
-    the value is read from those alone. Returns the value summed over the
-    non-row axes and averaged over the K rows, its gradient times
-    ``weight``, which is ``weight * (p - target) / K``, and the
-    probabilities ``p``.
+    ``z`` and ``target`` have shape ``(m, ..., K)``: distributions on axis 0,
+    anchors on the last. ``picks`` holds flat (C-order) indices covering the
+    target's nonzero entries; the value is read from those alone. Returns
+    the value summed over the other axes and averaged over the K anchors,
+    its gradient times ``weight``, which is ``weight * (p - target) / K``,
+    and the probabilities ``p``.
     """
-    k = z.shape[0]
+    k = z.shape[-1]
     ls = _log_softmax(z, 1.0)
     p = np.exp(ls)
     # Methods and ufunc reductions called directly, as np.take and
     # ndarray.sum would call them: this runs on every training step.
     picked = target.take(picks) * ls.take(picks)
-    value = -float(np.add.reduce(np.add.reduce(picked, axis=-1), axis=None) / k)
-    return value, weight * (p - target) / k, p
+    value = -float(np.add.reduce(picked, axis=None) / k)
+    return value, (p - target) * (weight / k), p
 
 
 def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
                  tau: float) -> tuple[float, np.ndarray]:
     """Mean-per-anchor tempered KL and its gradient w.r.t. the student logits.
 
-    ``z_s`` has shape ``(K, ...)`` with logits on the last axis; ``lt`` and
-    ``q`` are the teacher's tempered log-probabilities and probabilities on
-    the same rows (see :func:`_tempered`). The KL is summed over all
-    non-anchor axes and averaged over the K anchors.
+    ``z_s`` has shape ``(m, ..., K)``, logits on axis 0 and anchors on the
+    last; ``lt`` and ``q`` are the teacher's tempered log-probabilities and
+    probabilities on the same anchors (see :func:`_tempered`). The KL is
+    summed over all other axes and averaged over the K anchors.
     """
-    k = z_s.shape[0]
+    k = z_s.shape[-1]
     ls = _log_softmax(z_s, tau)
     value = float(np.add.reduce(q * (lt - ls), axis=None) / k)
     grad = (np.exp(ls) - q) / (tau * k)
@@ -177,11 +180,12 @@ def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
 
 
 def _one_anchor_kd(zs: np.ndarray, zt: np.ndarray, tau: float) -> LossResult:
-    """The tempered-KL kernel on one anchor of equal-shape logits, with the
-    teacher entropy added back to give the cross-entropy ``value``."""
-    lt, q = _tempered(zt[None], tau)
-    kl, grad = _tempered_kl(zs[None], lt, q, tau)
-    return LossResult(value=kl - float(np.vdot(q, lt)), grad=grad[0], kl=kl)
+    """The tempered-KL kernel on one anchor of equal-shape logits, ``(m,)``
+    or ``(E, m)``, with the teacher entropy added back to give the
+    cross-entropy ``value``."""
+    lt, q = _tempered(zt.T[..., None], tau)
+    kl, grad = _tempered_kl(zs.T[..., None], lt, q, tau)
+    return LossResult(value=kl - float(np.vdot(q, lt)), grad=grad[..., 0].T, kl=kl)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +201,8 @@ def ce_loss(logits, target_weights) -> LossResult:
     g = _as_probabilities(target_weights, name="target weights")
     if z.shape != g.shape:
         raise ValueError(f"logits {z.shape} and target weights {g.shape} differ in length")
-    value, grad, _ = _cross_entropy(z[None], np.flatnonzero(g)[None], g[None], 1.0)
-    return LossResult(value=value, grad=grad[0])
+    value, grad, _ = _cross_entropy(z[:, None], np.flatnonzero(g), g[:, None], 1.0)
+    return LossResult(value=value, grad=grad[:, 0])
 
 
 def kd_loss(student_logits, teacher_logits, tau: float) -> LossResult:
@@ -254,8 +258,8 @@ def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
     """
     z = _as_vector(logits)
     g, picks = _two_hot(target.i, target.u1, target.u2, z.shape[0])
-    value, grad, _ = _cross_entropy(z[None], picks[None], g[None], 1.0)
-    return LossResult(value=value, grad=grad[0])
+    value, grad, _ = _cross_entropy(z[:, None], picks, g[:, None], 1.0)
+    return LossResult(value=value, grad=grad[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +268,14 @@ def dfl_loss(logits, target: TwoHotTarget) -> LossResult:
 
 def giou_regression_loss(student_box: BoundingBox, gt_box: BoundingBox) -> LossResult:
     """Box regression loss ``1 - GIoU`` with gradient over the 4 student corners."""
-    vals, grads = _giou_batch(
-        np.asarray([student_box.to_list()]), np.asarray([gt_box.to_list()])
-    )
-    return LossResult(value=1.0 - float(vals[0]), grad=-grads[0])
+    vals, grads = _giou_batch(np.asarray(student_box.to_list())[:, None],
+                              np.asarray(gt_box.to_list())[:, None])
+    return LossResult(value=1.0 - float(vals[0]), grad=-grads[:, 0])
 
 
 def _corner_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(((a - b) ** 2).sum(axis=-1))
+    """Corner-coordinate L2 distances of ``(4,)`` or ``(4, K)`` boxes."""
+    return np.sqrt(((a - b) ** 2).sum(axis=0))
 
 
 def tbr_loss(
@@ -390,15 +394,22 @@ class SceneTruth:
         object.__setattr__(self, "points", points)
 
 
+def _require_distances(grid: BinGrid, term: str) -> None:
+    """Box terms decode boxes from edge distances, so ``term`` needs a grid
+    of nonnegative ones."""
+    if grid.e_min < 0.0:
+        raise ValueError(f"{term} needs nonnegative edge distances (grid.e_min >= 0)")
+
+
 def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
                        g_edge_vals: np.ndarray) -> np.ndarray:
     """Chain an edge-value gradient through the softmax expectation decode.
 
-    ``p`` is ``(K, E, m)`` probabilities, ``yhat = p @ endpoints`` and
-    ``g_edge_vals`` are ``(K, E)``; returns the ``(K, E, m)`` gradient
+    ``p`` is ``(m, E, K)`` probabilities, their expectations ``yhat`` and
+    ``g_edge_vals`` are ``(E, K)``; returns the ``(m, E, K)`` gradient
     w.r.t. the edge logits.
     """
-    return g_edge_vals[:, :, None] * p * (endpoints - yhat[:, :, None])
+    return g_edge_vals * p * (endpoints[:, None, None] - yhat)
 
 
 class SceneObjective:
@@ -406,12 +417,13 @@ class SceneObjective:
 
     Built once per (truth, masks, config, teacher outputs): it validates
     the inputs and computes everything that does not depend on the
-    student, namely the main/VLR indices, the one-hot labels, the main
-    rows' edge target distributions, the ground-truth boxes, and the
-    frozen teacher's tempered log-probabilities on the rows each active
-    distillation term reads. :meth:`step` then does only student-dependent
-    work and checks nothing: it is a training loop's inner step, and
-    :func:`total_loss` is its validated one-shot form and defines the math.
+    student, bins first: the main/VLR indices, the one-hot labels, the main
+    rows' edge target distributions, the sample points and ground-truth
+    boxes, and the frozen teacher's tempered log-probabilities on the rows
+    each active distillation term reads. :meth:`step` then does only
+    student-dependent work and checks nothing: it is a training loop's
+    inner step, and :func:`total_loss` is its validated one-shot form and
+    defines the math.
 
     The main rows' edge targets default to the two-hot encodings of
     ``truth.edge_targets`` (DFL). ``edge_dists``, ``(K, E, m)`` over the K
@@ -425,8 +437,9 @@ class SceneObjective:
                  teacher: SceneOutputs | None, n_classes: int,
                  edge_dists: np.ndarray | None = None, tbr_weight: float = 0.0) -> None:
         a, n_edges = truth.edge_targets.shape
+        m = cfg.grid.size
         self.cls_shape = (a, int(n_classes))
-        self.edge_shape = (a, n_edges, cfg.grid.size)
+        self.edge_shape = (a, n_edges, m)
         if len(masks) != a:
             raise ValueError("scene truth and masks disagree on the anchor count")
         if ((truth.labels < 0) | (truth.labels >= n_classes)).any():
@@ -438,49 +451,48 @@ class SceneObjective:
             if (teacher.cls_logits.shape != self.cls_shape
                     or teacher.edge_logits.shape != self.edge_shape):
                 raise ValueError("teacher and student scene outputs must have identical shapes")
-        if cfg.w_reg > 0.0 and cfg.grid.e_min < 0.0:
-            raise ValueError(
-                "the box regression term needs nonnegative edge distances (grid.e_min >= 0)"
-            )
+        if cfg.w_reg > 0.0:
+            _require_distances(cfg.grid, "the box regression term")
         self.cfg = cfg
         self.tbr_weight = float(check_nonnegative("tbr_weight", tbr_weight))
-        # Each cross-entropy target with the flat picks of its nonzero entries.
-        self._cls_picks = (np.arange(a) * n_classes + truth.labels)[:, None]
-        self._onehot = np.zeros(self.cls_shape)
+        # Each cross-entropy target, bins first, with the flat picks of its
+        # nonzero entries.
+        self._cls_picks = truth.labels * a + np.arange(a)
+        self._onehot = np.zeros((int(n_classes), a))
         np.put(self._onehot, self._cls_picks, 1.0)
         self.main_idx = np.flatnonzero(masks.main)
         self.vlr_idx = np.flatnonzero(masks.vlr)
 
         k = self.main_idx.size
-        targets = truth.edge_targets[self.main_idx]
+        targets = truth.edge_targets[self.main_idx].T
         if edge_dists is None:
-            self._edge_dists, self._edge_picks = _two_hot(*encode_targets(targets, cfg.grid),
-                                                          cfg.grid.size)
+            self._edge_dists, self._edge_picks = _two_hot(*encode_targets(targets, cfg.grid), m)
         else:
-            self._edge_dists = np.asarray(edge_dists, dtype=np.float64)
-            if self._edge_dists.shape != (k, n_edges, cfg.grid.size):
-                raise ValueError(f"edge_dists must be {(k, n_edges, cfg.grid.size)} over the "
-                                 f"main positives, got {self._edge_dists.shape}")
+            edge_dists = np.asarray(edge_dists, dtype=np.float64)
+            if edge_dists.shape != (k, n_edges, m):
+                raise ValueError(f"edge_dists must be {(k, n_edges, m)} over the "
+                                 f"main positives, got {edge_dists.shape}")
+            self._edge_dists = np.ascontiguousarray(edge_dists.T)
             # A general distribution may be nonzero anywhere: pick every entry.
-            self._edge_picks = np.arange(self._edge_dists.size).reshape(self._edge_dists.shape)
-        self._points = truth.points[self.main_idx]
+            self._edge_picks = np.arange(edge_dists.size)
+        self._points = np.ascontiguousarray(truth.points[self.main_idx].T)
         self._boxes_g = _boxes_from_edges(self._points, targets)
 
         # Frozen teacher: main-row edge logits (decoded on first TBR use) and,
-        # for each active distillation term, its weight, rows and head, and
-        # the teacher's tempered log-probabilities and probabilities there.
+        # for each active distillation term, its weight and the teacher's
+        # tempered log-probabilities and probabilities on the term's rows:
+        # the edge logits of the main or VLR rows, or their class logits.
         self._teacher_main_edges = None
         self._teacher_terms: dict[str, tuple] = {}
         if teacher is not None:
-            self._teacher_main_edges = teacher.edge_logits[self.main_idx]
+            self._teacher_main_edges = teacher.edge_logits[self.main_idx].T
             for name, weight, rows_idx, head in (
-                    ("ld_main", cfg.w_ld_main, self.main_idx, "edge_logits"),
-                    ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, "edge_logits"),
-                    ("kd_main", cfg.w_kd_main, self.main_idx, "cls_logits"),
-                    ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, "cls_logits")):
+                    ("ld_main", cfg.w_ld_main, self.main_idx, teacher.edge_logits),
+                    ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, teacher.edge_logits),
+                    ("kd_main", cfg.w_kd_main, self.main_idx, teacher.cls_logits),
+                    ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, teacher.cls_logits)):
                 if weight > 0.0 and rows_idx.size:
-                    lt, q = _tempered(getattr(teacher, head)[rows_idx], cfg.tau)
-                    self._teacher_terms[name] = (weight, rows_idx, head, lt, q)
+                    self._teacher_terms[name] = (weight, *_tempered(head[rows_idx].T, cfg.tau))
         if self.tbr_weight > 0.0:
             _ = self._boxes_t  # without a teacher, fail here rather than at the first step
 
@@ -499,69 +511,80 @@ class SceneObjective:
         ``tbr_weight``, its multiple of TBR is in the value and gradient but
         not in the components."""
         cfg = self.cfg
-        endpoints = cfg.grid.endpoints
-        main_idx = self.main_idx
-        k_main = main_idx.size
-
-        # Classification cross-entropy over every anchor.
-        l_cls, grad_cls, _ = _cross_entropy(student.cls_logits, self._cls_picks,
-                                            self._onehot, cfg.w_cls)
-        grad_edges = np.zeros(self.edge_shape)
-
-        # Edge cross-entropy (DFL) and box regression over the main positives.
-        l_reg = l_dfl = 0.0
-        if k_main:
-            l_dfl, g_main, p_e = _cross_entropy(student.edge_logits[main_idx], self._edge_picks,
-                                                self._edge_dists, cfg.w_dfl)
-            yhat = p_e @ endpoints
-            boxes_s = _boxes_from_edges(self._points, yhat)
-            giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
-            l_reg = float(np.add.reduce(1.0 - giou_vals) / k_main)  # the mean
-            g_edge_vals = _box_grad_to_edges(-cfg.w_reg * dgiou / k_main)
-            grad_edges[main_idx] = g_main + _expectation_chain(p_e, yhat, endpoints, g_edge_vals)
-
-        # Each active distillation term on its own rows.
-        grads = {"cls_logits": grad_cls, "edge_logits": grad_edges}
+        terms = self._teacher_terms
+        main_idx, vlr_idx = self.main_idx, self.vlr_idx
         kl = dict.fromkeys(("ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
-        for name, (weight, rows_idx, head, lt, q) in self._teacher_terms.items():
-            kl[name], g = _tempered_kl(getattr(student, head)[rows_idx], lt, q, cfg.tau)
-            grads[head][rows_idx] += weight * g
+
+        # Classification cross-entropy over every anchor, and KD on its rows,
+        # on one bins-first copy of the class logits.
+        z_cls = student.cls_logits.T.copy()
+        l_cls, grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot, cfg.w_cls)
+        for name, rows_idx in (("kd_main", main_idx), ("kd_vlr", vlr_idx)):
+            if name in terms:
+                weight, lt, q = terms[name]
+                kl[name], g = _tempered_kl(z_cls.take(rows_idx, axis=1), lt, q, cfg.tau)
+                grad_cls[:, rows_idx] += weight * g
+
+        # Over the main positives, on one bins-first copy of their edge
+        # logits: the edge cross-entropy (DFL), the box regression with any
+        # TBR, and LD, summed into one gradient that is scattered once.
+        grad_edges = np.zeros(self.edge_shape)
+        l_reg = l_dfl = l_tbr = 0.0
+        if main_idx.size:
+            z_main = student.edge_logits[main_idx].T.copy()
+            l_dfl, g_main, p_e = _cross_entropy(z_main, self._edge_picks, self._edge_dists,
+                                                cfg.w_dfl)
+            l_reg, l_tbr, g_box = self._box_terms(p_e, cfg.w_reg, self.tbr_weight)
+            g_main += g_box
+            if "ld_main" in terms:
+                weight, lt, q = terms["ld_main"]
+                kl["ld_main"], g = _tempered_kl(z_main, lt, q, cfg.tau)
+                g_main += weight * g
+            grad_edges[main_idx] = g_main.T
+        if "ld_vlr" in terms:
+            weight, lt, q = terms["ld_vlr"]
+            kl["ld_vlr"], g = _tempered_kl(student.edge_logits[vlr_idx].T, lt, q, cfg.tau)
+            grad_edges[vlr_idx] = weight * g.T
 
         components = {"cls": l_cls, "reg": l_reg, "dfl": l_dfl, **kl}
         value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
                  + cfg.w_ld_main * kl["ld_main"] + cfg.w_ld_vlr * kl["ld_vlr"]
-                 + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"])
-        if self.tbr_weight > 0.0 and k_main:
-            l_tbr, rows, g_tbr = self._tbr(p_e, yhat, boxes_s, giou_vals, dgiou)
-            value += self.tbr_weight * l_tbr
-            grad_edges[rows] += self.tbr_weight * g_tbr
-        return value, grad_cls, grad_edges, components
+                 + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"]
+                 + self.tbr_weight * l_tbr)
+        return value, grad_cls.T, grad_edges, components
 
     @cached_property
     def _boxes_t(self) -> np.ndarray:
         """The teacher's decoded main boxes, the TBR gate's reference."""
         if self._teacher_main_edges is None:
             raise ValueError("teacher-bounded regression needs teacher outputs")
-        if self.cfg.grid.e_min < 0.0:
-            raise ValueError(
-                "teacher-bounded regression needs nonnegative edge distances (grid.e_min >= 0)"
-            )
+        _require_distances(self.cfg.grid, "teacher-bounded regression")
         _, yhat = _decode(self._teacher_main_edges, self.cfg.grid)
         return _boxes_from_edges(self._points, yhat)
 
-    def _tbr(self, p_s: np.ndarray, yhat: np.ndarray, boxes_s: np.ndarray,
-             giou_vals: np.ndarray, dgiou: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """TBR from the student's decoded main rows (probabilities, edge
-        expectations, boxes, and their GIoU and its gradient to the ground
-        truth): the value, the anchors whose gate is open and their
-        ``(n, E, m)`` edge-logit gradient."""
-        boxes_g = self._boxes_g
-        active = (_corner_l2(boxes_s, boxes_g) + self.cfg.tbr_margin
-                  > _corner_l2(self._boxes_t, boxes_g))
+    def _box_terms(self, p: np.ndarray, w_reg: float,
+                   w_tbr: float) -> tuple[float, float, np.ndarray]:
+        """The box terms at the student's main-row edge probabilities ``p``:
+        the ``1 - GIoU`` regression value, the TBR value (0 unless
+        ``w_tbr > 0``), and the ``(m, E, K)`` edge-logit gradient of their
+        sum at weights ``w_reg`` and ``w_tbr``, chained through the decode
+        once. TBR is the regression term on the anchors whose decoded box is
+        farther from the ground truth than the teacher's by more than the
+        margin."""
         k = self.main_idx.size
-        grad = _expectation_chain(p_s[active], yhat[active], self.cfg.grid.endpoints,
-                                  _box_grad_to_edges(-dgiou[active] / k))
-        return float(np.add.reduce(1.0 - giou_vals[active]) / k), self.main_idx[active], grad
+        yhat = _expectation(p, self.cfg.grid)
+        boxes_s = _boxes_from_edges(self._points, yhat)
+        giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
+        l_reg = float(np.add.reduce(1.0 - giou_vals) / k)  # the mean
+        l_tbr = 0.0
+        weight = w_reg
+        if w_tbr > 0.0:
+            active = (_corner_l2(boxes_s, self._boxes_g) + self.cfg.tbr_margin
+                      > _corner_l2(self._boxes_t, self._boxes_g))
+            l_tbr = float(np.add.reduce(1.0 - giou_vals[active]) / k)
+            weight = w_reg + w_tbr * active
+        g_edge_vals = _box_grad_to_edges(dgiou * (-weight / k))
+        return l_reg, l_tbr, _expectation_chain(p, yhat, self.cfg.grid.endpoints, g_edge_vals)
 
     def tbr_step(self, student: SceneOutputs) -> tuple[float, np.ndarray]:
         """Teacher-bounded regression at ``student``: ``(value, grad_edges
@@ -570,10 +593,9 @@ class SceneObjective:
         grad_edges = np.zeros(self.edge_shape)
         if not self.main_idx.size:
             return 0.0, grad_edges
-        p_s, yhat = _decode(student.edge_logits[self.main_idx], self.cfg.grid)
-        boxes_s = _boxes_from_edges(self._points, yhat)
-        value, rows, grad = self._tbr(p_s, yhat, boxes_s, *_giou_batch(boxes_s, self._boxes_g))
-        grad_edges[rows] = grad
+        p_s = _softmax(student.edge_logits[self.main_idx].T, 1.0)
+        _, value, grad = self._box_terms(p_s, 0.0, 1.0)
+        grad_edges[self.main_idx] = grad.T
         return value, grad_edges
 
 

@@ -23,7 +23,9 @@ gradients come from the loss kernels that training uses
 
 The public one-vector functions (:func:`verify_proposition1`,
 :func:`decompose_localization`, :func:`gradient_rescaling_ratio`) are
-validated one-row calls of the same stacked kernels.
+validated one-row calls of the same stacked kernels. The stacks are drawn
+as ``(n, m)`` arrays, one trial per row, and reach the kernels transposed,
+bins first (see :mod:`locdistill.losses`).
 """
 
 from __future__ import annotations
@@ -98,16 +100,18 @@ def _proposition1_gaps(s: np.ndarray, p: np.ndarray, q: np.ndarray, u1: np.ndarr
 
     ``s``, ``p`` and ``q`` are ``(n, m)`` stacks of tempered probabilities,
     ``u1`` and ``tau`` ``(n, 1)`` columns. The three teachers' gradients are
-    one call of the training KD kernel on a ``(1, 3, n, m)`` array: its
-    leading K axis is 1, so the ``1 / (tau * K)`` divisor is the one-row one.
-    ``perturbation`` biases the combined-target gradient (a negative control).
+    one call of the training KD kernel on the transposed ``(m, 3, n, 1)``
+    array: its trailing anchor axis is 1, so the ``1 / (tau * K)`` divisor
+    is the one-row one. ``perturbation`` biases the combined-target
+    gradient (a negative control).
     """
     u2 = 1.0 - u1
     combined = u1 * p + u2 * q
-    lt, q_t = _tempered(_logits_for(np.stack([combined, p, q]), tau)[None], tau)
-    _, grad = _tempered_kl(_logits_for(s, tau)[None, None], lt, q_t, tau)
-    g_combined, g_p, g_q = grad[0]
-    return np.abs(g_combined + perturbation - (u1 * g_p + u2 * g_q)).max(axis=-1)
+    teachers = np.stack([combined, p, q], axis=1).T[..., None]
+    lt, q_t = _tempered(_logits_for(teachers, tau), tau)
+    _, grad = _tempered_kl(_logits_for(s.T[:, None, :, None], tau), lt, q_t, tau)
+    g_combined, g_p, g_q = grad[:, 0], grad[:, 1], grad[:, 2]
+    return np.abs(g_combined + perturbation - (u1 * g_p + u2 * g_q)).max(axis=0)[:, 0]
 
 
 def verify_proposition1(s, p, q, u1: float, tau: float,
@@ -252,18 +256,20 @@ def _rescaling_setup(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray
                      u2: np.ndarray, gamma: np.ndarray, lam: np.ndarray, tau: np.ndarray):
     """The noise-free steps of the rescaling identity for ``(n, m)`` stacks
     ``p`` and ``c`` and per-row ``(n,)`` two-hot targets ``(i, u1, u2)`` and
-    coefficients. Returns the student logits, ``p_tau``, the prepared
-    confidence, the predicted ratio and the two-hot DFL gradient at ``i``.
-    The DFL gradient is one call of the training cross-entropy kernel."""
+    coefficients. Returns the transposed ``(m, n, 1)`` student logits,
+    ``p_tau``, the prepared confidence, the predicted ratio and the two-hot
+    DFL gradient at ``i``. The softmax and the DFL gradient are one call
+    each of the training kernels on the transposed stack, whose trailing
+    anchor axis is 1."""
     n, m = p.shape
     rows = np.arange(n)
-    z_s = np.log(p)
-    p_tau = _softmax(z_s, tau[:, None])
+    z_s = np.log(p).T[..., None]
+    p_tau = _softmax(z_s, tau[:, None])[..., 0].T
     c_eff = _prepare_confidence(p_tau, c)
     predicted = gamma + (lam / tau) * c_eff[rows, i] / (u1 - p[rows, i])
     target, picks = _two_hot(i, u1, u2, m)
-    _, dfl_grad, _ = _cross_entropy(z_s[None], picks, target[None], 1.0)
-    return z_s, p_tau, c_eff, predicted, dfl_grad[0, rows, i]
+    _, dfl_grad, _ = _cross_entropy(z_s, picks, target[..., None], 1.0)
+    return z_s, p_tau, c_eff, predicted, dfl_grad[i, rows, 0]
 
 
 def _exact_rescaling(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray,
@@ -272,12 +278,12 @@ def _exact_rescaling(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray
     """Measured and predicted noise-free rescaling ratios, ``(n,)`` each, for
     the stacked instances of :func:`_rescaling_setup`. The teacher is
     ``q_tau = p_tau + c``; its KD gradient is one call of the training KD
-    kernel on a ``(1, n, m)`` array."""
+    kernel on the transposed ``(m, n, 1)`` stack."""
     z_s, p_tau, c_eff, predicted, dfl_i = _rescaling_setup(p, c, i, u1, u2, gamma, lam, tau)
     tau_col = tau[:, None]
-    lt, q = _tempered(_logits_for(p_tau + c_eff, tau_col)[None], tau_col)
-    _, kd_grad = _tempered_kl(z_s[None], lt, q, tau_col)
-    ld_i = gamma * dfl_i + lam * kd_grad[0, np.arange(p.shape[0]), i]
+    lt, q = _tempered(_logits_for(p_tau + c_eff, tau_col).T[..., None], tau_col)
+    _, kd_grad = _tempered_kl(z_s, lt, q, tau_col)
+    ld_i = gamma * dfl_i + lam * kd_grad[i, np.arange(p.shape[0]), 0]
     return ld_i / dfl_i, predicted
 
 

@@ -112,3 +112,131 @@ def relative_gradient_error(analytic, numeric) -> float:
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1.0)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+def _oracle_log_softmax(z, tau=1.0):
+    """Row-wise tempered log-softmax over the last axis."""
+    zt = z / tau
+    zt = zt - zt.max(axis=-1, keepdims=True)
+    return zt - np.log(np.exp(zt).sum(axis=-1, keepdims=True))
+
+
+def _oracle_two_hot(y, endpoints):
+    """Dense two-hot targets of values ``y`` on a uniform grid, last axis."""
+    n = endpoints.size - 1
+    delta = (endpoints[-1] - endpoints[0]) / n
+    idx = np.minimum(np.floor((y - endpoints[0]) / delta).astype(np.int64), n - 1)
+    u2 = np.clip((y - endpoints[idx]) / delta, 0.0, 1.0)
+    g = np.zeros(y.shape + (n + 1,))
+    np.put_along_axis(g, idx[..., None], (1.0 - u2)[..., None], axis=-1)
+    np.put_along_axis(g, idx[..., None] + 1, u2[..., None], axis=-1)
+    return g
+
+
+def _oracle_boxes(points, edges):
+    """(K, 4) corner boxes from (K, 2) points and (K, 4) (t, b, l, r) edges."""
+    t, b, l, r = edges.T
+    px, py = points.T
+    return np.stack([px - l, py - t, px + r, py + b], axis=1)
+
+
+def _oracle_giou_and_grad(s, g):
+    """GIoU of (K, 4) box pairs and its gradient w.r.t. the first box's
+    corners, written out corner by corner. At a tie the max or min of two
+    corners is taken to be the second box's."""
+    sx1, sy1, sx2, sy2 = s.T
+    gx1, gy1, gx2, gy2 = g.T
+    iw = np.minimum(sx2, gx2) - np.maximum(sx1, gx1)
+    ih = np.minimum(sy2, gy2) - np.maximum(sy1, gy1)
+    overlap = (iw > 0) & (ih > 0)
+    inter = np.where(overlap, iw * ih, 0.0)
+    sw, sh = sx2 - sx1, sy2 - sy1
+    union = sw * sh + (gx2 - gx1) * (gy2 - gy1) - inter
+    cw = np.maximum(sx2, gx2) - np.minimum(sx1, gx1)
+    ch = np.maximum(sy2, gy2) - np.minimum(sy1, gy1)
+    hull = cw * ch
+    giou = inter / union - (hull - union) / hull
+
+    d_inter = np.stack([np.where(overlap & (sx1 > gx1), -ih, 0.0),
+                        np.where(overlap & (sy1 > gy1), -iw, 0.0),
+                        np.where(overlap & (sx2 < gx2), ih, 0.0),
+                        np.where(overlap & (sy2 < gy2), iw, 0.0)], axis=1)
+    d_area = np.stack([-sh, -sw, sh, sw], axis=1)
+    d_hull = np.stack([np.where(sx1 < gx1, -ch, 0.0), np.where(sy1 < gy1, -cw, 0.0),
+                       np.where(sx2 > gx2, ch, 0.0), np.where(sy2 > gy2, cw, 0.0)], axis=1)
+    d_union = d_area - d_inter
+    u, c, i = union[:, None], hull[:, None], inter[:, None]
+    grad = (d_inter * u - i * d_union) / u ** 2 + (d_union * c - u * d_hull) / c ** 2
+    return giou, grad
+
+
+def composite_objective_oracle(student, teacher, labels, edge_targets, points, main, vlr,
+                               endpoints, weights, tau, tbr_margin, tbr_weight=0.0,
+                               edge_dists=None):
+    """Reference for the composite scene objective, in the public layout
+    with row-wise (last-axis) numpy.
+
+    ``student`` and ``teacher`` are ``(cls (A, C), edges (A, E, m))`` pairs
+    (``teacher`` may be None without distillation or TBR), ``main`` and
+    ``vlr`` boolean masks, ``weights`` maps ``w_cls .. w_kd_vlr`` to floats.
+    The main rows' edge targets are the two-hot encodings of
+    ``edge_targets`` unless ``edge_dists`` ``(K, E, m)`` gives them.
+    ``tbr_weight`` adds that multiple of teacher-bounded regression to the
+    value and gradient. Returns ``(value, grad_cls, grad_edges,
+    components)``.
+    """
+    cls, edges = student
+    a, n_classes = cls.shape
+    grad_cls = np.zeros_like(cls)
+    grad_edges = np.zeros_like(edges)
+    comps = dict.fromkeys(("cls", "reg", "dfl", "ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
+
+    onehot = np.eye(n_classes)[labels]
+    log_p = _oracle_log_softmax(cls)
+    comps["cls"] = -(onehot * log_p).sum() / a
+    grad_cls += weights["w_cls"] * (np.exp(log_p) - onehot) / a
+
+    rows = np.flatnonzero(main)
+    k = rows.size
+    value_tbr = 0.0
+    if k:
+        z = edges[rows]
+        target = _oracle_two_hot(edge_targets[rows], endpoints) if edge_dists is None \
+            else edge_dists
+        log_p = _oracle_log_softmax(z)
+        p = np.exp(log_p)
+        comps["dfl"] = -(target * log_p).sum() / k
+        grad_edges[rows] += weights["w_dfl"] * (p - target) / k
+        yhat = (p * endpoints).sum(axis=-1)
+        boxes_s = _oracle_boxes(points[rows], yhat)
+        boxes_g = _oracle_boxes(points[rows], edge_targets[rows])
+        giou, d_giou = _oracle_giou_and_grad(boxes_s, boxes_g)
+        comps["reg"] = (1.0 - giou).sum() / k
+        corner_w = np.full(k, weights["w_reg"])
+        if tbr_weight > 0.0:
+            q_t = np.exp(_oracle_log_softmax(teacher[1][rows]))
+            boxes_t = _oracle_boxes(points[rows], (q_t * endpoints).sum(axis=-1))
+            dist_s = np.sqrt(((boxes_s - boxes_g) ** 2).sum(axis=1))
+            dist_t = np.sqrt(((boxes_t - boxes_g) ** 2).sum(axis=1))
+            active = dist_s + tbr_margin > dist_t
+            value_tbr = (1.0 - giou[active]).sum() / k
+            corner_w = corner_w + tbr_weight * active
+        g_corner = -corner_w[:, None] * d_giou / k
+        gx1, gy1, gx2, gy2 = g_corner.T
+        g_edge = np.stack([-gy1, gy2, -gx1, gx2], axis=1)  # d/dt, d/db, d/dl, d/dr
+        grad_edges[rows] += g_edge[..., None] * p * (endpoints - yhat[..., None])
+
+    for name, mask, head in (("ld_main", main, 1), ("ld_vlr", vlr, 1),
+                             ("kd_main", main, 0), ("kd_vlr", vlr, 0)):
+        idx = np.flatnonzero(mask)
+        if weights["w_" + name] > 0.0 and idx.size:
+            log_s = _oracle_log_softmax(student[head][idx], tau)
+            log_t = _oracle_log_softmax(teacher[head][idx], tau)
+            q = np.exp(log_t)
+            comps[name] = (q * (log_t - log_s)).sum() / idx.size
+            grad = weights["w_" + name] * (np.exp(log_s) - q) / (tau * idx.size)
+            (grad_edges if head else grad_cls)[idx] += grad
+
+    value = sum(weights["w_" + name] * comps[name] for name in
+                ("cls", "reg", "dfl", "ld_main", "ld_vlr", "kd_main", "kd_vlr"))
+    return value + tbr_weight * value_tbr, grad_cls, grad_edges, comps

@@ -108,15 +108,43 @@ class TestGeneralizedSoftmax:
         assert p.sum() == 1.0
 
     def test_one_softmax_kernel_for_training_and_theory(self):
+        """The kernels take the bins on axis 0: a stacked ``(m, n)`` call is n
+        single-column calls bit for bit, so training and theory stacks agree
+        with the scalar losses. n = 8 makes the ``1 / K`` of the stacked
+        gradients an exact power-of-two scaling of the one-column ones."""
         from locdistill import boxdist, losses
 
         assert losses._log_softmax is boxdist._log_softmax
-        z = np.random.default_rng(5).normal(0, 3, size=(4, 9))
-        tau = np.array([[0.5], [1.0], [3.0], [20.0]])
-        stacked = boxdist._softmax(z, tau)
-        assert np.array_equal(stacked, np.exp(losses._log_softmax(z, tau)))
-        for row, t in zip(range(4), tau[:, 0]):
-            assert np.array_equal(generalized_softmax(z[row], t), stacked[row])
+        n = 8
+        for m in (2, 5, 9, 17):
+            rng = np.random.default_rng(5 + m)
+            z, z_t = rng.normal(0, 3, size=(2, m, n))
+            tau = rng.uniform(0.5, 20.0, size=n)
+            target = rng.dirichlet(np.ones(m), size=n).T
+            log_p = losses._log_softmax(z, tau)
+            assert np.array_equal(boxdist._softmax(z, tau), np.exp(log_p))
+            assert np.array_equal(losses._log_softmax(np.asfortranarray(z), tau), log_p)
+            value, g_ce, p = losses._cross_entropy(z, np.arange(m * n), target, 1.0)
+            lt, q = losses._tempered(z_t, 3.0)
+            kl, g_kl = losses._tempered_kl(z, lt, q, 3.0)
+            values, kls = [], []
+            for j in range(n):
+                col = slice(j, j + 1)
+                assert np.array_equal(generalized_softmax(z[:, j], tau[j]),
+                                      np.exp(log_p[:, j]))
+                assert np.array_equal(losses._log_softmax(z[:, col], tau[j]), log_p[:, col])
+                v, g, p_j = losses._cross_entropy(z[:, col], np.arange(m), target[:, col], 1.0)
+                assert np.array_equal(p_j, p[:, col])
+                assert np.array_equal(g / n, g_ce[:, col])
+                lt_j, q_j = losses._tempered(z_t[:, col], 3.0)
+                assert np.array_equal(lt_j, lt[:, col]) and np.array_equal(q_j, q[:, col])
+                k, g = losses._tempered_kl(z[:, col], lt_j, q_j, 3.0)
+                assert np.array_equal(g / n, g_kl[:, col])
+                values.append(v)
+                kls.append(k)
+            # The values are sums over all entries, so only their rounding differs.
+            assert value == pytest.approx(math.fsum(values) / n, rel=1e-14)
+            assert kl == pytest.approx(math.fsum(kls) / n, rel=1e-12, abs=1e-15)
 
     def test_uniform_limit(self):
         z = np.random.default_rng(4).normal(0, 3, size=9)

@@ -114,6 +114,14 @@ class TestConfigValidation:
         ["--set", "verify.sizes=[5.5]", "verify"],
         ["--set", "threads=true", "experiment"],
         ["--set", "harness.train_features=maybe", "experiment"],
+        ["--set", "harness.lr=true", "experiment"],
+        ["--set", "distill.tau=true", "experiment"],
+        ["--set", "distill.gamma_vlr=false", "experiment"],
+        ["--set", "verify.eta_scale=true", "verify"],
+        ["--set", "distill.w_reg=true", "experiment"],
+        ["--set", "harness.frac_vlr=false", "experiment"],
+        ["--set", "grid.e_min=false", "dump-assignment"],
+        ["--set", "verify.inject_error=true", "verify"],
     ])
     def test_bad_integer_or_boolean_is_config_error(self, tmp_path, capsys, argv):
         fast = {"verify": FAST_VERIFY, "experiment": FAST_EXPERIMENT}.get(argv[-1], [])
@@ -121,6 +129,30 @@ class TestConfigValidation:
         assert main(["-o", str(out), *fast, *argv]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, term", [
+        (["experiment"], "the box regression term"),
+        (["--set", "distill.w_reg=0", "--set", "experiment.schemes=[tbr]", "experiment"],
+         "teacher-bounded regression"),
+        (["sweep"], "the box regression term"),
+        (["--set", "distill.w_reg=0", "sweep"], "teacher-bounded regression"),
+    ])
+    def test_negative_grid_for_box_terms_is_config_error(self, tmp_path, capsys, argv, term):
+        out = tmp_path / "out"
+        assert main(["-o", str(out), "--set", "grid.e_min=-1", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {term} needs nonnegative edge distances (grid.e_min >= 0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        [*FAST_VERIFY, "verify"],
+        ["dump-assignment"],
+        [*FAST_EXPERIMENT, "--set", "distill.w_reg=0", "experiment"],
+        [*FAST_SWEEP, "--set", "distill.w_reg=0", "--set", "harness.tbr_weight=0",
+         "--set", "sweep.schemes=[baseline, tbr]", "sweep"],
+    ])
+    def test_negative_grid_accepted_without_box_terms(self, tmp_path, argv):
+        assert main(["-o", str(tmp_path), "--set", "grid.e_min=-1", *argv]) == 0
 
     def test_integral_floats_are_counts(self):
         cfg = load_run_config(None, ["seed=2.0", "verify.trials=1e3", "harness.epochs=60.0",

@@ -25,7 +25,7 @@ from locdistill.losses import (
 )
 from locdistill.regions import RegionMasks
 
-from oracles import central_difference, relative_gradient_error
+from oracles import central_difference, composite_objective_oracle, relative_gradient_error
 
 GRID = make_grid(0, 8, 8)
 
@@ -692,6 +692,83 @@ class TestSceneObjective:
         objective = SceneObjective(truth, masks, cfg, None, n_classes=2)
         with pytest.raises(ValueError, match="teacher"):
             objective.tbr_step(student)
+
+
+def _oracle_cases(a, seed):
+    """The objectives the harness trains, on one scene of ``a`` anchors:
+    every scheme's student objective (TBR at the harness's weight) and the
+    teacher's, whose main-row targets are general distributions. A = 192
+    is the harness's training split; smaller scenes are random, with the
+    first anchor main-positive and the second in the VLR. Yields the
+    objective's arguments and a student."""
+    from locdistill.harness import HarnessConfig
+    from locdistill.harness.data import binned_mixture, gen_dataset
+    from locdistill.harness.experiments import SCHEMES, _new_model, scheme_config
+
+    h = HarnessConfig()
+    base = DistillConfig(grid=GRID)
+    rng = _rng(seed)
+    if a == h.n_train:
+        dataset = gen_dataset(h, base, seed)
+        stack = dataset.train
+        student = _new_model(h, GRID, seed).forward(stack.features)[0]
+        teacher = _new_model(h, GRID, seed + 1).forward(stack.features)[0]
+        truth, masks = stack.truth, stack.masks
+        true_truth = SceneTruth(labels=truth.labels, edge_targets=stack.true_edges,
+                                points=truth.points)
+        main = np.flatnonzero(masks.main)
+        bayes = binned_mixture(stack.centers[main], stack.weights[main], GRID)
+    else:
+        student, teacher = (SceneOutputs(cls_logits=rng.normal(0, 2, (a, 2)),
+                                         edge_logits=rng.normal(0, 2, (a, 4, GRID.size)))
+                            for _ in range(2))
+        truth = SceneTruth(labels=rng.integers(0, 2, a),
+                           edge_targets=rng.uniform(1.0, 7.0, (a, 4)),
+                           points=rng.uniform(-1.0, 1.0, (a, 2)))
+        true_truth = truth
+        masks = _masks(np.arange(a) == 0, np.arange(a) == 1)
+        bayes = rng.dirichlet(np.ones(GRID.size), size=(1, 4))
+    for name, spec in SCHEMES.items():
+        cfg = scheme_config(spec, base, h.ld_dfl_scale)
+        yield (name, truth, masks, cfg, teacher if spec.needs_teacher else None,
+               None, h.tbr_weight if spec.tbr else 0.0, student)
+    edge_dists = (1.0 - h.label_smoothing) * bayes + h.label_smoothing / GRID.size
+    teacher_cfg = DistillConfig(grid=GRID, w_ld_main=0.0, w_ld_vlr=0.0, w_kd_main=0.0,
+                                w_kd_vlr=0.0)
+    yield "teacher", true_truth, masks, teacher_cfg, None, edge_dists, 0.0, student
+
+
+class TestObjectiveMatchesOracle:
+    """``SceneObjective.step`` against an independent last-axis reference:
+    the value, both gradient blocks and every component within 1e-12
+    relative."""
+
+    WEIGHTS = ("w_cls", "w_reg", "w_dfl", "w_ld_main", "w_ld_vlr", "w_kd_main", "w_kd_vlr")
+
+    @staticmethod
+    def _close(got, ref):
+        got, ref = np.asarray(got), np.asarray(ref)
+        return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("a, seed", [(2, 131), (2, 132), (5, 133), (192, 0), (192, 1)])
+    def test_step_matches_oracle(self, a, seed):
+        for (name, truth, masks, cfg, teacher, edge_dists, tbr_weight,
+             student) in _oracle_cases(a, seed):
+            objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2,
+                                       edge_dists=edge_dists, tbr_weight=tbr_weight)
+            value, g_cls, g_edges, comps = objective.step(student)
+            pair = None if teacher is None else (teacher.cls_logits, teacher.edge_logits)
+            ref_value, ref_cls, ref_edges, ref_comps = composite_objective_oracle(
+                (student.cls_logits, student.edge_logits), pair, truth.labels,
+                truth.edge_targets, truth.points, masks.main, masks.vlr, GRID.endpoints,
+                {w: getattr(cfg, w) for w in self.WEIGHTS}, cfg.tau, cfg.tbr_margin,
+                tbr_weight=tbr_weight, edge_dists=edge_dists)
+            assert self._close(value, ref_value), name
+            assert self._close(g_cls, ref_cls), name
+            assert self._close(g_edges, ref_edges), name
+            assert comps.keys() == ref_comps.keys()
+            for key, ref in ref_comps.items():
+                assert abs(comps[key] - ref) <= 1e-12 * abs(ref), (name, key)
 
 
 class TestScalarViewsAreSceneTerms:
