@@ -281,14 +281,13 @@ def _check_training_grid(cfg: RunConfig, schemes) -> None:
     """Reject at load what training would reject after generating data: box
     regression, and TBR when a scheme trains with it, decode boxes from edge
     distances, so they need a grid of nonnegative ones."""
-    tbr = cfg.harness.tbr_weight > 0.0 and any(_resolve_scheme(s).tbr for s in schemes)
-    for term, active in (("the box regression term", cfg.distill.w_reg > 0.0),
-                         ("teacher-bounded regression", tbr)):
-        if active:
-            try:
-                _require_distances(cfg.grid, term)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+    try:
+        if cfg.distill.w_reg > 0.0:
+            _require_distances(cfg.grid, "the box regression term")
+        if cfg.harness.tbr_weight > 0.0 and any(_resolve_scheme(s).tbr for s in schemes):
+            _require_distances(cfg.grid, "teacher-bounded regression")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(cfg: RunConfig) -> Path:
