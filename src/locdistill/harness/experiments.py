@@ -22,7 +22,7 @@ from ..losses import (
     DistillConfig,
     SceneObjective,
     SceneOutputs,
-    feature_imitation_loss,
+    _imitation,
     _tempered,
     _tempered_kl,
 )
@@ -117,21 +117,6 @@ def _resolve_scheme(scheme: str) -> SchemeSpec:
     return SCHEMES[scheme]
 
 
-def _apply_update(model: LinearLocalizer, g_cls, g_edges, g_hidden,
-                  hidden, x, cfg: HarnessConfig) -> None:
-    d_edges = g_edges.reshape(len(g_edges), -1).T @ hidden
-    model.cls_weights -= cfg.lr * (g_cls.T @ hidden)
-    model.edge_weights -= cfg.lr * d_edges.reshape(model.edge_weights.shape)
-    if cfg.train_features:
-        model.feature_weights -= cfg.lr * (g_hidden.T @ x)
-
-
-def _hidden_grad(model: LinearLocalizer, g_cls, g_edges) -> np.ndarray:
-    w_edges = model.edge_weights
-    return (g_cls @ model.cls_weights
-            + g_edges.reshape(len(g_edges), -1) @ w_edges.reshape(-1, w_edges.shape[-1]))
-
-
 class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss: names the scheme (or
     ``teacher``), the seed, the temperature and the step."""
@@ -153,23 +138,26 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
     every step, ``trace`` collects each step's loss components before its
     update, and ``run`` is the ``(who, seed, tau)`` a
     :class:`DivergenceError` names."""
-    everywhere = np.ones(x.shape[0], dtype=bool)
     # The finite check on each step's loss replaces numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(epochs):
-            out, hidden = model.forward(x)
-            value, g_cls, g_edges, comps = objective.step(out)
-            g_hidden = _hidden_grad(model, g_cls, g_edges)
+            value, g_cls, g_edges, comps = objective.step(model.logits(x))
+            g_hidden = None
             if imitate is not None:
-                fi = feature_imitation_loss(hidden, imitate, everywhere)
-                value += cfg.fi_weight * fi.value
-                g_hidden = g_hidden + cfg.fi_weight * fi.grad
+                fi_value, g_fi = _imitation(model.features(x), imitate)
+                value += cfg.fi_weight * fi_value
+                g_hidden = cfg.fi_weight * g_fi
+            d_cls, d_edges, d_features = model.gradients(x, g_cls, g_edges, g_hidden,
+                                                         cfg.train_features)
             if not math.isfinite(value):
                 raise DivergenceError(*run, step)
             if trace is not None:
                 row = {column: comps[key] for column, key in _TRACE_COMPONENTS.items()}
                 trace.append({"step": step, **row, "total": value})
-            _apply_update(model, g_cls, g_edges, g_hidden, hidden, x, cfg)
+            model.cls_weights -= cfg.lr * d_cls
+            model.edge_weights -= cfg.lr * d_edges
+            if d_features is not None:
+                model.feature_weights -= cfg.lr * d_features
 
 
 def train(

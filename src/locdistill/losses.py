@@ -300,12 +300,27 @@ def tbr_loss(
     return LossResult(value=0.0, grad=np.zeros(4))
 
 
+def _imitation(ms: np.ndarray, mt: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean L2 distance between the rows of ``(K, D)`` feature matrices and
+    its gradient w.r.t. ``ms``; unchecked, for a training loop's step.
+
+    The subgradient is 0 on a row that matches exactly (the norm is not
+    differentiable at 0).
+    """
+    diff = ms - mt
+    norms = np.sqrt((diff * diff).sum(axis=1))
+    grad = np.divide(diff, norms[:, None] * len(ms), out=np.zeros_like(diff),
+                     where=(norms > 0.0)[:, None])
+    return float(norms.mean()), grad
+
+
 def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:
     """Mean per-location L2 distance between feature matrices over a region.
 
     ``student_feats`` and ``teacher_feats`` are ``(L, D)`` arrays of equal
     shape; ``region`` is a boolean mask over the ``L`` locations. The
     gradient w.r.t. the student features is zero outside the region.
+    Validated form of the training kernel ``_imitation`` on the region's rows.
     """
     ms = np.asarray(student_feats, dtype=np.float64)
     mt = np.asarray(teacher_feats, dtype=np.float64)
@@ -316,17 +331,11 @@ def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:
     mask = np.asarray(region, dtype=bool)
     if mask.shape != (ms.shape[0],):
         raise ValueError(f"region mask shape {mask.shape} does not match {ms.shape[0]} locations")
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise ValueError("imitation region is empty")
-    diff = ms[mask] - mt[mask]
-    norms = np.sqrt((diff * diff).sum(axis=1))
-    value = float(norms.mean())
+    value, region_grad = _imitation(ms[mask], mt[mask])
     grad = np.zeros_like(ms)
-    # Subgradient 0 where a location matches exactly (norm not differentiable at 0).
-    safe = norms > 0.0
-    rows = np.flatnonzero(mask)[safe]
-    grad[rows] = diff[safe] / (norms[safe, None] * count)
+    grad[mask] = region_grad
     return LossResult(value=value, grad=grad)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from locdistill.boxdist import flatness, make_grid
 from locdistill.cli import RunConfig, SweepConfig, build_run_config, cmd_sweep
-from locdistill.losses import DistillConfig, total_loss
+from locdistill.losses import DistillConfig, feature_imitation_loss, total_loss
 from locdistill.harness import (
     SCHEMES,
     EdgeAmbiguity,
@@ -24,8 +24,12 @@ from locdistill.harness import (
     train,
     train_teacher,
 )
+from locdistill.harness import experiments
 from locdistill.harness.data import _cdf, _draw, sample_edge_value
 from locdistill.harness.experiments import DivergenceError, _new_model, scheme_config
+from locdistill.harness.models import LinearLocalizer
+
+from oracles import relative_gradient_error
 
 GRID = make_grid(0, 8, 8)
 DCFG = DistillConfig(grid=GRID)
@@ -423,3 +427,80 @@ class TestLocalizerModel:
         assert out.cls_logits.shape == (5, 2)
         assert out.edge_logits.shape == (5, 4, 9)
         assert hidden.shape == (5, 8)
+
+
+@pytest.fixture(scope="module")
+def trained_teacher():
+    ds = gen_dataset(FAST, DCFG, seed=12)
+    return ds, train_teacher(ds, FAST, DCFG, seed=12)
+
+
+def _training_problem(monkeypatch, scheme, ds, teacher):
+    """The model, inputs, objective and imitated features that ``train``
+    (or ``train_teacher``, for ``"teacher"``) hands to its descent loop."""
+    calls = []
+    monkeypatch.setattr(experiments, "_descend",
+                        lambda model, x, objective, cfg, epochs, run, imitate=None, trace=None:
+                        calls.append((model, x, objective, imitate)))
+    if scheme == "teacher":
+        train_teacher(ds, FAST, DCFG, seed=12)
+    else:
+        train(_new_model(FAST, GRID, 12), ds, scheme, teacher, FAST, DCFG)
+    (problem,) = calls
+    return problem
+
+
+class TestLocalizerGradients:
+    @pytest.mark.parametrize("scheme", [*SCHEMES, "teacher"])
+    def test_weight_gradients(self, monkeypatch, trained_teacher, scheme):
+        """The chain rule of every scheme's step, feature imitation included,
+        matches central differences of the step's value along random
+        directions in weight space, and the factored chain rule."""
+        model, x, objective, imitate = _training_problem(monkeypatch, scheme, *trained_teacher)
+        everywhere = np.ones(len(x), dtype=bool)
+
+        def value(wf, wc, we):
+            at = LinearLocalizer(wf, wc, we)
+            v = objective.step(at.logits(x))[0]
+            if imitate is not None:
+                v += FAST.fi_weight * feature_imitation_loss(at.features(x), imitate,
+                                                             everywhere).value
+            return v
+
+        _, g_cls, g_edges, _ = objective.step(model.logits(x))
+        g_hidden = None
+        if imitate is not None:
+            g_hidden = FAST.fi_weight * feature_imitation_loss(model.features(x), imitate,
+                                                               everywhere).grad
+        grads = model.gradients(x, g_cls, g_edges, g_hidden)
+        weights = (model.feature_weights, model.cls_weights, model.edge_weights)
+        d_weights = (grads[2], grads[0], grads[1])
+
+        rng = np.random.default_rng(0)
+        step = 1e-5
+        analytic, numeric = [], []
+        for _ in range(8):
+            v = [rng.standard_normal(w.shape) for w in weights]
+            norm = np.sqrt(sum((u * u).sum() for u in v))
+            v = [u / norm for u in v]
+            plus = value(*(w + step * u for w, u in zip(weights, v)))
+            minus = value(*(w - step * u for w, u in zip(weights, v)))
+            numeric.append((plus - minus) / (2.0 * step))
+            analytic.append(sum((d * u).sum() for d, u in zip(d_weights, v)))
+        assert relative_gradient_error(analytic, numeric) < 1e-5
+
+        # The factored chain rule through the hidden features.
+        a, hidden = len(x), model.hidden_dim
+        g = np.concatenate([g_cls, g_edges.reshape(a, -1)], axis=1)
+        w_heads = np.concatenate([model.cls_weights, model.edge_weights.reshape(-1, hidden)])
+        g_h = g @ w_heads + (0.0 if g_hidden is None else g_hidden)
+        d_heads = g.T @ model.features(x)
+        c = g_cls.shape[1]
+        factored = (g_h.T @ x, d_heads[:c], d_heads[c:])
+        for got, want in zip(d_weights, factored):
+            assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12 * np.abs(want).max()
+
+        frozen = model.gradients(x, g_cls, g_edges, g_hidden, train_features=False)
+        assert frozen[2] is None
+        assert frozen[0].tobytes() == grads[0].tobytes()
+        assert frozen[1].tobytes() == grads[1].tobytes()

@@ -22,6 +22,7 @@ from locdistill.losses import (
     scene_tbr_loss,
     tbr_loss,
     total_loss,
+    _imitation,
 )
 from locdistill.regions import RegionMasks
 
@@ -400,6 +401,21 @@ class TestFeatureImitation:
                 ms,
             )
             assert relative_gradient_error(res.grad, fd) < 1e-6
+
+    def test_training_kernel_is_the_validated_loss_bit_for_bit(self):
+        """The unchecked kernel the harness trains with gives the validated
+        loss's value and region rows to the last bit."""
+        rng = _rng(84)
+        ms = rng.normal(0, 1, (6, 5))
+        mt = rng.normal(0, 1, (6, 5))
+        mt[3] = ms[3]  # a matched row takes the zero subgradient
+        for region in (np.ones(6, dtype=bool), np.array([1, 0, 1, 1, 0, 1], dtype=bool)):
+            res = feature_imitation_loss(ms, mt, region)
+            value, grad = _imitation(ms[region], mt[region])
+            assert res.value == value
+            assert res.grad[region].tobytes() == grad.tobytes()
+            assert not res.grad[~region].any()
+        assert not _imitation(ms, mt)[1][3].any()
 
 
 # ---------------------------------------------------------------------------
