@@ -13,7 +13,6 @@ from .boxdist import (
     encode_target,
     flatness,
     generalized_softmax,
-    make_grid,
 )
 from .geometry import (
     BoundingBox,
@@ -51,7 +50,6 @@ from .theory import (
     RescalingReport,
     decompose_localization,
     gradient_rescaling_ratio,
-    incorrect_position_gradient_sum,
     verify_proposition1,
 )
 

@@ -29,7 +29,6 @@ from ._checks import check_count, check_finite, check_positive, check_unit_inter
 __all__ = [
     "BinGrid",
     "TwoHotTarget",
-    "make_grid",
     "generalized_softmax",
     "encode_target",
     "encode_targets",
@@ -72,11 +71,6 @@ class BinGrid:
     def size(self) -> int:
         """Number of endpoints (= logit vector length)."""
         return self.n + 1
-
-
-def make_grid(e_min: float, e_max: float, n: int) -> BinGrid:
-    """Build a uniform :class:`BinGrid`; errors on inverted range or n < 1."""
-    return BinGrid(e_min, e_max, n)
 
 
 def _as_vector(z, *, name: str = "logits") -> np.ndarray:
@@ -137,10 +131,6 @@ class TwoHotTarget:
             object.__setattr__(self, name, check_unit_interval(name, float(getattr(self, name))))
         if abs(self.u1 + self.u2 - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"TwoHotTarget weights must sum to 1, got {self.u1 + self.u2}")
-
-    def as_weights(self, length: int) -> np.ndarray:
-        """Dense weight vector: ``u1`` at ``i``, ``u2`` at ``i + 1``."""
-        return _two_hot(self.i, self.u1, self.u2, length)[0]
 
 
 def _two_hot(idx, u1, u2, length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -77,9 +77,6 @@ class BoundingBox:
             raise ValueError(f"expected 4 values for a box, got {len(values)}")
         return cls(*map(float, values))
 
-    def translated(self, dx: float, dy: float) -> "BoundingBox":
-        return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
 
 def _intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)

@@ -2,7 +2,6 @@
 
 from .data import (
     Dataset,
-    EdgeAmbiguity,
     HarnessConfig,
     SceneStack,
     binned_mixture,
@@ -23,7 +22,6 @@ from .models import LinearLocalizer, init_localizer
 
 __all__ = [
     "Dataset",
-    "EdgeAmbiguity",
     "HarnessConfig",
     "SceneStack",
     "binned_mixture",

@@ -26,12 +26,10 @@ from ..losses import DistillConfig, SceneTruth
 from ..regions import RegionMasks, compute_region_masks
 
 __all__ = [
-    "EdgeAmbiguity",
     "SceneStack",
     "Dataset",
     "HarnessConfig",
     "gen_dataset",
-    "sample_edge_value",
     "binned_mixture",
     "save_dataset",
     "load_dataset",
@@ -51,35 +49,13 @@ _N_LATENT = 11  # 4 edges + 4 ambiguity spreads + dx + dy + squared offset
 _SEED_TAG_DATA = 0xD47A
 
 
-@dataclass(frozen=True)
-class EdgeAmbiguity:
-    """Mixture of plausible positions for one edge (centers + weights)."""
-
-    centers: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        centers = tuple(float(c) for c in self.centers)
-        weights = tuple(float(w) for w in self.weights)
-        if len(centers) != len(weights) or not centers:
-            raise ValueError("mixture needs matching, non-empty centers and weights")
-        if any(w < 0.0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def mean(self) -> float:
-        return float(sum(c * w for c, w in zip(self.centers, self.weights)))
-
-
 def binned_mixture(centers, weights, grid: BinGrid) -> np.ndarray:
     """Project edge mixtures onto the grid: weighted sums of two-hot encodings.
 
     ``centers`` and ``weights`` are ``(..., k)``, one mixture per leading
-    index, and the result is ``(..., grid.size)``; a single
-    :class:`EdgeAmbiguity` is the call on its own centers and weights.
-    Zero-weight padding components add nothing.
+    index, and the result is ``(..., grid.size)``; a single mixture is the
+    call on its own ``(k,)`` centers and weights. Zero-weight padding
+    components add nothing.
     """
     centers = np.asarray(centers, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -211,11 +187,6 @@ def _draw(cdf: list[float], rng: np.random.Generator) -> int:
     return bisect.bisect_right(cdf, rng.random())
 
 
-def sample_edge_value(amb: EdgeAmbiguity, rng: np.random.Generator) -> float:
-    """Draw one observed edge position from the mixture."""
-    return amb.centers[_draw(_cdf(amb.weights), rng)]
-
-
 def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     """Deterministically generate train and held-out splits for one seed.
 
@@ -324,15 +295,39 @@ def _row_json(split: SceneStack, i: int) -> dict:
     }
 
 
-def _row_from_json(d: dict) -> tuple:
+def _mixtures_from_json(mixtures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sample's edge mixtures as padded ``(4, 2)`` centers and weights
+    (see :class:`SceneStack`) and their ``(4,)`` component counts."""
+    arrays = [(np.asarray(mix["centers"], dtype=np.float64),
+               np.asarray(mix["weights"], dtype=np.float64)) for mix in mixtures]
+    if len(arrays) != N_EDGES or any(c.size > N_COMPONENTS for c, _ in arrays):
+        raise ValueError(f"each sample needs {N_EDGES} edge mixtures of at most "
+                         f"{N_COMPONENTS} components")
+    if any(c.ndim != 1 or c.shape != w.shape or not c.size for c, w in arrays):
+        raise ValueError("mixture needs matching, non-empty centers and weights")
+    # Single-component mixtures repeat their center at zero weight.
+    centers = np.array([np.resize(c, N_COMPONENTS) for c, _ in arrays])
+    weights = np.array([np.pad(w, (0, N_COMPONENTS - w.size)) for _, w in arrays])
+    if not ((weights >= 0.0).all() and (np.abs(weights.sum(axis=1) - 1.0) <= 1e-9).all()):
+        raise ValueError("mixture weights must be nonnegative and sum to 1")
+    return centers, weights, np.array([c.size for c, _ in arrays])
+
+
+def _row_from_json(d) -> tuple:
+    if not isinstance(d, dict):
+        raise ValueError(f"a sample must be a JSON object, got {type(d).__name__}")
     if int(d["class_label"]) != int(d["main"]):
         raise ValueError("class_label must equal the main flag")
+    features, true_edges, observed = (np.asarray(d[key], dtype=np.float64) for key in
+                                      ("features", "true_edges", "observed_edges"))
+    if features.ndim != 1 or not true_edges.shape == observed.shape == (N_EDGES,):
+        raise ValueError(f"a sample needs a feature vector and {N_EDGES} true and "
+                         f"{N_EDGES} observed edges")
     return (
-        d["features"],
-        d["true_edges"],
-        d["observed_edges"],
-        tuple(EdgeAmbiguity(tuple(a["centers"]), tuple(a["weights"]))
-              for a in d["ambiguity"]),
+        features,
+        true_edges,
+        observed,
+        *_mixtures_from_json(d["ambiguity"]),
         BoundingBox.from_list(d["anchor_box"]).to_list(),
         BoundingBox.from_list(d["gt_box"]).to_list(),
         bool(d["main"]),
@@ -344,23 +339,14 @@ def _split(rows) -> SceneStack:
     """Stack per-anchor rows (see :func:`_row_from_json`) into a split."""
     if not rows:
         raise ValueError("a split needs at least one sample")
-    features, true_edges, observed, mixtures, anchors, gts, main, vlr = zip(*rows)
-    flat = [amb for mix in mixtures for amb in mix]
-    n_comp = [len(amb.centers) for amb in flat]
-    if any(len(mix) != N_EDGES for mix in mixtures) or max(n_comp) > N_COMPONENTS:
-        raise ValueError(f"each sample needs {N_EDGES} edge mixtures of at most "
-                         f"{N_COMPONENTS} components")
-    shape = (len(rows), N_EDGES, N_COMPONENTS)
-    # Single-component mixtures repeat their center at zero weight.
-    centers = [amb.centers + amb.centers[:1] * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
-    weights = [amb.weights + (0.0,) * (N_COMPONENTS - n) for amb, n in zip(flat, n_comp)]
+    features, true_edges, observed, centers, weights, n_comp, anchors, gts, main, vlr = zip(*rows)
     return SceneStack(
-        features=np.array(features, dtype=np.float64),
-        true_edges=np.array(true_edges, dtype=np.float64),
-        observed_edges=np.array(observed, dtype=np.float64),
-        centers=np.array(centers).reshape(shape),
-        weights=np.array(weights).reshape(shape),
-        n_components=np.array(n_comp).reshape(shape[:2]),
+        features=np.array(features),
+        true_edges=np.array(true_edges),
+        observed_edges=np.array(observed),
+        centers=np.array(centers),
+        weights=np.array(weights),
+        n_components=np.array(n_comp),
         anchor_boxes=np.array(anchors, dtype=np.float64),
         gt_boxes=np.array(gts, dtype=np.float64),
         main=np.array(main, dtype=bool),
@@ -377,7 +363,23 @@ def save_dataset(dataset: Dataset, train_path, heldout_path) -> None:
 
 
 def load_dataset(train_path, heldout_path, grid: BinGrid) -> Dataset:
+    """Read the two JSONL splits :func:`save_dataset` writes. A malformed
+    line raises ``ValueError`` naming its file and 1-based line number."""
     def read(path):
+        rows = []
         with open(path, "r", encoding="utf-8") as fh:
-            return _split([_row_from_json(json.loads(line)) for line in fh if line.strip()])
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = _row_from_json(json.loads(line))
+                    if rows and row[0].size != rows[0][0].size:
+                        raise ValueError(f"{row[0].size} features where the first sample "
+                                         f"has {rows[0][0].size}")
+                    rows.append(row)
+                except KeyError as err:
+                    raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
+                except (TypeError, ValueError) as err:
+                    raise ValueError(f"{path}, line {lineno}: {err}") from err
+        return _split(rows)
     return Dataset(train=read(train_path), heldout=read(heldout_path), grid=grid)

@@ -42,7 +42,7 @@ import numpy as np
 from ._checks import check_finite, check_nonnegative, check_positive, check_unit_interval
 from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector,
                       _box_grad_to_edges, _boxes_from_edges, _decode, _expectation,
-                      _log_softmax, _softmax, _two_hot, encode_targets)
+                      _log_softmax, _two_hot, encode_targets)
 from .geometry import BoundingBox, _giou_batch
 from .regions import RegionMasks
 
@@ -439,7 +439,8 @@ class SceneObjective:
     main positives, replaces them with any target distributions (the
     general distribution of GFL); the term keeps the weight ``w_dfl``.
     ``tbr_weight > 0`` adds that multiple of teacher-bounded regression
-    (:meth:`tbr_step`) to every step, on the boxes the step decodes anyway.
+    (:func:`scene_tbr_loss`) to every step, on the boxes the step decodes
+    anyway.
     """
 
     def __init__(self, truth: SceneTruth, masks: RegionMasks, cfg: DistillConfig,
@@ -543,7 +544,7 @@ class SceneObjective:
             z_main = student.edge_logits[main_idx].T.copy()
             l_dfl, g_main, p_e = _cross_entropy(z_main, self._edge_picks, self._edge_dists,
                                                 cfg.w_dfl)
-            l_reg, l_tbr, g_box = self._box_terms(p_e, cfg.w_reg, self.tbr_weight)
+            l_reg, l_tbr, g_box = self._box_terms(p_e)
             g_main += g_box
             if "ld_main" in terms:
                 weight, lt, q = terms["ld_main"]
@@ -571,41 +572,28 @@ class SceneObjective:
         _, yhat = _decode(self._teacher_main_edges, self.cfg.grid)
         return _boxes_from_edges(self._points, yhat)
 
-    def _box_terms(self, p: np.ndarray, w_reg: float,
-                   w_tbr: float) -> tuple[float, float, np.ndarray]:
+    def _box_terms(self, p: np.ndarray) -> tuple[float, float, np.ndarray]:
         """The box terms at the student's main-row edge probabilities ``p``:
         the ``1 - GIoU`` regression value, the TBR value (0 unless
-        ``w_tbr > 0``), and the ``(m, E, K)`` edge-logit gradient of their
-        sum at weights ``w_reg`` and ``w_tbr``, chained through the decode
-        once. TBR is the regression term on the anchors whose decoded box is
-        farther from the ground truth than the teacher's by more than the
-        margin."""
+        ``tbr_weight > 0``), and the ``(m, E, K)`` edge-logit gradient of
+        their sum at weights ``w_reg`` and ``tbr_weight``, chained through
+        the decode once. TBR is the regression term on the anchors whose
+        decoded box is farther from the ground truth than the teacher's by
+        more than the margin."""
         k = self.main_idx.size
         yhat = _expectation(p, self.cfg.grid)
         boxes_s = _boxes_from_edges(self._points, yhat)
         giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
         l_reg = float(np.add.reduce(1.0 - giou_vals) / k)  # the mean
         l_tbr = 0.0
-        weight = w_reg
-        if w_tbr > 0.0:
+        weight = self.cfg.w_reg
+        if self.tbr_weight > 0.0:
             active = (_corner_l2(boxes_s, self._boxes_g) + self.cfg.tbr_margin
                       > _corner_l2(self._boxes_t, self._boxes_g))
             l_tbr = float(np.add.reduce(1.0 - giou_vals[active]) / k)
-            weight = w_reg + w_tbr * active
+            weight = weight + self.tbr_weight * active
         g_edge_vals = _box_grad_to_edges(dgiou * (-weight / k))
         return l_reg, l_tbr, _expectation_chain(p, yhat, self.cfg.grid.endpoints, g_edge_vals)
-
-    def tbr_step(self, student: SceneOutputs) -> tuple[float, np.ndarray]:
-        """Teacher-bounded regression at ``student``: ``(value, grad_edges
-        (A, E, m))``; see :func:`scene_tbr_loss`."""
-        _ = self._boxes_t  # needs a teacher even on a scene without positives
-        grad_edges = np.zeros(self.edge_shape)
-        if not self.main_idx.size:
-            return 0.0, grad_edges
-        p_s = _softmax(student.edge_logits[self.main_idx].T, 1.0)
-        _, value, grad = self._box_terms(p_s, 0.0, 1.0)
-        grad_edges[self.main_idx] = grad.T
-        return value, grad_edges
 
 
 def _flat_grad(grad_cls: np.ndarray, grad_edges: np.ndarray) -> np.ndarray:
@@ -657,7 +645,7 @@ def scene_tbr_loss(
     and loss follow :func:`tbr_loss` per anchor, averaged over main
     positives, and the gradient flows back to the student edge logits
     through the expectation decode. Flat layout as in :func:`total_loss`.
-    One-shot form of :meth:`SceneObjective.tbr_step`.
+    One-shot form of a :class:`SceneObjective` whose only term is TBR.
     """
     student = _checked(student)
     a = student.n_anchors
@@ -665,10 +653,11 @@ def scene_tbr_loss(
     if main_mask.shape != (a,):
         raise ValueError(f"main mask shape {main_mask.shape} does not match {a} anchors")
     masks = RegionMasks(main=main_mask, vlr=np.zeros(a, dtype=bool))
-    # TBR reads no regression weight; zeroing it leaves the grid check to tbr_step.
-    objective = SceneObjective(truth, masks, replace(cfg, w_reg=0.0), teacher,
-                               student.cls_logits.shape[1])
+    tbr_only = replace(cfg, w_cls=0.0, w_reg=0.0, w_dfl=0.0, w_ld_main=0.0,
+                       w_ld_vlr=0.0, w_kd_main=0.0, w_kd_vlr=0.0)
+    objective = SceneObjective(truth, masks, tbr_only, teacher,
+                               student.cls_logits.shape[1], tbr_weight=1.0)
     objective._check_student(student)
-    value, grad_edges = objective.tbr_step(student)
+    value, _, grad_edges, _ = objective.step(student)
     return LossResult(value=value,
                       grad=_flat_grad(np.zeros_like(student.cls_logits), grad_edges))

@@ -39,7 +39,7 @@ import numpy as np
 from ._checks import (check_count, check_finite, check_nonnegative, check_positive,
                       check_unit_interval)
 from .boxdist import PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _softmax, _two_hot
-from .losses import _cross_entropy, _tempered, _tempered_kl, dfl_loss, kd_loss
+from .losses import _cross_entropy, _tempered, _tempered_kl
 
 __all__ = [
     "DecompositionResult",
@@ -47,16 +47,12 @@ __all__ = [
     "verify_proposition1",
     "decompose_localization",
     "gradient_rescaling_ratio",
-    "incorrect_position_gradient_sum",
     "certify_proposition1",
     "certify_decomposition",
     "certify_rescaling",
 ]
 
 logger = logging.getLogger(__name__)
-
-# Largest negative entry a decomposition may carry and still count as on the simplex.
-SIMPLEX_TOL = 1e-10
 
 
 def _check_simplex(p, name: str) -> np.ndarray:
@@ -144,7 +140,6 @@ class DecompositionResult:
     p: np.ndarray
     q: np.ndarray
     residual: float
-    simplex_feasible: bool
 
 
 def _decomposition_system(l: np.ndarray, u1) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +200,7 @@ def decompose_localization(l, u1: float) -> DecompositionResult:
 
     ``l`` must be a probability vector (zero entries allowed). Returns the
     minimum-norm solution when it is nonnegative, and otherwise the first
-    nonnegative point on the segment from it to the solution ``(l, l)``;
-    ``simplex_feasible`` reports whether both halves are nonnegative.
+    nonnegative point on the segment from it to the solution ``(l, l)``.
     """
     l = _as_probabilities(l, name="localization vector")
     m = l.shape[0]
@@ -214,8 +208,7 @@ def decompose_localization(l, u1: float) -> DecompositionResult:
         raise ValueError(f"u1 must lie strictly inside (0, 1), got {u1}")
     x, residual, _ = _decompose_stack(l[None, :], np.array([u1], dtype=np.float64))
     x = x[0]
-    return DecompositionResult(p=x[:m], q=x[m:], residual=float(residual[0]),
-                               simplex_feasible=bool(x.min() >= -SIMPLEX_TOL))
+    return DecompositionResult(p=x[:m], q=x[m:], residual=float(residual[0]))
 
 
 @dataclass(frozen=True)
@@ -361,24 +354,6 @@ def gradient_rescaling_ratio(
         std_error=std_error,
         trials=trials,
     )
-
-
-def incorrect_position_gradient_sum(
-    student_logits,
-    teacher_logits,
-    target: TwoHotTarget,
-    gamma: float,
-    lam: float,
-    tau: float,
-) -> tuple[float, float]:
-    """Return ``(sum over s != i of grad_s, -grad_i)`` for the combined
-    two-hot supervised + distillation gradient; the two agree because the
-    gradient is tangent to the simplex (entries sum to zero)."""
-    g = gamma * dfl_loss(student_logits, target).grad
-    if lam != 0.0:
-        g = g + lam * kd_loss(student_logits, teacher_logits, tau).grad
-    i = target.i
-    return float(g.sum() - g[i]), float(-g[i])
 
 
 # ---------------------------------------------------------------------------

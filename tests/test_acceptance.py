@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from locdistill.boxdist import encode_target, make_grid
+from locdistill.boxdist import BinGrid, encode_target
 from locdistill.geometry import BoundingBox, diou, giou, iou
 from locdistill.losses import (
     DistillConfig,
@@ -42,7 +42,7 @@ from oracles import (
     relative_gradient_error,
 )
 
-GRID = make_grid(0, 8, 8)
+GRID = BinGrid(0, 8, 8)
 
 
 @contextmanager

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locdistill.boxdist import (
+    BinGrid,
     TwoHotTarget,
+    _two_hot,
     decode_expectation,
     encode_target,
     flatness,
     generalized_softmax,
-    make_grid,
 )
 
 # Ranges keep |z_i - z_j| / tau below the exp underflow threshold (~745), so
@@ -20,27 +21,32 @@ logit_vectors = st.lists(st.floats(-30.0, 30.0, allow_nan=False), min_size=2, ma
 temperatures = st.floats(0.2, 50.0, allow_nan=False)
 
 
+def _dense(t: TwoHotTarget, length: int) -> np.ndarray:
+    """The dense weights of one target, from the two-hot writer the losses use."""
+    return _two_hot(t.i, t.u1, t.u2, length)[0]
+
+
 class TestMakeGrid:
     def test_unit_grid(self):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         assert np.array_equal(g.endpoints, np.arange(9.0))
         assert g.delta == 1.0
 
     def test_symmetric_grid(self):
-        g = make_grid(-5, 5, 10)
+        g = BinGrid(-5, 5, 10)
         assert np.array_equal(g.endpoints, np.arange(-5.0, 6.0))
 
     def test_minimal_grid(self):
-        g = make_grid(0, 1, 1)
+        g = BinGrid(0, 1, 1)
         assert g.endpoints.tolist() == [0.0, 1.0]
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):
-            make_grid(0, 8, 0)
+            BinGrid(0, 8, 0)
         with pytest.raises(ValueError):
-            make_grid(8, 0, 4)
+            BinGrid(8, 0, 4)
         with pytest.raises(ValueError):
-            make_grid(3, 3, 4)
+            BinGrid(3, 3, 4)
 
 
 class TestGeneralizedSoftmax:
@@ -155,25 +161,25 @@ class TestGeneralizedSoftmax:
 
 class TestEncodeTarget:
     def test_endpoint_hit(self):
-        t = encode_target(3.0, make_grid(0, 8, 8))
+        t = encode_target(3.0, BinGrid(0, 8, 8))
         assert (t.i, t.u1, t.u2) == (3, 1.0, 0.0)
 
     def test_midpoint(self):
-        t = encode_target(2.5, make_grid(0, 8, 8))
+        t = encode_target(2.5, BinGrid(0, 8, 8))
         assert (t.i, t.u1, t.u2) == (2, 0.5, 0.5)
 
     def test_interpolation(self):
-        t = encode_target(2.3, make_grid(0, 8, 8))
+        t = encode_target(2.3, BinGrid(0, 8, 8))
         assert t.i == 2
         assert t.u1 == pytest.approx(0.7, abs=1e-12)
         assert t.u2 == pytest.approx(0.3, abs=1e-12)
 
     def test_upper_endpoint(self):
-        t = encode_target(8.0, make_grid(0, 8, 8))
+        t = encode_target(8.0, BinGrid(0, 8, 8))
         assert (t.i, t.u1, t.u2) == (7, 0.0, 1.0)
 
     def test_out_of_range_rejected(self):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         with pytest.raises(ValueError, match="outside"):
             encode_target(-0.001, g)
         with pytest.raises(ValueError, match="outside"):
@@ -182,7 +188,7 @@ class TestEncodeTarget:
     @given(st.floats(0.0, 8.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_reconstruction(self, y):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         t = encode_target(y, g)
         pts = g.endpoints
         assert t.u1 * pts[t.i] + t.u2 * pts[t.i + 1] == pytest.approx(y, abs=1e-12)
@@ -191,22 +197,22 @@ class TestEncodeTarget:
 
 class TestDecodeExpectation:
     def test_one_hot(self):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         p = np.zeros(9)
         p[5] = 1.0
         assert decode_expectation(p, g) == 5.0
 
     def test_uniform(self):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         assert decode_expectation(np.full(9, 1 / 9), g) == pytest.approx(4.0, abs=1e-12)
 
     def test_two_hot_round_trip(self):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         t = encode_target(2.3, g)
-        assert decode_expectation(t.as_weights(9), g) == pytest.approx(2.3, abs=1e-12)
+        assert decode_expectation(_dense(t, 9), g) == pytest.approx(2.3, abs=1e-12)
 
     def test_invalid_inputs_rejected(self):
-        g = make_grid(0, 8, 8)
+        g = BinGrid(0, 8, 8)
         with pytest.raises(ValueError):
             decode_expectation(np.full(8, 1 / 8), g)  # wrong length
         with pytest.raises(ValueError):
@@ -215,9 +221,9 @@ class TestDecodeExpectation:
     @given(st.floats(-5.0, 5.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_on_offset_grid(self, y):
-        g = make_grid(-5, 5, 10)
+        g = BinGrid(-5, 5, 10)
         t = encode_target(y, g)
-        assert decode_expectation(t.as_weights(g.size), g) == pytest.approx(y, abs=1e-12)
+        assert decode_expectation(_dense(t, g.size), g) == pytest.approx(y, abs=1e-12)
 
 
 class TestFlatness:
@@ -245,6 +251,6 @@ class TestTwoHotTarget:
 
     def test_dense_weights(self):
         t = TwoHotTarget(1, 0.25, 0.75)
-        assert t.as_weights(4).tolist() == [0.0, 0.25, 0.75, 0.0]
-        with pytest.raises(ValueError):
-            t.as_weights(2)
+        assert _dense(t, 4).tolist() == [0.0, 0.25, 0.75, 0.0]
+        with pytest.raises(ValueError, match="out of range"):
+            _dense(t, 2)

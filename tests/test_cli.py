@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +346,29 @@ class TestExperimentCommand:
         for rel in ("metrics.csv", "summary.json", "trace_baseline_seed0.csv",
                     "datasets/seed0_train.jsonl"):
             assert _read_bytes(outs[0] / rel) == _read_bytes(outs[1] / rel)
+
+    def test_tree_identical_across_blas_thread_counts(self, tmp_path):
+        """The default experiment (all schemes, seed 0, a tenth of the epochs)
+        writes the same bytes with one and with two BLAS threads."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            result = subprocess.run(
+                [sys.executable, "-m", "locdistill", "-o", str(out), "--seed", "0",
+                 "--set", "experiment.seeds=[0]", "--set", "harness.epochs=60",
+                 "--set", "harness.teacher_epochs=90", "experiment"],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert "datasets/seed0_train.jsonl" in {str(rel) for rel in trees[0]}
+        assert trees[0].keys() == trees[1].keys()
+        for rel in trees[0]:
+            assert trees[0][rel] == trees[1][rel], f"{rel} differs between BLAS thread counts"
 
     def test_bad_scheme_is_config_error(self, tmp_path):
         code = main(["-o", str(tmp_path / "z"),

@@ -6,12 +6,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from locdistill.boxdist import flatness, make_grid
+from locdistill.boxdist import BinGrid, decode_expectation, flatness
 from locdistill.cli import RunConfig, SweepConfig, build_run_config, cmd_sweep
 from locdistill.losses import DistillConfig, feature_imitation_loss, total_loss
 from locdistill.harness import (
     SCHEMES,
-    EdgeAmbiguity,
     HarnessConfig,
     SceneStack,
     binned_mixture,
@@ -25,13 +24,13 @@ from locdistill.harness import (
     train_teacher,
 )
 from locdistill.harness import experiments
-from locdistill.harness.data import _cdf, _draw, sample_edge_value
+from locdistill.harness.data import _cdf, _draw
 from locdistill.harness.experiments import DivergenceError, _new_model, scheme_config
 from locdistill.harness.models import LinearLocalizer
 
 from oracles import relative_gradient_error
 
-GRID = make_grid(0, 8, 8)
+GRID = BinGrid(0, 8, 8)
 DCFG = DistillConfig(grid=GRID)
 
 # small-but-real settings so the whole file stays fast
@@ -101,36 +100,36 @@ class TestDataGeneration:
 
 class TestMixtureSampling:
     def test_bimodal_histogram(self):
-        amb = EdgeAmbiguity(centers=(2.0, 5.0), weights=(0.5, 0.5))
+        """An ambiguous edge's observation is a draw of one of its centers."""
+        centers, cdf = (2.0, 5.0), _cdf((0.5, 0.5))
         rng = np.random.default_rng(0)
         n = 10_000
-        draws = np.array([sample_edge_value(amb, rng) for _ in range(n)])
+        draws = np.array([centers[_draw(cdf, rng)] for _ in range(n)])
         assert set(np.unique(draws)) == {2.0, 5.0}
         share = (draws == 2.0).mean()
         sigma = np.sqrt(0.25 / n)
         assert abs(share - 0.5) <= 3 * sigma
 
     def test_mixture_mean(self):
-        amb = EdgeAmbiguity(centers=(1.0, 3.0), weights=(0.25, 0.75))
-        assert amb.mean == pytest.approx(2.5)
+        mix = binned_mixture((1.0, 3.0), (0.25, 0.75), GRID)
+        assert decode_expectation(mix, GRID) == pytest.approx(2.5, abs=1e-12)
 
     def test_binned_mixture_is_distribution(self):
-        amb = EdgeAmbiguity(centers=(2.3, 4.9), weights=(0.5, 0.5))
-        mix = binned_mixture(amb.centers, amb.weights, GRID)
+        mix = binned_mixture((2.3, 4.9), (0.5, 0.5), GRID)
         assert mix.sum() == pytest.approx(1.0, abs=1e-12)
         assert mix[2] == pytest.approx(0.35)  # 0.5 * 0.7
 
     def test_batched_binned_mixture_matches_single_mixtures(self):
         rng = np.random.default_rng(3)
-        ambs = [EdgeAmbiguity((c,), (1.0,)) for c in rng.uniform(0.0, 8.0, 6)]
-        ambs += [EdgeAmbiguity(tuple(rng.uniform(0.0, 8.0, 2)), (w, 1.0 - w))
-                 for w in rng.uniform(0.0, 1.0, 6)]
+        mixtures = [((c,), (1.0,)) for c in rng.uniform(0.0, 8.0, 6)]
+        mixtures += [(tuple(rng.uniform(0.0, 8.0, 2)), (w, 1.0 - w))
+                     for w in rng.uniform(0.0, 1.0, 6)]
         # One-component mixtures ride in the batch padded to two components.
-        centers = np.array([a.centers + a.centers[:1] * (2 - len(a.centers)) for a in ambs])
-        weights = np.array([a.weights + (0.0,) * (2 - len(a.weights)) for a in ambs])
+        centers = np.array([c + c[:1] * (2 - len(c)) for c, _ in mixtures])
+        weights = np.array([w + (0.0,) * (2 - len(w)) for _, w in mixtures])
         batched = binned_mixture(centers.reshape(3, 4, 2), weights.reshape(3, 4, 2), GRID)
         assert batched.shape == (3, 4, GRID.size)
-        single = np.array([binned_mixture(a.centers, a.weights, GRID) for a in ambs])
+        single = np.array([binned_mixture(c, w, GRID) for c, w in mixtures])
         assert batched.reshape(-1, GRID.size).tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("p", [
@@ -164,10 +163,17 @@ class TestMixtureSampling:
                 assert (main, vlr) == (masks.main[0], masks.vlr[0])
 
     def test_invalid_mixture_rejected(self):
-        with pytest.raises(ValueError):
-            EdgeAmbiguity(centers=(1.0,), weights=(0.5,))
-        with pytest.raises(ValueError):
-            EdgeAmbiguity(centers=(), weights=())
+        # Weight checks happen where mixtures enter, in load_dataset.
+        with pytest.raises(ValueError, match="matching"):
+            binned_mixture((1.0, 2.0), (1.0,), GRID)
+        with pytest.raises(ValueError, match="non-empty"):
+            binned_mixture((), (), GRID)
+
+
+def _first_mixture(centers, weights):
+    """A row corruption that replaces the first edge's mixture."""
+    return lambda d: {**d, "ambiguity": [{"centers": centers, "weights": weights}]
+                      + d["ambiguity"][1:]}
 
 
 class TestDatasetIO:
@@ -190,21 +196,29 @@ class TestDatasetIO:
             assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
     @pytest.mark.parametrize("corrupt, match", [
-        (lambda d: d.update(class_label=1 - d["main"]), "class_label"),
-        (lambda d: d["ambiguity"].pop(), "4 edge mixtures"),
-        (lambda d: d["ambiguity"].__setitem__(
-            0, {"centers": [2.0, 3.0, 4.0], "weights": [0.2, 0.3, 0.5]}), "at most 2"),
+        (lambda d: {**d, "class_label": 1 - d["main"]}, "class_label"),
+        (lambda d: {**d, "ambiguity": d["ambiguity"][:-1]}, "4 edge mixtures"),
+        (_first_mixture([2.0, 3.0, 4.0], [0.2, 0.3, 0.5]), "at most 2"),
+        (lambda d: {k: v for k, v in d.items() if k != "main"}, "missing key 'main'"),
+        (lambda d: list(d.values()), "must be a JSON object, got list"),
+        (_first_mixture([2.0, 3.0], [0.5, 0.6]), "sum to 1"),
+        (_first_mixture([2.0, 3.0], [1.5, -0.5]), "nonnegative"),
+        (_first_mixture([2.0, 3.0], [1.0]), "matching"),
+        (_first_mixture([], []), "non-empty"),
+        (lambda d: {**d, "features": d["features"][:-1]}, "63 features where the first"),
+        (lambda d: {**d, "true_edges": d["true_edges"][:3]}, "4 true and 4 observed edges"),
     ])
     def test_malformed_sample_rejected(self, tmp_path, corrupt, match):
+        """A malformed line is named by its file and 1-based line number."""
         ds = gen_dataset(FAST, DCFG, seed=11)
         train_path, heldout_path = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
         save_dataset(ds, train_path, heldout_path)
         lines = train_path.read_text().splitlines()
-        first = json.loads(lines[0])
-        corrupt(first)
-        train_path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
-        with pytest.raises(ValueError, match=match):
+        lines[2] = json.dumps(corrupt(json.loads(lines[2])))
+        train_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match) as info:
             load_dataset(train_path, heldout_path, GRID)
+        assert str(info.value).startswith(f"{train_path}, line 3: ")
 
 
 class TestTraining:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locdistill.boxdist import TwoHotTarget, encode_target, make_grid
+from locdistill.boxdist import BinGrid, TwoHotTarget, encode_target
 from locdistill.geometry import BoundingBox
 from locdistill.losses import (
     DistillConfig,
@@ -28,7 +29,7 @@ from locdistill.regions import RegionMasks
 
 from oracles import central_difference, composite_objective_oracle, relative_gradient_error
 
-GRID = make_grid(0, 8, 8)
+GRID = BinGrid(0, 8, 8)
 
 logit_vectors = st.lists(st.floats(-8.0, 8.0, allow_nan=False), min_size=2, max_size=12)
 
@@ -208,7 +209,7 @@ class TestLDBoxLoss:
 class TestDFLLoss:
     def test_zero_gradient_at_exact_match(self):
         # with two bins the two-hot target is a full simplex point
-        grid = make_grid(0, 1, 1)
+        grid = BinGrid(0, 1, 1)
         t = encode_target(0.3, grid)
         z = np.log(np.array([t.u1, t.u2]))
         res = dfl_loss(z, t)
@@ -246,6 +247,36 @@ class TestDFLLoss:
             res = dfl_loss(z, t)
             fd = central_difference(lambda v: dfl_loss(v, t).value, z)
             assert relative_gradient_error(res.grad, fd) < 1e-6
+
+
+class TestGradientSumsToZero:
+    """Every loss gradient on a softmax is tangent to the simplex: the
+    gradients at the incorrect positions sum to minus the gradient at the
+    target position."""
+
+    def test_dfl(self):
+        z = _rng(32).normal(0, 1, 9)
+        g = dfl_loss(z, TwoHotTarget(i=4, u1=0.6, u2=0.4)).grad
+        assert abs(np.delete(g, 4).sum() + g[4]) <= 1e-12
+
+    def test_kd(self):
+        rng = _rng(33)
+        zs, zt = rng.normal(0, 1, 9), rng.normal(0, 1, 9)
+        g = kd_loss(zs, zt, 10.0).grad
+        assert abs(np.delete(g, 0).sum() + g[0]) <= 1e-12
+
+    def test_dfl_plus_kd_on_random_configurations(self):
+        """``gamma * DFL + lam * KD``, the combined objective of one edge."""
+        rng = _rng(31)
+        for _ in range(100):
+            m = int(rng.integers(3, 12))
+            zs, zt = rng.normal(0, 2, m), rng.normal(0, 2, m)
+            i = int(rng.integers(0, m - 1))
+            u1 = rng.uniform(0, 1)
+            gamma, lam, tau = rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(1, 20)
+            g = (gamma * dfl_loss(zs, TwoHotTarget(i=i, u1=u1, u2=1 - u1)).grad
+                 + lam * kd_loss(zs, zt, tau).grad)
+            assert abs(np.delete(g, i).sum() + g[i]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +615,7 @@ class TestTotalLoss:
 
     def test_negative_grid_rejected_for_regression(self):
         rng = _rng(98)
-        grid = make_grid(-5, 5, 10)
+        grid = BinGrid(-5, 5, 10)
         student = SceneOutputs(cls_logits=rng.normal(0, 1, (2, 2)),
                                edge_logits=rng.normal(0, 1, (2, 4, 11)))
         truth = SceneTruth(labels=np.array([0, 1]),
@@ -671,6 +702,11 @@ class TestSceneObjective:
             teacher = None
         else:
             cfg = _scheme_configs()[scheme]
+            # scene_tbr_loss is the one-shot form of an objective whose only term is TBR.
+            tbr_only = replace(cfg, w_cls=0.0, w_reg=0.0, w_dfl=0.0, w_ld_main=0.0,
+                               w_ld_vlr=0.0, w_kd_main=0.0, w_kd_vlr=0.0)
+            tbr_objective = SceneObjective(truth, masks, tbr_only, teacher, n_classes=2,
+                                           tbr_weight=1.0)
         objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2)
         for _ in range(3):  # fresh students against one compiled objective
             student, _, _, _ = _random_scene(rng, n_anchors=5)
@@ -683,7 +719,7 @@ class TestSceneObjective:
             assert np.array_equal(g_cls, ref_cls)
             assert np.array_equal(g_edges, ref_edges)
             if teacher is not None:
-                tbr_value, tbr_edges = objective.tbr_step(student)
+                tbr_value, _, tbr_edges, _ = tbr_objective.step(student)
                 tbr = scene_tbr_loss(student, teacher, truth, masks.main, cfg)
                 assert tbr_value == tbr.value
                 assert np.array_equal(tbr_edges, tbr.grad[g_cls.size:].reshape(g_edges.shape))
@@ -705,9 +741,10 @@ class TestSceneObjective:
         rng = _rng(113)
         student, _, truth, masks = _random_scene(rng, n_anchors=3)
         cfg = DistillConfig(grid=GRID, w_ld_main=0, w_ld_vlr=0, w_kd_main=0, w_kd_vlr=0)
-        objective = SceneObjective(truth, masks, cfg, None, n_classes=2)
         with pytest.raises(ValueError, match="teacher"):
-            objective.tbr_step(student)
+            SceneObjective(truth, masks, cfg, None, n_classes=2, tbr_weight=1.0)
+        with pytest.raises(ValueError, match="teacher"):
+            scene_tbr_loss(student, None, truth, masks.main, cfg)
 
 
 def _oracle_cases(a, seed):

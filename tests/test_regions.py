@@ -128,9 +128,11 @@ class TestAssignVLR:
         rng = np.random.default_rng(9)
         anchors, gts = _random_scene(rng)
         masks = compute_region_masks(anchors, gts, 0.5, 0.25)
-        shifted = compute_region_masks(
-            [a.translated(13.5, -7.25) for a in anchors],
-            [g.translated(13.5, -7.25) for g in gts], 0.5, 0.25)
+        def shift(b):
+            return BoundingBox(b.x1 + 13.5, b.y1 - 7.25, b.x2 + 13.5, b.y2 - 7.25)
+
+        shifted = compute_region_masks([shift(a) for a in anchors], [shift(g) for g in gts],
+                                       0.5, 0.25)
         assert np.array_equal(masks.main, shifted.main)
         assert np.array_equal(masks.vlr, shifted.vlr)
 
