@@ -120,8 +120,10 @@ def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, n
     size_s = s[2:] - s[:2]
     size_g = g[2:] - g[:2]
 
+    # Selections multiply by boolean masks; a masked-out entry may then be
+    # -0.0, which every later use treats as 0.0.
     overlap = (inner[0] > 0.0) & (inner[1] > 0.0)
-    inter = np.where(overlap, inner[0] * inner[1], 0.0)
+    inter = inner[0] * inner[1] * overlap
     union = size_s[0] * size_s[1] + size_g[0] * size_g[1] - inter
     enclosing = outer[0] * outer[1]
     if (enclosing <= 0.0).any():
@@ -134,14 +136,12 @@ def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, n
     # Corner derivatives. Moving x1 or x2 changes an area by its height and
     # moving y1 or y2 by its width, hence the swapped axis rows ([::-1]).
     s_above, s_below = s > g, s < g
-    live = np.where(overlap, inner[::-1], 0.0)
-    d_inter = np.where(np.concatenate([s_above[:2], s_below[2:]]),
-                       np.concatenate([-live, live]), 0.0)
+    live = inner[::-1] * overlap
+    d_inter = np.concatenate([-live, live]) * np.concatenate([s_above[:2], s_below[2:]])
     d_area = np.concatenate([-size_s[::-1], size_s[::-1]])
     d_union = d_area - d_inter
     span = outer[::-1]
-    d_enc = np.where(np.concatenate([s_below[:2], s_above[2:]]),
-                     np.concatenate([-span, span]), 0.0)
+    d_enc = np.concatenate([-span, span]) * np.concatenate([s_below[:2], s_above[2:]])
 
     d_giou = (d_inter * union - inter * d_union) / (union * union)
     d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)

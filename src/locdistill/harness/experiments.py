@@ -138,17 +138,22 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
     every step, ``trace`` collects each step's loss components before its
     update, and ``run`` is the ``(who, seed, tau)`` a
     :class:`DivergenceError` names."""
+    # x is fixed under full-batch descent, so the bins-first inputs and the
+    # rows whose edges the objective reads are taken once.
+    x_edge = x[objective.edge_rows]
+    xt, xt_edge = np.ascontiguousarray(x.T), np.ascontiguousarray(x_edge.T)
     # The finite check on each step's loss replaces numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(epochs):
-            value, g_cls, g_edges, comps = objective.step(model.logits(x))
+            value, g_cls, g_edges, comps = objective.block_step(
+                *model.block_logits(xt, xt_edge))
             g_hidden = None
             if imitate is not None:
                 fi_value, g_fi = _imitation(model.features(x), imitate)
                 value += cfg.fi_weight * fi_value
                 g_hidden = cfg.fi_weight * g_fi
-            d_cls, d_edges, d_features = model.gradients(x, g_cls, g_edges, g_hidden,
-                                                         cfg.train_features)
+            d_cls, d_edges, d_features = model.block_gradients(
+                x, x_edge, g_cls, g_edges, g_hidden, cfg.train_features)
             if not math.isfinite(value):
                 raise DivergenceError(*run, step)
             if trace is not None:

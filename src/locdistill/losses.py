@@ -17,9 +17,13 @@ The kernels work bins first: a distribution's short axis (bins or classes)
 leads, then any edge axis, and the K anchors come last, the reverse (``.T``)
 of the public ``(A, C)`` and ``(A, E, m)`` layout; boxes are ``(4, K)``
 corner rows. Every numpy call of a training step then runs over contiguous
-rows of K anchors. :class:`SceneObjective` transposes the student's logits
-once per step and scatters its gradients back, so the public layouts,
-:class:`SceneOutputs` and the scalar losses are unchanged.
+rows of K anchors. :class:`SceneObjective` fixes at build the edge rows its
+terms read, the main positives and then any VLR that LD reads, and its
+training step takes and returns bins-first blocks over those rows alone,
+which the harness's model computes and consumes directly. Its public-layout
+:meth:`~SceneObjective.step` gathers those rows and scatters their
+gradients back, so :class:`SceneOutputs` and the scalar losses are
+unchanged.
 
 Conventions:
 
@@ -429,10 +433,12 @@ class SceneObjective:
     student, bins first: the main/VLR indices, the one-hot labels, the main
     rows' edge target distributions, the sample points and ground-truth
     boxes, and the frozen teacher's tempered log-probabilities on the rows
-    each active distillation term reads. :meth:`step` then does only
-    student-dependent work and checks nothing: it is a training loop's
-    inner step, and :func:`total_loss` is its validated one-shot form and
-    defines the math.
+    each active distillation term reads. ``edge_rows`` are the anchors
+    whose edge logits any term reads: the main positives, then the VLR
+    when an ``ld_vlr`` term is active. :meth:`block_step` then does only
+    student-dependent work on those rows and checks nothing: it is a
+    training loop's inner step. :meth:`step` is its public-layout form and
+    :func:`total_loss` its validated one-shot form, which defines the math.
 
     The main rows' edge targets default to the two-hot encodings of
     ``truth.edge_targets`` (DFL). ``edge_dists``, ``(K, E, m)`` over the K
@@ -505,6 +511,9 @@ class SceneObjective:
                     self._teacher_terms[name] = (weight, *_tempered(head[rows_idx].T, cfg.tau))
         if self.tbr_weight > 0.0:
             _ = self._boxes_t  # without a teacher, fail here rather than at the first step
+        self.edge_rows = self.main_idx
+        if "ld_vlr" in self._teacher_terms:
+            self.edge_rows = np.concatenate([self.main_idx, self.vlr_idx])
 
     def _check_student(self, student: SceneOutputs) -> None:
         if (student.cls_logits.shape != self.cls_shape
@@ -519,29 +528,40 @@ class SceneObjective:
         """The objective at ``student``: ``(value, grad_cls (A, C),
         grad_edges (A, E, m), components)``; see :func:`total_loss`. With a
         ``tbr_weight``, its multiple of TBR is in the value and gradient but
-        not in the components."""
+        not in the components. The public-layout form of :meth:`block_step`:
+        zero outside ``edge_rows``."""
+        value, g_cls, g_rows, components = self.block_step(
+            student.cls_logits.T, student.edge_logits[self.edge_rows].T)
+        grad_edges = np.zeros(self.edge_shape)
+        grad_edges[self.edge_rows] = g_rows.T
+        return value, g_cls.T, grad_edges, components
+
+    def block_step(self, z_cls: np.ndarray, z_edges: np.ndarray
+                   ) -> tuple[float, np.ndarray, np.ndarray, dict[str, float]]:
+        """The objective at the bins-first student logits ``z_cls`` ``(C, A)``
+        and ``z_edges`` ``(m, E, K)`` on the K ``edge_rows``: ``(value,
+        grad_cls (C, A), grad_edges (m, E, K), components)``. The main block
+        is ``[..., :k]`` over the k main positives, the VLR block the rest."""
         cfg = self.cfg
         terms = self._teacher_terms
-        main_idx, vlr_idx = self.main_idx, self.vlr_idx
         kl = dict.fromkeys(("ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
 
-        # Classification cross-entropy over every anchor, and KD on its rows,
-        # on one bins-first copy of the class logits.
-        z_cls = student.cls_logits.T.copy()
+        # Classification cross-entropy over every anchor, and KD on its rows.
         l_cls, grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot, cfg.w_cls)
-        for name, rows_idx in (("kd_main", main_idx), ("kd_vlr", vlr_idx)):
+        for name, rows_idx in (("kd_main", self.main_idx), ("kd_vlr", self.vlr_idx)):
             if name in terms:
                 weight, lt, q = terms[name]
                 kl[name], g = _tempered_kl(z_cls.take(rows_idx, axis=1), lt, q, cfg.tau)
                 grad_cls[:, rows_idx] += weight * g
 
-        # Over the main positives, on one bins-first copy of their edge
-        # logits: the edge cross-entropy (DFL), the box regression with any
-        # TBR, and LD, summed into one gradient that is scattered once.
-        grad_edges = np.zeros(self.edge_shape)
+        # Over the main block: the edge cross-entropy (DFL), the box
+        # regression with any TBR, and LD, summed into one gradient; LD on
+        # the VLR block fills the rest.
+        k = self.main_idx.size
+        grad_edges = np.empty(z_edges.shape)
         l_reg = l_dfl = l_tbr = 0.0
-        if main_idx.size:
-            z_main = student.edge_logits[main_idx].T.copy()
+        if k:
+            z_main = z_edges[..., :k]
             l_dfl, g_main, p_e = _cross_entropy(z_main, self._edge_picks, self._edge_dists,
                                                 cfg.w_dfl)
             l_reg, l_tbr, g_box = self._box_terms(p_e)
@@ -550,18 +570,18 @@ class SceneObjective:
                 weight, lt, q = terms["ld_main"]
                 kl["ld_main"], g = _tempered_kl(z_main, lt, q, cfg.tau)
                 g_main += weight * g
-            grad_edges[main_idx] = g_main.T
+            grad_edges[..., :k] = g_main
         if "ld_vlr" in terms:
             weight, lt, q = terms["ld_vlr"]
-            kl["ld_vlr"], g = _tempered_kl(student.edge_logits[vlr_idx].T, lt, q, cfg.tau)
-            grad_edges[vlr_idx] = weight * g.T
+            kl["ld_vlr"], g = _tempered_kl(z_edges[..., k:], lt, q, cfg.tau)
+            np.multiply(g, weight, out=grad_edges[..., k:])
 
         components = {"cls": l_cls, "reg": l_reg, "dfl": l_dfl, **kl}
         value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
                  + cfg.w_ld_main * kl["ld_main"] + cfg.w_ld_vlr * kl["ld_vlr"]
                  + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"]
                  + self.tbr_weight * l_tbr)
-        return value, grad_cls.T, grad_edges, components
+        return value, grad_cls, grad_edges, components
 
     @cached_property
     def _boxes_t(self) -> np.ndarray:

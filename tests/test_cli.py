@@ -38,6 +38,15 @@ needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                                    reason="PyYAML was built without libyaml")
 
 
+def _cli_env(**extra: str) -> dict[str, str]:
+    """The environment for ``python -m locdistill`` in a subprocess: this
+    one plus ``extra``, with ``src`` first on ``PYTHONPATH``, since the
+    test runner's ``pythonpath`` setting reaches only its own process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class _NoFlags:
     seed = None
     output_dir = None
@@ -311,7 +320,7 @@ class TestVerifyCommand:
         result = subprocess.run(
             [sys.executable, "-m", "locdistill", "-o", str(out), *FAST_VERIFY,
              "--set", f"verify.eta_scale={eta_scale}", "verify"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=_cli_env(),
         )
         assert result.returncode == 2, result.stderr
         assert "eta_scale" in result.stderr
@@ -350,17 +359,15 @@ class TestExperimentCommand:
     def test_tree_identical_across_blas_thread_counts(self, tmp_path):
         """The default experiment (all schemes, seed 0, a tenth of the epochs)
         writes the same bytes with one and with two BLAS threads."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
         trees = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             result = subprocess.run(
                 [sys.executable, "-m", "locdistill", "-o", str(out), "--seed", "0",
                  "--set", "experiment.seeds=[0]", "--set", "harness.epochs=60",
                  "--set", "harness.teacher_epochs=90", "experiment"],
-                capture_output=True, text=True, timeout=120, env=env,
+                capture_output=True, text=True, timeout=120,
+                env=_cli_env(OPENBLAS_NUM_THREADS=threads),
             )
             assert result.returncode == 0, result.stderr
             trees.append({p.relative_to(out): p.read_bytes()
@@ -567,7 +574,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "locdistill", "-o", str(tmp_path / "m"),
              "--set", "verify.trials=20", "--set", "verify.mc_trials=2000",
              "--set", "verify.mc_instances=1", "verify"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_cli_env(),
         )
         assert result.returncode == 0, result.stderr
         assert "[PASS] proposition1" in result.stdout

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from locdistill.boxdist import BinGrid, decode_expectation, flatness
 from locdistill.cli import RunConfig, SweepConfig, build_run_config, cmd_sweep
-from locdistill.losses import DistillConfig, feature_imitation_loss, total_loss
+from locdistill.losses import DistillConfig, SceneObjective, feature_imitation_loss, total_loss
 from locdistill.harness import (
     SCHEMES,
     HarnessConfig,
@@ -27,6 +28,7 @@ from locdistill.harness import experiments
 from locdistill.harness.data import _cdf, _draw
 from locdistill.harness.experiments import DivergenceError, _new_model, scheme_config
 from locdistill.harness.models import LinearLocalizer
+from locdistill.regions import RegionMasks
 
 from oracles import relative_gradient_error
 
@@ -464,7 +466,64 @@ def _training_problem(monkeypatch, scheme, ds, teacher):
     return problem
 
 
+# Degenerate scenes for the block-path test, named by the rows read.
+DEGENERATE_SCENES = ("no_rows_read", "vlr_rows_only", "empty_vlr", "every_anchor_main")
+
+
+def _degenerate_problem(name, ds, teacher):
+    """A selective objective with TBR on the training split, with its
+    (main, VLR) masks replaced as ``name`` says, and a fresh student."""
+    stack = ds.train
+    x = stack.features
+    none = np.zeros(len(x), dtype=bool)
+    main, vlr = {"no_rows_read": (none, none),  # K' = 0
+                 "vlr_rows_only": (none, stack.main | stack.vlr),
+                 "empty_vlr": (stack.main, none),
+                 "every_anchor_main": (~none, none)}[name]
+    objective = SceneObjective(stack.truth, RegionMasks(main=main, vlr=vlr),
+                               scheme_config(SCHEMES["selective"], DCFG, FAST.ld_dfl_scale),
+                               teacher.forward(x)[0], 2, tbr_weight=FAST.tbr_weight)
+    return _new_model(FAST, GRID, 12), x, objective, None
+
+
+_descend = experiments._descend  # the loop itself: ``_training_problem`` patches it out
+
+
 class TestLocalizerGradients:
+    @pytest.mark.parametrize("problem", [*SCHEMES, "teacher", *DEGENERATE_SCENES])
+    def test_block_descent_matches_public_loop(self, monkeypatch, trained_teacher, problem):
+        """Five descent steps through the bins-first blocks over the rows the
+        objective reads match a loop through the public ``logits``, ``step``
+        and ``gradients``: finite values and every weight within 1e-12
+        relative, for every scheme, the teacher and degenerate scenes."""
+        if problem in DEGENERATE_SCENES:
+            model, x, objective, imitate = _degenerate_problem(problem, *trained_teacher)
+        else:
+            model, x, objective, imitate = _training_problem(monkeypatch, problem,
+                                                             *trained_teacher)
+        steps = 5
+        block, ref = copy.deepcopy(model), copy.deepcopy(model)
+        trace = []
+        _descend(block, x, objective, FAST, steps, (problem, 12, DCFG.tau), imitate, trace)
+
+        everywhere = np.ones(len(x), dtype=bool)
+        for step in range(steps):
+            value, g_cls, g_edges, _ = objective.step(ref.logits(x))
+            g_hidden = None
+            if imitate is not None:
+                fi = feature_imitation_loss(ref.features(x), imitate, everywhere)
+                value += FAST.fi_weight * fi.value
+                g_hidden = FAST.fi_weight * fi.grad
+            assert math.isfinite(value)
+            assert abs(trace[step]["total"] - value) <= 1e-12 * abs(value)
+            d_cls, d_edges, d_features = ref.gradients(x, g_cls, g_edges, g_hidden)
+            ref.cls_weights -= FAST.lr * d_cls
+            ref.edge_weights -= FAST.lr * d_edges
+            ref.feature_weights -= FAST.lr * d_features
+        for name in ("feature_weights", "cls_weights", "edge_weights"):
+            got, want = getattr(block, name), getattr(ref, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
     @pytest.mark.parametrize("scheme", [*SCHEMES, "teacher"])
     def test_weight_gradients(self, monkeypatch, trained_teacher, scheme):
         """The chain rule of every scheme's step, feature imitation included,
