@@ -92,9 +92,11 @@ def generalized_softmax(z, tau: float) -> np.ndarray:
     return _softmax(_as_vector(z), tau)
 
 
-def _log_softmax(z: np.ndarray, tau) -> np.ndarray:
-    """Tempered log-softmax over axis 0 of ``z`` (the bins); ``tau`` is a
-    scalar or broadcasts against ``z[0]`` (one per column). The result is
+def _log_softmax_pair(z: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Tempered log-softmax over axis 0 of ``z`` (the bins) and the
+    probabilities ``e / sum(e)`` from the same exponentials, where ``exp``
+    of the log-probabilities would take a second pass. ``tau`` is a scalar
+    or broadcasts against ``z[0]`` (one per column). Both results are
     C-contiguous whatever the layout of ``z``, so a transposed view is read
     once and every reduction runs over whole rows."""
     zt = np.true_divide(np.asarray(z, dtype=np.float64), tau, order="C")
@@ -103,15 +105,17 @@ def _log_softmax(z: np.ndarray, tau) -> np.ndarray:
     # numpy adds the rows of a leading axis in order, but sums a lone column
     # pairwise; its running sum keeps the row order, so a one-column call is
     # bit for bit the same column of a stacked call.
-    zt -= np.log(np.add.reduce(e, axis=0) if e.size > e.shape[0]
-                 else np.add.accumulate(e, axis=0)[-1])
-    return zt
+    total = (np.add.reduce(e, axis=0) if e.size > e.shape[0]
+             else np.add.accumulate(e, axis=0)[-1])
+    zt -= np.log(total)
+    e /= total
+    return zt, e
 
 
 def _softmax(z: np.ndarray, tau) -> np.ndarray:
-    """The body of :func:`generalized_softmax`: the exponential of
-    :func:`_log_softmax`."""
-    return np.exp(_log_softmax(z, tau))
+    """The body of :func:`generalized_softmax`: the exponential of the
+    log-probabilities of :func:`_log_softmax_pair`."""
+    return np.exp(_log_softmax_pair(z, tau)[0])
 
 
 @dataclass(frozen=True)
@@ -215,21 +219,12 @@ def _decode(z: np.ndarray, grid: BinGrid) -> tuple[np.ndarray, np.ndarray]:
 _CORNER_AXIS = np.array([0, 1, 0, 1])
 _CORNER_EDGE = np.array([2, 0, 3, 1])
 _CORNER_SIGN = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-# The inverse map: edge e moves corner _EDGE_CORNER[e] with sign _EDGE_SIGN[e].
-_EDGE_CORNER = np.array([1, 3, 0, 2])
-_EDGE_SIGN = np.array([[-1.0], [1.0], [-1.0], [1.0]])
 
 
 def _boxes_from_edges(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """(4, K) corner boxes from (2, K) sample points and (4, K) (t, b, l, r)
     distances."""
     return points[_CORNER_AXIS] + edges[_CORNER_EDGE] * _CORNER_SIGN
-
-
-def _box_grad_to_edges(g_box: np.ndarray) -> np.ndarray:
-    """Map a (4, K) corner gradient (x1, y1, x2, y2) to a (4, K) edge
-    gradient (t, b, l, r)."""
-    return g_box[_EDGE_CORNER] * _EDGE_SIGN
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:

@@ -6,10 +6,14 @@ The overlap metrics follow the standard closed forms:
 * GIoU: IoU - (enclosing_area - union_area) / enclosing_area.
 * DIoU: IoU - squared center distance / squared enclosing-box diagonal.
 
-GIoU has one implementation, :func:`_giou_batch`, which also returns the
-gradient the box-regression losses train with; :func:`giou` is its 1x1
-view. All functions are pure and the box type is an immutable value, so
-everything here is safe to call concurrently.
+GIoU has one implementation, :func:`_giou_edges`, on the edge distances
+``(t, b, l, r)`` of box pairs from a point each pair shares: GIoU does not
+move with that point (as IoU in UnitBox, Yu et al., arXiv:1608.01471), so
+training computes it, and its gradient, on the decoded edges directly.
+:func:`_giou_batch` is its view on corner boxes, with the origin as the
+shared point, and :func:`giou` that view's 1x1 case. All functions are
+pure and the box type is an immutable value, so everything here is safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -99,60 +103,83 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized GIoU and its gradient w.r.t. the first argument's corners.
+def _edge_area(e: np.ndarray) -> np.ndarray:
+    """Areas ``(t + b) * (l + r)`` of the boxes of ``(4, K)`` edge rows."""
+    return (e[0] + e[1]) * (e[2] + e[3])
 
-    Inputs are ``(4, K)`` arrays with rows ``x1, y1, x2, y2``. Returns
-    ``(giou (K,), dgiou/ds (4, K))``. Non-smooth corner-alignment points
-    take the one-sided subgradient.
+
+def _giou_edges(s: np.ndarray, g: np.ndarray, area_g: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """GIoU of box pairs given as edge distances from a point the two boxes
+    of a pair share, and its gradient w.r.t. the first box's edges.
+
+    ``s`` and ``g`` are ``(4, K)`` rows ``t, b, l, r``; ``area_g`` is
+    :func:`_edge_area` of ``g``. Returns ``(giou (K,), dgiou/ds (4, K))``.
+    The shared point cancels: intersection height and width are the sums of
+    the per-edge minima, the hull's the sums of the maxima, and a box's are
+    ``t + b`` and ``l + r``. At tied edges the gradient takes the one-sided
+    subgradient: a tie moves neither the intersection nor the hull. No
+    check: a pair whose union is empty gives NaN.
     """
-    s = np.asarray(boxes_s, dtype=np.float64)
-    g = np.asarray(boxes_g, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != 4 or s.shape != g.shape:
-        raise ValueError(f"expected matching (4, K) box arrays, got {s.shape} and {g.shape}")
-    # Each per-axis quantity is a (2, K) block with an x row and a y row, so
-    # one ufunc call covers both axes. Per-corner minima and maxima and
-    # comparisons take one call over all four rows. The single-box calls of
-    # the scalar losses are dominated by call count, not array size.
-    near, far = np.minimum(s, g), np.maximum(s, g)
-    inner = near[2:] - far[:2]  # iw, ih
-    outer = far[2:] - near[:2]  # cw, ch
-    size_s = s[2:] - s[:2]
-    size_g = g[2:] - g[:2]
+    k = s.shape[-1]
+    # Each per-axis quantity is a (2, K) block with a y row (t, b) and an x
+    # row (l, r): the (2, 2, K) views pair each edge with its opposite.
+    s2, g2 = s.reshape(2, 2, k), g.reshape(2, 2, k)
+    near, far = np.minimum(s2, g2), np.maximum(s2, g2)
+    inner = near[:, 0] + near[:, 1]  # ih, iw
+    outer = far[:, 0] + far[:, 1]    # ch, cw
+    size_s = s2[:, 0] + s2[:, 1]     # h, w
 
     # Selections multiply by boolean masks; a masked-out entry may then be
     # -0.0, which every later use treats as 0.0.
     overlap = (inner[0] > 0.0) & (inner[1] > 0.0)
     inter = inner[0] * inner[1] * overlap
-    union = size_s[0] * size_s[1] + size_g[0] * size_g[1] - inter
+    union = size_s[0] * size_s[1] + area_g - inter
     enclosing = outer[0] * outer[1]
-    if (enclosing <= 0.0).any():
-        raise ValueError("giou undefined: an enclosing box has zero area")
-    if (union <= 0.0).any():
-        raise ValueError("giou undefined: a box pair has zero union area")
-
     giou = inter / union - (enclosing - union) / enclosing
 
-    # Corner derivatives. Moving x1 or x2 changes an area by its height and
-    # moving y1 or y2 by its width, hence the swapped axis rows ([::-1]).
-    s_above, s_below = s > g, s < g
-    live = inner[::-1] * overlap
-    d_inter = np.concatenate([-live, live]) * np.concatenate([s_above[:2], s_below[2:]])
-    d_area = np.concatenate([-size_s[::-1], size_s[::-1]])
-    d_union = d_area - d_inter
-    span = outer[::-1]
-    d_enc = np.concatenate([-span, span]) * np.concatenate([s_below[:2], s_above[2:]])
+    # Edge derivatives: moving t or b changes an area by its width, moving
+    # l or r by its height, hence the swapped axis rows ([::-1]). An edge
+    # moves the intersection where it is the nearer of the pair and the
+    # hull where it is the farther.
+    d_inter = (inner[::-1] * overlap)[:, None] * (s2 < g2)
+    d_union = size_s[::-1, None] - d_inter
+    d_enc = outer[::-1, None] * (s2 > g2)
 
     d_giou = (d_inter * union - inter * d_union) / (union * union)
     d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)
-    return giou, d_giou
+    return giou, d_giou.reshape(4, k)
+
+
+def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GIoU of ``(4, K)`` corner boxes (rows ``x1, y1, x2, y2``) and its
+    gradient w.r.t. the first argument's corners: the view of
+    :func:`_giou_edges` with the origin as the shared point (``t = -y1,
+    b = y2, l = -x1, r = x2``; negation is exact). Raises on a pair with
+    an empty union.
+    """
+    s = np.asarray(boxes_s, dtype=np.float64)
+    g = np.asarray(boxes_g, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != 4 or s.shape != g.shape:
+        raise ValueError(f"expected matching (4, K) box arrays, got {s.shape} and {g.shape}")
+    es, eg = (np.stack([-c[1], c[3], -c[0], c[2]]) for c in (s, g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        giou, d = _giou_edges(es, eg, _edge_area(eg))
+    if np.isnan(giou).any():
+        # An empty union means both boxes are degenerate; an empty hull, that
+        # they are also flat along one line.
+        hull = np.maximum(es, eg)
+        if (_edge_area(hull) <= 0.0).any():
+            raise ValueError("giou undefined: an enclosing box has zero area")
+        raise ValueError("giou undefined: a box pair has zero union area")
+    return giou, np.stack([-d[2], -d[0], d[3], d[1]])
 
 
 def giou(a: BoundingBox, b: BoundingBox) -> float:
     """Generalized IoU, in [-1, 1]; penalizes empty space in the hull.
 
-    The 1x1 view of :func:`_giou_batch`, the kernel the box-regression
-    losses train with.
+    The 1x1 corner view of :func:`_giou_edges`, the kernel the
+    box-regression losses train with.
     """
     vals, _ = _giou_batch(np.asarray(a.to_list())[:, None],
                           np.asarray(b.to_list())[:, None])

@@ -152,15 +152,14 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
                 fi_value, g_fi = _imitation(model.features(x), imitate)
                 value += cfg.fi_weight * fi_value
                 g_hidden = cfg.fi_weight * g_fi
-            d_cls, d_edges, d_features = model.block_gradients(
+            d_head, d_features = model.block_gradients(
                 x, x_edge, g_cls, g_edges, g_hidden, cfg.train_features)
             if not math.isfinite(value):
                 raise DivergenceError(*run, step)
             if trace is not None:
                 row = {column: comps[key] for column, key in _TRACE_COMPONENTS.items()}
                 trace.append({"step": step, **row, "total": value})
-            model.cls_weights -= cfg.lr * d_cls
-            model.edge_weights -= cfg.lr * d_edges
+            model.head_weights -= cfg.lr * d_head
             if d_features is not None:
                 model.feature_weights -= cfg.lr * d_features
 

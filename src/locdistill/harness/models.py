@@ -16,21 +16,20 @@ gradients and the inputs: ``dWh = P·Wfᵀ`` and ``dWf = Whᵀ·P``. By
 associativity these are the gradients of the factored chain rule
 (``g_h = G·Wh``, ``dWh = Gᵀ·h``, ``dWf = g_hᵀ·x``), up to rounding.
 
-Cost model, in multiply-adds per step at D inputs and H hidden units, with
-``R = C·A + m·E·K′`` logits computed: the product form costs
-``2·D·R + 3·D·H·O`` against ``2·D·H·A + 3·H·R`` for the factored form. At
-the default dimensions (D = 64, H = 48, C = 2, m·E = 36), which every
-config, test and benchmark workload uses, and a training split of A = 192
-anchors with K′ = 94 main rows read (seed 2; 78–107 over seeds 0–5), that
-is 0.83 M against 1.72 M (1.28 M against 2.23 M with every row computed).
-With every row read the product form is the dearer one only when
-``hidden_dim`` is below ``2·D·O / (2·D + 3·O)``, about 20 at D = 64 and
-O = 38.
+The heads are held as that one ``(O, H)`` array and updated with one
+subtraction per step. Cost model, in multiply-adds per step at D inputs and
+H hidden units, with ``R = C·A + m·E·K′`` logits computed and the update's
+``H·(O + D)`` left out: the product form costs ``2·D·R + 3·D·H·O`` against
+``2·D·H·A + 3·H·R`` for the factored form. At the default dimensions
+(D = 64, H = 48, C = 2, m·E = 36), which every config, test and benchmark
+workload uses, and a training split of A = 192 anchors with K′ = 94 main
+rows read (seed 2; 78–107 over seeds 0–5), that is 0.83 M against 1.72 M
+(1.28 M against 2.23 M with every row computed). With every row read the
+product form is the dearer one only when ``hidden_dim`` is below
+``2·D·O / (2·D + 3·O)``, about 20 at D = 64 and O = 38.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,23 +38,37 @@ from ..losses import SceneOutputs
 __all__ = ["LinearLocalizer", "init_localizer"]
 
 
-@dataclass
 class LinearLocalizer:
-    """Linear feature projection plus class and edge-distribution heads."""
+    """Linear feature projection plus class and edge-distribution heads, held
+    as one bins-major ``(C + m·E, hidden)`` array ``head_weights``, of which
+    ``cls_weights`` and ``edge_weights`` ``(E, m, hidden)`` are views."""
 
-    feature_weights: np.ndarray  # (hidden, input_dim)
-    cls_weights: np.ndarray      # (classes, hidden)
-    edge_weights: np.ndarray     # (edges, bins, hidden)
+    def __init__(self, feature_weights: np.ndarray, cls_weights: np.ndarray,
+                 edge_weights: np.ndarray) -> None:
+        self.feature_weights = feature_weights  # (hidden, input_dim)
+        self.n_classes = cls_weights.shape[0]
+        n_edges, n_bins, hidden = edge_weights.shape
+        self._bins_major = (n_bins, n_edges, hidden)
+        self.head_weights = np.concatenate(
+            [cls_weights, edge_weights.transpose(1, 0, 2).reshape(-1, hidden)])
 
     @property
     def hidden_dim(self) -> int:
         return self.feature_weights.shape[0]
 
-    def _head_weights(self) -> np.ndarray:
-        """``Wh``, ``(C + m·E, hidden)``: the class rows, then the edge rows
-        bins-major."""
-        return np.concatenate([self.cls_weights, self.edge_weights.transpose(1, 0, 2)
-                               .reshape(-1, self.hidden_dim)])
+    def _heads(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a bins-major ``(C + m·E, hidden)`` array as its
+        ``(C, hidden)`` class rows and ``(E, m, hidden)`` edge rows."""
+        c = self.n_classes
+        return rows[:c], rows[c:].reshape(self._bins_major).transpose(1, 0, 2)
+
+    @property
+    def cls_weights(self) -> np.ndarray:
+        return self._heads(self.head_weights)[0]
+
+    @property
+    def edge_weights(self) -> np.ndarray:
+        return self._heads(self.head_weights)[1]
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return x @ self.feature_weights.T
@@ -65,36 +78,32 @@ class LinearLocalizer:
         """Bins-first logits: the ``(C, A)`` class block at the inputs
         ``xt`` ``(D, A)`` and the ``(m, E, K)`` edge block at ``xt_edge``
         ``(D, K)``, the transposed inputs of the rows whose edges are read."""
-        w = self._head_weights() @ self.feature_weights
-        n_classes = self.cls_weights.shape[0]
-        n_edges, n_bins, _ = self.edge_weights.shape
-        return (w[:n_classes] @ xt,
-                (w[n_classes:] @ xt_edge).reshape(n_bins, n_edges, xt_edge.shape[1]))
+        w = self.head_weights @ self.feature_weights
+        c = self.n_classes
+        return w[:c] @ xt, (w[c:] @ xt_edge).reshape(*self._bins_major[:2], xt_edge.shape[1])
 
     def block_gradients(self, x: np.ndarray, x_edge: np.ndarray, grad_cls: np.ndarray,
                         grad_edges: np.ndarray, grad_hidden: np.ndarray | None = None,
                         train_features: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Weight gradients ``(d_cls, d_edges, d_features)``, shaped like the
-        weights, of a loss whose gradients at :meth:`block_logits` are
-        ``grad_cls`` ``(C, A)`` and ``grad_edges`` ``(m, E, K)``, at the
-        inputs ``x`` ``(A, D)`` and ``x_edge`` ``(K, D)``; ``grad_hidden``
-        ``(A, hidden)`` adds a loss on the hidden features of ``x``.
-        ``d_features`` is None unless ``train_features``."""
-        n_classes = self.cls_weights.shape[0]
-        n_edges, n_bins, hidden = self.edge_weights.shape
-        p = np.empty((n_classes + n_bins * n_edges, x.shape[1]))
-        np.matmul(grad_cls, x, out=p[:n_classes])
-        np.matmul(grad_edges.reshape(n_bins * n_edges, len(x_edge)), x_edge, out=p[n_classes:])
-        d_heads = p @ self.feature_weights.T
-        d_cls = d_heads[:n_classes]
-        d_edges = d_heads[n_classes:].reshape(n_bins, n_edges, hidden).transpose(1, 0, 2)
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Weight gradients ``(d_head, d_features)``, shaped like
+        ``head_weights`` and ``feature_weights``, of a loss whose gradients
+        at :meth:`block_logits` are ``grad_cls`` ``(C, A)`` and
+        ``grad_edges`` ``(m, E, K)``, at the inputs ``x`` ``(A, D)`` and
+        ``x_edge`` ``(K, D)``; ``grad_hidden`` ``(A, hidden)`` adds a loss on
+        the hidden features of ``x``. ``d_features`` is None unless
+        ``train_features``."""
+        c = self.n_classes
+        p = np.empty((len(self.head_weights), x.shape[1]))
+        np.matmul(grad_cls, x, out=p[:c])
+        np.matmul(grad_edges.reshape(len(p) - c, len(x_edge)), x_edge, out=p[c:])
+        d_head = p @ self.feature_weights.T
         if not train_features:
-            return d_cls, d_edges, None
-        d_features = self._head_weights().T @ p
+            return d_head, None
+        d_features = self.head_weights.T @ p
         if grad_hidden is not None:
             d_features += grad_hidden.T @ x
-        return d_cls, d_edges, d_features
+        return d_head, d_features
 
     def logits(self, x: np.ndarray) -> SceneOutputs:
         """Head outputs for a batch of inputs: ``(A, C)`` and ``(A, E, m)``
@@ -112,11 +121,13 @@ class LinearLocalizer:
     def gradients(self, x: np.ndarray, grad_cls: np.ndarray, grad_edges: np.ndarray,
                   grad_hidden: np.ndarray | None = None, train_features: bool = True
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """:meth:`block_gradients` over every row, at the gradients
+        """Weight gradients ``(d_cls, d_edges, d_features)``, shaped like the
+        weights: :meth:`block_gradients` over every row, at the gradients
         ``grad_cls`` ``(A, C)`` and ``grad_edges`` ``(A, E, m)`` of
         :meth:`logits`."""
-        return self.block_gradients(x, x, grad_cls.T, grad_edges.transpose(2, 1, 0),
-                                    grad_hidden, train_features)
+        d_head, d_features = self.block_gradients(
+            x, x, grad_cls.T, grad_edges.transpose(2, 1, 0), grad_hidden, train_features)
+        return (*self._heads(d_head), d_features)
 
 
 def init_localizer(

@@ -8,22 +8,25 @@ against central finite differences by the test suite.
 Each logit-space term has one kernel, batched over K anchors, and the
 composite :class:`SceneObjective` trains with those kernels:
 ``_cross_entropy`` (classification and the two-hot DFL) and
-``_tempered_kl`` (KD and LD, with the teacher side from ``_tempered``).
+``_tempered_kl`` (KD and LD, with the teacher side from ``_tempered``),
+each on ``boxdist._log_softmax_pair``, one exponential per softmax.
 The scalar functions (:func:`ce_loss`, :func:`dfl_loss`, :func:`kd_loss`,
 :func:`ld_edge_loss`, :func:`ld_box_loss`) are validated one-anchor calls
 of them, so the finite-difference suite pins the code that trains.
 
 The kernels work bins first: a distribution's short axis (bins or classes)
 leads, then any edge axis, and the K anchors come last, the reverse (``.T``)
-of the public ``(A, C)`` and ``(A, E, m)`` layout; boxes are ``(4, K)``
-corner rows. Every numpy call of a training step then runs over contiguous
-rows of K anchors. :class:`SceneObjective` fixes at build the edge rows its
-terms read, the main positives and then any VLR that LD reads, and its
-training step takes and returns bins-first blocks over those rows alone,
-which the harness's model computes and consumes directly. Its public-layout
-:meth:`~SceneObjective.step` gathers those rows and scatters their
-gradients back, so :class:`SceneOutputs` and the scalar losses are
-unchanged.
+of the public ``(A, C)`` and ``(A, E, m)`` layout; the box terms take
+``(4, K)`` rows of decoded edges, since GIoU and the TBR gate's distance do
+not depend on the anchors' sample points (``geometry._giou_edges``). Every
+numpy call of a training step then runs over contiguous rows of K anchors.
+:class:`SceneObjective` fixes at build the edge rows its terms read, the
+main positives and then any VLR that LD reads (one tempered KL over both
+blocks), and its training step takes and returns bins-first blocks over
+those rows alone, which the harness's model computes and consumes directly.
+Its public-layout :meth:`~SceneObjective.step` gathers those rows and
+scatters their gradients back, so :class:`SceneOutputs` and the scalar
+losses are unchanged.
 
 Conventions:
 
@@ -39,15 +42,13 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from ._checks import check_finite, check_nonnegative, check_positive, check_unit_interval
-from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector,
-                      _box_grad_to_edges, _boxes_from_edges, _decode, _expectation,
-                      _log_softmax, _two_hot, encode_targets)
-from .geometry import BoundingBox, _giou_batch
+from .boxdist import (BinGrid, TwoHotTarget, _as_probabilities, _as_vector, _decode,
+                      _expectation, _log_softmax_pair, _two_hot, encode_targets)
+from .geometry import BoundingBox, _edge_area, _giou_batch, _giou_edges
 from .regions import RegionMasks
 
 __all__ = [
@@ -141,9 +142,9 @@ class DistillConfig:
 
 def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Tempered log-probabilities and probabilities over axis 0: the frozen
-    teacher's side of every distillation term."""
-    lt = _log_softmax(z, tau)
-    return lt, np.exp(lt)
+    teacher's side of every distillation term, from the same kernel as the
+    student's side, so matched logits give an exactly zero gradient."""
+    return _log_softmax_pair(z, tau)
 
 
 def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
@@ -158,8 +159,7 @@ def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
     and the probabilities ``p``.
     """
     k = z.shape[-1]
-    ls = _log_softmax(z, 1.0)
-    p = np.exp(ls)
+    ls, p = _log_softmax_pair(z, 1.0)
     # Methods and ufunc reductions called directly, as np.take and
     # ndarray.sum would call them: this runs on every training step.
     picked = target.take(picks) * ls.take(picks)
@@ -177,10 +177,9 @@ def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
     summed over all other axes and averaged over the K anchors.
     """
     k = z_s.shape[-1]
-    ls = _log_softmax(z_s, tau)
+    ls, p = _log_softmax_pair(z_s, tau)
     value = float(np.add.reduce(q * (lt - ls), axis=None) / k)
-    grad = (np.exp(ls) - q) / (tau * k)
-    return value, grad
+    return value, (p - q) / (tau * k)
 
 
 def _one_anchor_kd(zs: np.ndarray, zt: np.ndarray, tau: float) -> LossResult:
@@ -277,8 +276,9 @@ def giou_regression_loss(student_box: BoundingBox, gt_box: BoundingBox) -> LossR
     return LossResult(value=1.0 - float(vals[0]), grad=-grads[:, 0])
 
 
-def _corner_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Corner-coordinate L2 distances of ``(4,)`` or ``(4, K)`` boxes."""
+def _l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L2 distances between ``(4,)`` or ``(4, K)`` boxes: corner rows, or
+    edge rows from a point each pair shares, whose distance is the same."""
     return np.sqrt(((a - b) ** 2).sum(axis=0))
 
 
@@ -299,7 +299,7 @@ def tbr_loss(
     s = np.asarray(student_box.to_list())
     t = np.asarray(teacher_box.to_list())
     g = np.asarray(gt_box.to_list())
-    if _corner_l2(s, g) + margin > _corner_l2(t, g):
+    if _l2(s, g) + margin > _l2(t, g):
         return giou_regression_loss(student_box, gt_box)
     return LossResult(value=0.0, grad=np.zeros(4))
 
@@ -381,30 +381,23 @@ def _checked(outputs: SceneOutputs) -> SceneOutputs:
 
 @dataclass(frozen=True)
 class SceneTruth:
-    """Ground truth for a scene: labels, observed edge targets, sample points.
+    """Ground truth for a scene: labels and observed edge targets.
 
     ``edge_targets`` rows are only read for main-positive anchors; other rows
-    may hold arbitrary placeholders.
+    may hold arbitrary placeholders. No loss reads the anchors' sample
+    points: GIoU and the TBR gate's distance do not move with them.
     """
 
     labels: np.ndarray        # (A,)
     edge_targets: np.ndarray  # (A, E)
-    points: np.ndarray | None = None  # (A, 2); defaults to the origin
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int64)
         targets = np.asarray(self.edge_targets, dtype=np.float64)
         if labels.ndim != 1 or targets.ndim != 2 or labels.shape[0] != targets.shape[0]:
             raise ValueError("labels must be (A,) and edge_targets (A, E)")
-        points = self.points
-        if points is None:
-            points = np.zeros((labels.shape[0], 2))
-        points = np.asarray(points, dtype=np.float64)
-        if points.shape != (labels.shape[0], 2):
-            raise ValueError(f"points must be (A, 2), got {points.shape}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edge_targets", targets)
-        object.__setattr__(self, "points", points)
 
 
 def _require_distances(grid: BinGrid, term: str) -> None:
@@ -431,11 +424,11 @@ class SceneObjective:
     Built once per (truth, masks, config, teacher outputs): it validates
     the inputs and computes everything that does not depend on the
     student, bins first: the main/VLR indices, the one-hot labels, the main
-    rows' edge target distributions, the sample points and ground-truth
-    boxes, and the frozen teacher's tempered log-probabilities on the rows
-    each active distillation term reads. ``edge_rows`` are the anchors
-    whose edge logits any term reads: the main positives, then the VLR
-    when an ``ld_vlr`` term is active. :meth:`block_step` then does only
+    rows' edge target distributions, their target edges and box areas, and
+    the frozen teacher's tempered log-probabilities on the rows each active
+    distillation term reads. ``edge_rows`` are the anchors whose edge
+    logits any term reads: the main positives, then the VLR when an
+    ``ld_vlr`` term is active. :meth:`block_step` then does only
     student-dependent work on those rows and checks nothing: it is a
     training loop's inner step. :meth:`step` is its public-layout form and
     :func:`total_loss` its validated one-shot form, which defines the math.
@@ -445,7 +438,7 @@ class SceneObjective:
     main positives, replaces them with any target distributions (the
     general distribution of GFL); the term keeps the weight ``w_dfl``.
     ``tbr_weight > 0`` adds that multiple of teacher-bounded regression
-    (:func:`scene_tbr_loss`) to every step, on the boxes the step decodes
+    (:func:`scene_tbr_loss`) to every step, on the edges the step decodes
     anyway.
     """
 
@@ -480,9 +473,10 @@ class SceneObjective:
         self.vlr_idx = np.flatnonzero(masks.vlr)
 
         k = self.main_idx.size
-        targets = truth.edge_targets[self.main_idx].T
+        self._edges_g = np.ascontiguousarray(truth.edge_targets[self.main_idx].T)
         if edge_dists is None:
-            self._edge_dists, self._edge_picks = _two_hot(*encode_targets(targets, cfg.grid), m)
+            self._edge_dists, self._edge_picks = _two_hot(
+                *encode_targets(self._edges_g, cfg.grid), m)
         else:
             edge_dists = np.asarray(edge_dists, dtype=np.float64)
             if edge_dists.shape != (k, n_edges, m):
@@ -491,17 +485,21 @@ class SceneObjective:
             self._edge_dists = np.ascontiguousarray(edge_dists.T)
             # A general distribution may be nonzero anywhere: pick every entry.
             self._edge_picks = np.arange(edge_dists.size)
-        self._points = np.ascontiguousarray(truth.points[self.main_idx].T)
-        self._boxes_g = _boxes_from_edges(self._points, targets)
+        # A union holds its ground-truth box, so a positive area makes every
+        # GIoU of a step defined once the student's edges are nonnegative.
+        self._area_g = _edge_area(self._edges_g)
+        if (cfg.w_reg > 0.0 or self.tbr_weight > 0.0) and (self._area_g <= 0.0).any():
+            raise ValueError("giou undefined: a main ground-truth box has zero area")
 
-        # Frozen teacher: main-row edge logits (decoded on first TBR use) and,
-        # for each active distillation term, its weight and the teacher's
-        # tempered log-probabilities and probabilities on the term's rows:
-        # the edge logits of the main or VLR rows, or their class logits.
-        self._teacher_main_edges = None
+        # Frozen teacher: for each active distillation term, its weight and
+        # the teacher's tempered log-probabilities and probabilities on the
+        # term's rows: the edge logits of the main or VLR rows, or their
+        # class logits. LD reads the edge columns [lo:] of a step: the main
+        # block when ld_main is active, then the VLR block when ld_vlr is;
+        # its terms run as one tempered KL over those columns, with each
+        # column's gradient divisor tau * (block size) and block weight.
         self._teacher_terms: dict[str, tuple] = {}
         if teacher is not None:
-            self._teacher_main_edges = teacher.edge_logits[self.main_idx].T
             for name, weight, rows_idx, head in (
                     ("ld_main", cfg.w_ld_main, self.main_idx, teacher.edge_logits),
                     ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, teacher.edge_logits),
@@ -509,11 +507,25 @@ class SceneObjective:
                     ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, teacher.cls_logits)):
                 if weight > 0.0 and rows_idx.size:
                     self._teacher_terms[name] = (weight, *_tempered(head[rows_idx].T, cfg.tau))
-        if self.tbr_weight > 0.0:
-            _ = self._boxes_t  # without a teacher, fail here rather than at the first step
+        ld = [(name, *self._teacher_terms.pop(name)) for name in ("ld_main", "ld_vlr")
+              if name in self._teacher_terms]
         self.edge_rows = self.main_idx
-        if "ld_vlr" in self._teacher_terms:
-            self.edge_rows = np.concatenate([self.main_idx, self.vlr_idx])
+        self._ld = None
+        if ld:
+            names, weights, lts, qs = zip(*ld)
+            sizes = [q.shape[-1] for q in qs]
+            if names[-1] == "ld_vlr":
+                self.edge_rows = np.concatenate([self.main_idx, self.vlr_idx])
+            self._ld = (0 if names[0] == "ld_main" else k, names, sizes,
+                        np.concatenate(lts, axis=-1), np.concatenate(qs, axis=-1),
+                        np.repeat([cfg.tau * n for n in sizes], sizes),
+                        np.repeat(weights, sizes))
+        if self.tbr_weight > 0.0:
+            if teacher is None:
+                raise ValueError("teacher-bounded regression needs teacher outputs")
+            _require_distances(cfg.grid, "teacher-bounded regression")
+            _, edges_t = _decode(teacher.edge_logits[self.main_idx].T, cfg.grid)
+            self._tbr_reference = _l2(edges_t, self._edges_g)
 
     def _check_student(self, student: SceneOutputs) -> None:
         if (student.cls_logits.shape != self.cls_shape
@@ -543,38 +555,44 @@ class SceneObjective:
         grad_cls (C, A), grad_edges (m, E, K), components)``. The main block
         is ``[..., :k]`` over the k main positives, the VLR block the rest."""
         cfg = self.cfg
-        terms = self._teacher_terms
         kl = dict.fromkeys(("ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
 
         # Classification cross-entropy over every anchor, and KD on its rows.
         l_cls, grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot, cfg.w_cls)
         for name, rows_idx in (("kd_main", self.main_idx), ("kd_vlr", self.vlr_idx)):
-            if name in terms:
-                weight, lt, q = terms[name]
+            if name in self._teacher_terms:
+                weight, lt, q = self._teacher_terms[name]
                 kl[name], g = _tempered_kl(z_cls.take(rows_idx, axis=1), lt, q, cfg.tau)
                 grad_cls[:, rows_idx] += weight * g
 
-        # Over the main block: the edge cross-entropy (DFL), the box
-        # regression with any TBR, and LD, summed into one gradient; LD on
-        # the VLR block fills the rest.
+        # LD over the edge columns [lo:] it reads, each block with its own
+        # value and its gradient weight * (p - q) / (tau * size); then over
+        # the main block the edge cross-entropy (DFL) and the box regression
+        # with any TBR, added to the same gradient.
         k = self.main_idx.size
         grad_edges = np.empty(z_edges.shape)
+        lo = k
+        if self._ld is not None:
+            lo, names, sizes, lt, q, denom, weights = self._ld
+            ls, p = _log_softmax_pair(z_edges[..., lo:], cfg.tau)
+            terms = q * (lt - ls)
+            end = 0
+            for name, size in zip(names, sizes):
+                kl[name] = float(np.add.reduce(terms[..., end:end + size], axis=None) / size)
+                end += size
+            p -= q
+            p /= denom
+            np.multiply(p, weights, out=grad_edges[..., lo:])
         l_reg = l_dfl = l_tbr = 0.0
         if k:
-            z_main = z_edges[..., :k]
-            l_dfl, g_main, p_e = _cross_entropy(z_main, self._edge_picks, self._edge_dists,
-                                                cfg.w_dfl)
+            l_dfl, g_main, p_e = _cross_entropy(z_edges[..., :k], self._edge_picks,
+                                                self._edge_dists, cfg.w_dfl)
             l_reg, l_tbr, g_box = self._box_terms(p_e)
             g_main += g_box
-            if "ld_main" in terms:
-                weight, lt, q = terms["ld_main"]
-                kl["ld_main"], g = _tempered_kl(z_main, lt, q, cfg.tau)
-                g_main += weight * g
-            grad_edges[..., :k] = g_main
-        if "ld_vlr" in terms:
-            weight, lt, q = terms["ld_vlr"]
-            kl["ld_vlr"], g = _tempered_kl(z_edges[..., k:], lt, q, cfg.tau)
-            np.multiply(g, weight, out=grad_edges[..., k:])
+            if lo:
+                grad_edges[..., :k] = g_main
+            else:
+                grad_edges[..., :k] += g_main
 
         components = {"cls": l_cls, "reg": l_reg, "dfl": l_dfl, **kl}
         value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
@@ -583,37 +601,27 @@ class SceneObjective:
                  + self.tbr_weight * l_tbr)
         return value, grad_cls, grad_edges, components
 
-    @cached_property
-    def _boxes_t(self) -> np.ndarray:
-        """The teacher's decoded main boxes, the TBR gate's reference."""
-        if self._teacher_main_edges is None:
-            raise ValueError("teacher-bounded regression needs teacher outputs")
-        _require_distances(self.cfg.grid, "teacher-bounded regression")
-        _, yhat = _decode(self._teacher_main_edges, self.cfg.grid)
-        return _boxes_from_edges(self._points, yhat)
-
     def _box_terms(self, p: np.ndarray) -> tuple[float, float, np.ndarray]:
         """The box terms at the student's main-row edge probabilities ``p``:
         the ``1 - GIoU`` regression value, the TBR value (0 unless
         ``tbr_weight > 0``), and the ``(m, E, K)`` edge-logit gradient of
         their sum at weights ``w_reg`` and ``tbr_weight``, chained through
-        the decode once. TBR is the regression term on the anchors whose
-        decoded box is farther from the ground truth than the teacher's by
-        more than the margin."""
+        the decode once. Both act on the decoded edges directly (see
+        :func:`~locdistill.geometry._giou_edges`). TBR is the regression
+        term on the anchors whose decoded edges are farther from the ground
+        truth's than the teacher's by more than the margin."""
         k = self.main_idx.size
         yhat = _expectation(p, self.cfg.grid)
-        boxes_s = _boxes_from_edges(self._points, yhat)
-        giou_vals, dgiou = _giou_batch(boxes_s, self._boxes_g)
+        giou_vals, dgiou = _giou_edges(yhat, self._edges_g, self._area_g)
         l_reg = float(np.add.reduce(1.0 - giou_vals) / k)  # the mean
         l_tbr = 0.0
         weight = self.cfg.w_reg
         if self.tbr_weight > 0.0:
-            active = (_corner_l2(boxes_s, self._boxes_g) + self.cfg.tbr_margin
-                      > _corner_l2(self._boxes_t, self._boxes_g))
+            active = _l2(yhat, self._edges_g) + self.cfg.tbr_margin > self._tbr_reference
             l_tbr = float(np.add.reduce(1.0 - giou_vals[active]) / k)
             weight = weight + self.tbr_weight * active
-        g_edge_vals = _box_grad_to_edges(dgiou * (-weight / k))
-        return l_reg, l_tbr, _expectation_chain(p, yhat, self.cfg.grid.endpoints, g_edge_vals)
+        return l_reg, l_tbr, _expectation_chain(p, yhat, self.cfg.grid.endpoints,
+                                                dgiou * (-weight / k))
 
 
 def _flat_grad(grad_cls: np.ndarray, grad_edges: np.ndarray) -> np.ndarray:

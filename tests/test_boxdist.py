@@ -115,21 +115,23 @@ class TestGeneralizedSoftmax:
 
     def test_one_softmax_kernel_for_training_and_theory(self):
         """The kernels take the bins on axis 0: a stacked ``(m, n)`` call is n
-        single-column calls bit for bit, so training and theory stacks agree
+        single-column calls bit for bit, for both outputs of the paired
+        softmax and every kernel on it, so training and theory stacks agree
         with the scalar losses. n = 8 makes the ``1 / K`` of the stacked
         gradients an exact power-of-two scaling of the one-column ones."""
         from locdistill import boxdist, losses
 
-        assert losses._log_softmax is boxdist._log_softmax
+        assert losses._log_softmax_pair is boxdist._log_softmax_pair
         n = 8
         for m in (2, 5, 9, 17):
             rng = np.random.default_rng(5 + m)
             z, z_t = rng.normal(0, 3, size=(2, m, n))
             tau = rng.uniform(0.5, 20.0, size=n)
             target = rng.dirichlet(np.ones(m), size=n).T
-            log_p = losses._log_softmax(z, tau)
+            log_p, p_pair = boxdist._log_softmax_pair(z, tau)
             assert np.array_equal(boxdist._softmax(z, tau), np.exp(log_p))
-            assert np.array_equal(losses._log_softmax(np.asfortranarray(z), tau), log_p)
+            f_log, f_p = boxdist._log_softmax_pair(np.asfortranarray(z), tau)
+            assert np.array_equal(f_log, log_p) and np.array_equal(f_p, p_pair)
             value, g_ce, p = losses._cross_entropy(z, np.arange(m * n), target, 1.0)
             lt, q = losses._tempered(z_t, 3.0)
             kl, g_kl = losses._tempered_kl(z, lt, q, 3.0)
@@ -138,7 +140,9 @@ class TestGeneralizedSoftmax:
                 col = slice(j, j + 1)
                 assert np.array_equal(generalized_softmax(z[:, j], tau[j]),
                                       np.exp(log_p[:, j]))
-                assert np.array_equal(losses._log_softmax(z[:, col], tau[j]), log_p[:, col])
+                col_log, col_p = boxdist._log_softmax_pair(z[:, col], tau[j])
+                assert np.array_equal(col_log, log_p[:, col])
+                assert np.array_equal(col_p, p_pair[:, col])
                 v, g, p_j = losses._cross_entropy(z[:, col], np.arange(m), target[:, col], 1.0)
                 assert np.array_equal(p_j, p[:, col])
                 assert np.array_equal(g / n, g_ce[:, col])

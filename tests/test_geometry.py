@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from locdistill.geometry import (
     BoundingBox,
+    _edge_area,
+    _giou_batch,
+    _giou_edges,
     diou,
     diou_matrix,
     giou,
     iou,
 )
 
-from oracles import grid_overlap_oracle
+from oracles import _oracle_giou_and_grad, grid_overlap_oracle
 
 
 def _box(x1, y1, x2, y2):
@@ -78,11 +81,78 @@ class TestGIoU:
         with pytest.raises(ValueError, match="enclosing"):
             giou(_box(0, 0, 1, 0), _box(2, 0, 3, 0))
 
+    def test_zero_union_errors(self):
+        # two flat boxes on different lines: a nonempty hull, an empty union
+        with pytest.raises(ValueError, match="union"):
+            giou(_box(0, 0, 1, 0), _box(0, 2, 1, 2))
+
     @given(boxes(), boxes())
     @settings(max_examples=80, deadline=None)
     def test_never_exceeds_iou(self, a, b):
         assert giou(a, b) <= iou(a, b) + 1e-15
         assert -1.0 <= giou(a, b) <= 1.0
+
+
+def _edges_from(point, box):
+    """(t, b, l, r) distances of a corner box from a point."""
+    (px, py), (x1, y1, x2, y2) = point, box
+    return np.array([py - y1, y2 - py, px - x1, x2 - px])
+
+
+points = st.tuples(st.floats(-30.0, 30.0, allow_nan=False),
+                   st.floats(-30.0, 30.0, allow_nan=False))
+
+
+class TestGIoUOnEdges:
+    """The training kernel, on edge distances from a point the two boxes
+    of a pair share."""
+
+    @given(boxes(), boxes(), points, points)
+    @settings(max_examples=300, deadline=None)
+    def test_shared_point_cancels(self, a, b, p1, p2):
+        """Moving the shared point moves neither the GIoU nor its edge
+        gradient, and both equal the corner view's. Pairs with two
+        coordinates of an axis closer than 1e-6 but not equal are left out:
+        rounding the distances may tie them or close the intersection, and
+        either switches a one-sided subgradient."""
+        for axis in (0, 1):
+            c = np.array([a.to_list()[axis::2], b.to_list()[axis::2]]).ravel()
+            gaps = np.abs(c[:, None] - c[None, :])
+            assume(((gaps == 0.0) | (gaps > 1e-6)).all())
+        results = []
+        for p in (p1, p2):
+            s, g = (_edges_from(p, box.to_list())[:, None] for box in (a, b))
+            results.append(_giou_edges(s, g, _edge_area(g)))
+        (v1, d1), (v2, d2) = results
+        assert abs(v1[0] - v2[0]) <= 1e-12
+        assert np.abs(d1 - d2).max() <= 1e-12 * max(1.0, np.abs(d1).max())
+        vals, d_corner = _giou_batch(np.array(a.to_list())[:, None],
+                                     np.array(b.to_list())[:, None])
+        assert abs(vals[0] - v1[0]) <= 1e-12
+        # d/dt = -d/dy1, d/db = d/dy2, d/dl = -d/dx1, d/dr = d/dx2
+        d_edges = np.array([-d_corner[1], d_corner[3], -d_corner[0], d_corner[2]])
+        assert np.abs(d_edges - d1).max() <= 1e-12 * max(1.0, np.abs(d1).max())
+
+    def test_ties_take_the_one_sided_subgradient(self):
+        """On 2000 random pairs with forced corner ties, the kernel gives the
+        corner-by-corner reference's subgradient: a tied corner moves
+        neither the intersection nor the hull."""
+        rng = np.random.default_rng(17)
+        k = 2000
+        near = rng.integers(-4, 4, size=(2, k)).astype(float)
+        s = np.concatenate([near, near + rng.integers(5, 9, size=(2, k))])
+        # Each corner of g moves by at most 2, less than any side of s; one
+        # corner per pair stays tied, the others tie by chance.
+        shift = rng.integers(-2, 3, size=(4, k)).astype(float)
+        shift[rng.integers(0, 4, size=k), np.arange(k)] = 0.0
+        g = s + shift
+        # A third of the pairs move g by s's width: their x-sides overlap,
+        # touch or part, at a tie where g's left side meets s's right side.
+        g[[0, 2]] += (rng.random(k) < 1 / 3) * (s[2] - s[0])
+        vals, grad = _giou_batch(s, g)
+        ref_vals, ref_grad = _oracle_giou_and_grad(s.T, g.T)
+        assert np.abs(vals - ref_vals).max() <= 1e-14
+        assert np.abs(grad - ref_grad.T).max() <= 1e-14
 
 
 class TestDIoU:

@@ -517,8 +517,8 @@ class TestLocalizerGradients:
             assert math.isfinite(value)
             assert abs(trace[step]["total"] - value) <= 1e-12 * abs(value)
             d_cls, d_edges, d_features = ref.gradients(x, g_cls, g_edges, g_hidden)
-            ref.cls_weights -= FAST.lr * d_cls
-            ref.edge_weights -= FAST.lr * d_edges
+            ref.cls_weights[...] -= FAST.lr * d_cls  # views of ref.head_weights
+            ref.edge_weights[...] -= FAST.lr * d_edges
             ref.feature_weights -= FAST.lr * d_features
         for name in ("feature_weights", "cls_weights", "edge_weights"):
             got, want = getattr(block, name), getattr(ref, name)

@@ -747,6 +747,51 @@ class TestSceneObjective:
             scene_tbr_loss(student, None, truth, masks.main, cfg)
 
 
+    def test_zero_area_ground_truth_rejected_at_build(self):
+        """A main ground-truth box of zero area fails at build when a box
+        term is active, since a GIoU against it may be undefined; with no
+        box term active, or outside the main rows, it is accepted."""
+        rng = _rng(114)
+        _, teacher, truth, masks = _random_scene(rng, n_anchors=3)
+        flat = truth.edge_targets.copy()
+        flat[0, :2] = 0.0  # main anchor 0: t = b = 0, a box of zero height
+        flat_truth = SceneTruth(labels=truth.labels, edge_targets=flat)
+        no_ld = dict(w_ld_main=0, w_ld_vlr=0, w_kd_main=0, w_kd_vlr=0)
+        with pytest.raises(ValueError, match="ground-truth box has zero area"):
+            SceneObjective(flat_truth, masks, DistillConfig(grid=GRID, **no_ld), None, 2)
+        tbr_only = DistillConfig(grid=GRID, w_cls=0, w_reg=0, w_dfl=0, **no_ld)
+        with pytest.raises(ValueError, match="ground-truth box has zero area"):
+            SceneObjective(flat_truth, masks, tbr_only, teacher, 2, tbr_weight=1.0)
+        SceneObjective(flat_truth, masks, replace(tbr_only, w_dfl=1.0), None, 2)
+        off_main = _masks([0, 1, 0], [0, 0, 1])
+        SceneObjective(flat_truth, off_main, DistillConfig(grid=GRID, **no_ld), None, 2)
+
+    def test_fused_ld_blocks_are_ld_box_loss(self):
+        """With LD active on both the main and the VLR rows, the one
+        tempered KL over both blocks gives each block its own gradient, the
+        block weight times ``ld_box_loss``'s over the block size, bit for
+        bit, and its own value. Block sizes and weights are powers of two,
+        so the scalings are exact."""
+        rng = _rng(115)
+        sizes = {"ld_main": 2, "ld_vlr": 4}
+        for _ in range(10):
+            student, teacher, truth, _ = _random_scene(rng, n_anchors=7)
+            masks = _masks([1, 0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 1, 0, 1])
+            cfg = DistillConfig(grid=GRID, tau=rng.uniform(0.5, 20.0), w_cls=0.0, w_reg=0.0,
+                                w_dfl=0.0, w_ld_main=2.0, w_ld_vlr=0.5, w_kd_main=0.0,
+                                w_kd_vlr=0.0)
+            _, _, g_edges, comps = SceneObjective(truth, masks, cfg, teacher, 2).step(student)
+            for name, rows in (("ld_main", masks.main), ("ld_vlr", masks.vlr)):
+                weight = getattr(cfg, "w_" + name)
+                parts = [ld_box_loss(student.edge_logits[i], teacher.edge_logits[i], cfg.tau)
+                         for i in np.flatnonzero(rows)]
+                want = np.stack([weight * (r.grad / sizes[name]) for r in parts])
+                assert np.array_equal(g_edges[rows], want), name
+                assert comps[name] == pytest.approx(math.fsum(r.kl for r in parts)
+                                                    / sizes[name], rel=1e-12, abs=1e-15)
+            assert not g_edges[5].any()
+
+
 def _oracle_cases(a, seed):
     """The objectives the harness trains, on one scene of ``a`` anchors:
     every scheme's student objective (TBR at the harness's weight) and the
@@ -767,8 +812,7 @@ def _oracle_cases(a, seed):
         student = _new_model(h, GRID, seed).forward(stack.features)[0]
         teacher = _new_model(h, GRID, seed + 1).forward(stack.features)[0]
         truth, masks = stack.truth, stack.masks
-        true_truth = SceneTruth(labels=truth.labels, edge_targets=stack.true_edges,
-                                points=truth.points)
+        true_truth = SceneTruth(labels=truth.labels, edge_targets=stack.true_edges)
         main = np.flatnonzero(masks.main)
         bayes = binned_mixture(stack.centers[main], stack.weights[main], GRID)
     else:
@@ -776,8 +820,7 @@ def _oracle_cases(a, seed):
                                          edge_logits=rng.normal(0, 2, (a, 4, GRID.size)))
                             for _ in range(2))
         truth = SceneTruth(labels=rng.integers(0, 2, a),
-                           edge_targets=rng.uniform(1.0, 7.0, (a, 4)),
-                           points=rng.uniform(-1.0, 1.0, (a, 2)))
+                           edge_targets=rng.uniform(1.0, 7.0, (a, 4)))
         true_truth = truth
         masks = _masks(np.arange(a) == 0, np.arange(a) == 1)
         bayes = rng.dirichlet(np.ones(GRID.size), size=(1, 4))
@@ -794,7 +837,9 @@ def _oracle_cases(a, seed):
 class TestObjectiveMatchesOracle:
     """``SceneObjective.step`` against an independent last-axis reference:
     the value, both gradient blocks and every component within 1e-12
-    relative."""
+    relative. The reference builds corner boxes around random sample
+    points, which the objective never reads: its box terms act on the
+    edges alone."""
 
     WEIGHTS = ("w_cls", "w_reg", "w_dfl", "w_ld_main", "w_ld_vlr", "w_kd_main", "w_kd_vlr")
 
@@ -805,6 +850,7 @@ class TestObjectiveMatchesOracle:
 
     @pytest.mark.parametrize("a, seed", [(2, 131), (2, 132), (5, 133), (192, 0), (192, 1)])
     def test_step_matches_oracle(self, a, seed):
+        points = _rng(seed).uniform(-50.0, 50.0, (a, 2))
         for (name, truth, masks, cfg, teacher, edge_dists, tbr_weight,
              student) in _oracle_cases(a, seed):
             objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2,
@@ -813,7 +859,7 @@ class TestObjectiveMatchesOracle:
             pair = None if teacher is None else (teacher.cls_logits, teacher.edge_logits)
             ref_value, ref_cls, ref_edges, ref_comps = composite_objective_oracle(
                 (student.cls_logits, student.edge_logits), pair, truth.labels,
-                truth.edge_targets, truth.points, masks.main, masks.vlr, GRID.endpoints,
+                truth.edge_targets, points, masks.main, masks.vlr, GRID.endpoints,
                 {w: getattr(cfg, w) for w in self.WEIGHTS}, cfg.tau, cfg.tbr_margin,
                 tbr_weight=tbr_weight, edge_dists=edge_dists)
             assert self._close(value, ref_value), name
