@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -140,8 +140,7 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     threads: int = 1
-    grid: BinGrid = BinGrid(0.0, 8.0, 8)
-    distill: DistillConfig | None = None
+    distill: DistillConfig = DistillConfig(grid=BinGrid(0.0, 8.0, 8))
     harness: HarnessConfig = HarnessConfig()
     verify: VerifyConfig = VerifyConfig()
     experiment: ExperimentConfig = ExperimentConfig()
@@ -151,13 +150,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         object.__setattr__(self, "threads", check_count("threads", self.threads))
-        if self.distill is None:
-            object.__setattr__(self, "distill", DistillConfig(grid=self.grid))
         for value in self.sweep.values:
             try:
                 _sweep_point(self, value)
             except ValueError as exc:
                 raise ValueError(f"sweep.values: {exc}") from exc
+
+    @property
+    def grid(self) -> BinGrid:
+        """The config's ``grid`` section, held once as ``distill.grid``."""
+        return self.distill.grid
 
 
 def _sweep_point(cfg: RunConfig, value: float) -> tuple[HarnessConfig, DistillConfig]:
@@ -169,7 +171,6 @@ def _sweep_point(cfg: RunConfig, value: float) -> tuple[HarnessConfig, DistillCo
 
 
 _SECTIONS = {
-    "grid": BinGrid,
     "distill": DistillConfig,
     "harness": HarnessConfig,
     "verify": VerifyConfig,
@@ -201,26 +202,22 @@ def build_run_config(raw: dict) -> RunConfig:
     """Validate a nested config mapping into a :class:`RunConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a mapping")
-    known = {"seed", "output_dir", "threads", *_SECTIONS}
+    known = {"seed", "output_dir", "threads", "grid", *_SECTIONS}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{key}: unknown key")
-    grid_data = {"e_min": 0.0, "e_max": 8.0, "n": 8}
     grid_section = raw.get("grid", {})
     if not isinstance(grid_section, dict):
         raise ConfigError("grid: expected a mapping")
-    grid_data.update(grid_section)
-    grid = _build_section(BinGrid, grid_data, "grid")
+    grid = _build_section(BinGrid, {**asdict(RunConfig.distill.grid), **grid_section}, "grid")
     sections = {}
     for name, cls in _SECTIONS.items():
-        if name == "grid":
-            continue
         preset = {"grid": grid} if name == "distill" else {}
         sections[name] = _build_section(cls, raw.get(name, {}), name, **preset)
     output_dir = str(raw.get("output_dir", "out"))
     try:
         return RunConfig(seed=raw.get("seed", 0), output_dir=output_dir,
-                         threads=raw.get("threads", 1), grid=grid, **sections)
+                         threads=raw.get("threads", 1), **sections)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

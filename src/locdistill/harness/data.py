@@ -318,6 +318,8 @@ def _row_from_json(d) -> tuple:
         raise ValueError(f"a sample must be a JSON object, got {type(d).__name__}")
     if int(d["class_label"]) != int(d["main"]):
         raise ValueError("class_label must equal the main flag")
+    if bool(d["main"]) and bool(d["vlr"]):
+        raise ValueError("an anchor cannot be both main-positive and VLR")
     features, true_edges, observed = (np.asarray(d[key], dtype=np.float64) for key in
                                       ("features", "true_edges", "observed_edges"))
     if features.ndim != 1 or not true_edges.shape == observed.shape == (N_EDGES,):
@@ -337,8 +339,6 @@ def _row_from_json(d) -> tuple:
 
 def _split(rows) -> SceneStack:
     """Stack per-anchor rows (see :func:`_row_from_json`) into a split."""
-    if not rows:
-        raise ValueError("a split needs at least one sample")
     features, true_edges, observed, centers, weights, n_comp, anchors, gts, main, vlr = zip(*rows)
     return SceneStack(
         features=np.array(features),
@@ -363,8 +363,8 @@ def save_dataset(dataset: Dataset, train_path, heldout_path) -> None:
 
 
 def load_dataset(train_path, heldout_path, grid: BinGrid) -> Dataset:
-    """Read the two JSONL splits :func:`save_dataset` writes. A malformed
-    line raises ``ValueError`` naming its file and 1-based line number."""
+    """Read the two JSONL splits :func:`save_dataset` writes. A malformed line
+    or an empty split raises ``ValueError`` naming the file and any 1-based line."""
     def read(path):
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -381,5 +381,7 @@ def load_dataset(train_path, heldout_path, grid: BinGrid) -> Dataset:
                     raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
                 except (TypeError, ValueError) as err:
                     raise ValueError(f"{path}, line {lineno}: {err}") from err
+        if not rows:
+            raise ValueError(f"{path}: a split needs at least one sample")
         return _split(rows)
     return Dataset(train=read(train_path), heldout=read(heldout_path), grid=grid)

@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .._checks import check_finite
-from ..boxdist import BinGrid, _decode, _entropy
+from ..boxdist import BinGrid, _decode, _entropy, _log_softmax_pair
 from ..losses import (
     DistillConfig,
     SceneObjective,
     SceneOutputs,
     _imitation,
-    _tempered,
     _tempered_kl,
 )
 from .data import (
@@ -284,7 +283,7 @@ def _mean_pearson_columns(a: np.ndarray, b: np.ndarray) -> float:
 def _mean_kl(z_teacher: np.ndarray, z_student: np.ndarray) -> float:
     """Teacher-to-student KL at unit temperature, averaged per anchor, on
     the bins-first (``.T``) views of ``(A, ...)`` logits."""
-    return _tempered_kl(z_student.T, *_tempered(z_teacher.T, 1.0), 1.0)[0]
+    return _tempered_kl(z_student.T, *_log_softmax_pair(z_teacher.T, 1.0), 1.0)[0][0]
 
 
 def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,

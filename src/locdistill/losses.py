@@ -8,8 +8,8 @@ against central finite differences by the test suite.
 Each logit-space term has one kernel, batched over K anchors, and the
 composite :class:`SceneObjective` trains with those kernels:
 ``_cross_entropy`` (classification and the two-hot DFL) and
-``_tempered_kl`` (KD and LD, with the teacher side from ``_tempered``),
-each on ``boxdist._log_softmax_pair``, one exponential per softmax.
+``_tempered_kl`` (KD and LD, on class or edge logits alike), each, and the
+teacher's side, on ``boxdist._log_softmax_pair``, one exponential per softmax.
 The scalar functions (:func:`ce_loss`, :func:`dfl_loss`, :func:`kd_loss`,
 :func:`ld_edge_loss`, :func:`ld_box_loss`) are validated one-anchor calls
 of them, so the finite-difference suite pins the code that trains.
@@ -21,9 +21,10 @@ of the public ``(A, C)`` and ``(A, E, m)`` layout; the box terms take
 not depend on the anchors' sample points (``geometry._giou_edges``). Every
 numpy call of a training step then runs over contiguous rows of K anchors.
 :class:`SceneObjective` fixes at build the edge rows its terms read, the
-main positives and then any VLR that LD reads (one tempered KL over both
-blocks), and its training step takes and returns bins-first blocks over
-those rows alone, which the harness's model computes and consumes directly.
+main positives and then any VLR that LD reads, and each head's terms as
+blocks of one tempered KL; its training step takes and returns bins-first
+blocks over those rows alone, which the harness's model computes and
+consumes directly.
 Its public-layout :meth:`~SceneObjective.step` gathers those rows and
 scatters their gradients back, so :class:`SceneOutputs` and the scalar
 losses are unchanged.
@@ -41,6 +42,7 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,13 +142,6 @@ class DistillConfig:
 # loss kernels, bins first: distributions on axis 0, K anchors on the last
 # ---------------------------------------------------------------------------
 
-def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tempered log-probabilities and probabilities over axis 0: the frozen
-    teacher's side of every distillation term, from the same kernel as the
-    student's side, so matched logits give an exactly zero gradient."""
-    return _log_softmax_pair(z, tau)
-
-
 def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
                    weight: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Softmax cross-entropy ``-sum g ln p`` at unit temperature over K anchors.
@@ -167,27 +162,53 @@ def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
     return value, (p - target) * (weight / k), p
 
 
-def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray,
-                 tau: float) -> tuple[float, np.ndarray]:
-    """Mean-per-anchor tempered KL and its gradient w.r.t. the student logits.
+def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray, tau,
+                 sizes: tuple[int, ...] | None = None, divisor=None,
+                 weight=None) -> tuple[list[float], np.ndarray]:
+    """Tempered KL and its student-logit gradient, the one kernel of KD and
+    LD, over K anchors in consecutive blocks of ``sizes`` (default: one).
 
-    ``z_s`` has shape ``(m, ..., K)``, logits on axis 0 and anchors on the
-    last; ``lt`` and ``q`` are the teacher's tempered log-probabilities and
-    probabilities on the same anchors (see :func:`_tempered`). The KL is
-    summed over all other axes and averaged over the K anchors.
-    """
-    k = z_s.shape[-1]
+    ``z_s`` is ``(m, ..., K)``, logits on axis 0 and anchors on the last;
+    the teacher's tempered log-probabilities ``lt`` and probabilities ``q``
+    match or broadcast against it. Returns each block's KL, summed over the
+    other axes and averaged over the block, and the gradient ``weight * (p -
+    q) / divisor``, per column its block's weight and ``tau * size``
+    (default: no weight and ``tau * K``)."""
     ls, p = _log_softmax_pair(z_s, tau)
-    value = float(np.add.reduce(q * (lt - ls), axis=None) / k)
-    return value, (p - q) / (tau * k)
+    terms = q * (lt - ls)
+    values, end = [], 0
+    for size in sizes or (z_s.shape[-1],):
+        values.append(float(np.add.reduce(terms[..., end:end + size], axis=None) / size))
+        end += size
+    grad = p - q
+    grad /= tau * end if divisor is None else divisor
+    return values, grad if weight is None else np.multiply(grad, weight, out=grad)
+
+
+_Distill = namedtuple("_Distill", "names rows sizes lt q divisor weight")
+
+
+def _distill_block(tau: float, head: np.ndarray, *terms) -> _Distill | None:
+    """The active ones of ``terms``, ``(name, weight, anchors)`` triples on
+    a frozen teacher head ``(A, ...)``, as consecutive blocks of one tempered
+    KL with the teacher's side and each column's divisor and weight
+    precomputed; ``None`` when no term has a positive weight and an anchor."""
+    active = [(name, w, rows) for name, w, rows in terms if w > 0.0 and rows.size]
+    if not active:
+        return None
+    names, weights, rows = zip(*active)
+    sizes = tuple(r.size for r in rows)
+    rows = np.concatenate(rows)
+    return _Distill(names, rows, sizes, *_log_softmax_pair(head[rows].T, tau),
+                    np.repeat([tau * n for n in sizes], sizes), np.repeat(weights, sizes))
 
 
 def _one_anchor_kd(zs: np.ndarray, zt: np.ndarray, tau: float) -> LossResult:
     """The tempered-KL kernel on one anchor of equal-shape logits, ``(m,)``
     or ``(E, m)``, with the teacher entropy added back to give the
     cross-entropy ``value``."""
-    lt, q = _tempered(zt.T[..., None], tau)
-    kl, grad = _tempered_kl(zs.T[..., None], lt, q, tau)
+    lt, q = _log_softmax_pair(zt.T[..., None], tau)
+    (kl,), grad = _tempered_kl(zs.T[..., None], lt, q, tau)
     return LossResult(value=kl - float(np.vdot(q, lt)), grad=grad[..., 0].T, kl=kl)
 
 
@@ -491,35 +512,19 @@ class SceneObjective:
         if (cfg.w_reg > 0.0 or self.tbr_weight > 0.0) and (self._area_g <= 0.0).any():
             raise ValueError("giou undefined: a main ground-truth box has zero area")
 
-        # Frozen teacher: for each active distillation term, its weight and
-        # the teacher's tempered log-probabilities and probabilities on the
-        # term's rows: the edge logits of the main or VLR rows, or their
-        # class logits. LD reads the edge columns [lo:] of a step: the main
-        # block when ld_main is active, then the VLR block when ld_vlr is;
-        # its terms run as one tempered KL over those columns, with each
-        # column's gradient divisor tau * (block size) and block weight.
-        self._teacher_terms: dict[str, tuple] = {}
+        # Frozen teacher: each head's distillation terms as one tempered KL.
+        # LD reads the last edge columns of a step: the main block when
+        # ld_main is active, then the VLR block when ld_vlr is.
+        self._ld = self._kd = None
         if teacher is not None:
-            for name, weight, rows_idx, head in (
-                    ("ld_main", cfg.w_ld_main, self.main_idx, teacher.edge_logits),
-                    ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx, teacher.edge_logits),
-                    ("kd_main", cfg.w_kd_main, self.main_idx, teacher.cls_logits),
-                    ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx, teacher.cls_logits)):
-                if weight > 0.0 and rows_idx.size:
-                    self._teacher_terms[name] = (weight, *_tempered(head[rows_idx].T, cfg.tau))
-        ld = [(name, *self._teacher_terms.pop(name)) for name in ("ld_main", "ld_vlr")
-              if name in self._teacher_terms]
-        self.edge_rows = self.main_idx
-        self._ld = None
-        if ld:
-            names, weights, lts, qs = zip(*ld)
-            sizes = [q.shape[-1] for q in qs]
-            if names[-1] == "ld_vlr":
-                self.edge_rows = np.concatenate([self.main_idx, self.vlr_idx])
-            self._ld = (0 if names[0] == "ld_main" else k, names, sizes,
-                        np.concatenate(lts, axis=-1), np.concatenate(qs, axis=-1),
-                        np.repeat([cfg.tau * n for n in sizes], sizes),
-                        np.repeat(weights, sizes))
+            self._ld = _distill_block(cfg.tau, teacher.edge_logits,
+                                      ("ld_main", cfg.w_ld_main, self.main_idx),
+                                      ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx))
+            self._kd = _distill_block(cfg.tau, teacher.cls_logits,
+                                      ("kd_main", cfg.w_kd_main, self.main_idx),
+                                      ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx))
+        ld_vlr = self._ld is not None and self._ld.names[-1] == "ld_vlr"
+        self.edge_rows = np.concatenate([self.main_idx, self.vlr_idx]) if ld_vlr else self.main_idx
         if self.tbr_weight > 0.0:
             if teacher is None:
                 raise ValueError("teacher-bounded regression needs teacher outputs")
@@ -557,32 +562,20 @@ class SceneObjective:
         cfg = self.cfg
         kl = dict.fromkeys(("ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
 
-        # Classification cross-entropy over every anchor, and KD on its rows.
-        l_cls, grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot, cfg.w_cls)
-        for name, rows_idx in (("kd_main", self.main_idx), ("kd_vlr", self.vlr_idx)):
-            if name in self._teacher_terms:
-                weight, lt, q = self._teacher_terms[name]
-                kl[name], g = _tempered_kl(z_cls.take(rows_idx, axis=1), lt, q, cfg.tau)
-                grad_cls[:, rows_idx] += weight * g
-
-        # LD over the edge columns [lo:] it reads, each block with its own
-        # value and its gradient weight * (p - q) / (tau * size); then over
-        # the main block the edge cross-entropy (DFL) and the box regression
+        # Classification cross-entropy over every anchor, and KD on its
+        # columns; LD over the edge columns [lo:] it reads, then over the
+        # main block the edge cross-entropy (DFL) and the box regression
         # with any TBR, added to the same gradient.
+        l_cls, grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot, cfg.w_cls)
+        if self._kd is not None:
+            rows = self._kd.rows
+            grad_cls[:, rows] += self._distill(self._kd, z_cls.take(rows, axis=1), kl)
         k = self.main_idx.size
         grad_edges = np.empty(z_edges.shape)
         lo = k
         if self._ld is not None:
-            lo, names, sizes, lt, q, denom, weights = self._ld
-            ls, p = _log_softmax_pair(z_edges[..., lo:], cfg.tau)
-            terms = q * (lt - ls)
-            end = 0
-            for name, size in zip(names, sizes):
-                kl[name] = float(np.add.reduce(terms[..., end:end + size], axis=None) / size)
-                end += size
-            p -= q
-            p /= denom
-            np.multiply(p, weights, out=grad_edges[..., lo:])
+            lo = z_edges.shape[-1] - self._ld.rows.size
+            grad_edges[..., lo:] = self._distill(self._ld, z_edges[..., lo:], kl)
         l_reg = l_dfl = l_tbr = 0.0
         if k:
             l_dfl, g_main, p_e = _cross_entropy(z_edges[..., :k], self._edge_picks,
@@ -600,6 +593,13 @@ class SceneObjective:
                  + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"]
                  + self.tbr_weight * l_tbr)
         return value, grad_cls, grad_edges, components
+
+    def _distill(self, block: _Distill, z: np.ndarray, kl: dict[str, float]) -> np.ndarray:
+        """The gradient of one head's terms at its student columns ``z``; values go to ``kl``."""
+        values, grad = _tempered_kl(z, block.lt, block.q, self.cfg.tau, block.sizes,
+                                    block.divisor, block.weight)
+        kl.update(zip(block.names, values))
+        return grad
 
     def _box_terms(self, p: np.ndarray) -> tuple[float, float, np.ndarray]:
         """The box terms at the student's main-row edge probabilities ``p``:

@@ -4,7 +4,7 @@ Three facts are checked to double precision. Each certificate draws all
 trials of one vector length with one generator call per quantity, taking the
 lengths in order of first appearance, and solves them as one stack; the
 gradients come from the loss kernels that training uses
-(``losses._tempered``, ``losses._tempered_kl`` and ``losses._cross_entropy``).
+(``boxdist._log_softmax_pair``, ``losses._tempered_kl``, ``losses._cross_entropy``).
 
 1. The distillation gradient against a convex combination of two target
    distributions equals the same convex combination of the gradients against
@@ -38,8 +38,9 @@ import numpy as np
 
 from ._checks import (check_count, check_finite, check_nonnegative, check_positive,
                       check_unit_interval)
-from .boxdist import PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _softmax, _two_hot
-from .losses import _cross_entropy, _tempered, _tempered_kl
+from .boxdist import (PROB_SUM_TOL, TwoHotTarget, _as_probabilities, _log_softmax_pair,
+                      _softmax, _two_hot)
+from .losses import _cross_entropy, _tempered_kl
 
 __all__ = [
     "DecompositionResult",
@@ -104,7 +105,7 @@ def _proposition1_gaps(s: np.ndarray, p: np.ndarray, q: np.ndarray, u1: np.ndarr
     u2 = 1.0 - u1
     combined = u1 * p + u2 * q
     teachers = np.stack([combined, p, q], axis=1).T[..., None]
-    lt, q_t = _tempered(_logits_for(teachers, tau), tau)
+    lt, q_t = _log_softmax_pair(_logits_for(teachers, tau), tau)
     _, grad = _tempered_kl(_logits_for(s.T[:, None, :, None], tau), lt, q_t, tau)
     g_combined, g_p, g_q = grad[:, 0], grad[:, 1], grad[:, 2]
     return np.abs(g_combined + perturbation - (u1 * g_p + u2 * g_q)).max(axis=0)[:, 0]
@@ -274,7 +275,7 @@ def _exact_rescaling(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray
     kernel on the transposed ``(m, n, 1)`` stack."""
     z_s, p_tau, c_eff, predicted, dfl_i = _rescaling_setup(p, c, i, u1, u2, gamma, lam, tau)
     tau_col = tau[:, None]
-    lt, q = _tempered(_logits_for(p_tau + c_eff, tau_col).T[..., None], tau_col)
+    lt, q = _log_softmax_pair(_logits_for(p_tau + c_eff, tau_col).T[..., None], tau_col)
     _, kd_grad = _tempered_kl(z_s, lt, q, tau_col)
     ld_i = gamma * dfl_i + lam * kd_grad[i, np.arange(p.shape[0]), 0]
     return ld_i / dfl_i, predicted

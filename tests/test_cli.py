@@ -9,7 +9,10 @@ import pytest
 import yaml
 
 from locdistill import theory
-from locdistill.cli import ConfigError, build_run_config, load_run_config, main
+from locdistill.boxdist import BinGrid
+from locdistill.cli import (ConfigError, RunConfig, _check_training_grid, build_run_config,
+                            load_run_config, main)
+from locdistill.losses import DistillConfig
 
 
 FAST_VERIFY = ["--set", "verify.trials=60", "--set", "verify.mc_trials=4000",
@@ -97,6 +100,14 @@ class TestConfigValidation:
         cfg = build_run_config({"grid": {"e_min": 0, "e_max": 16, "n": 16}})
         assert cfg.distill.grid.e_max == 16.0
         assert cfg.distill.grid.size == 17
+        assert cfg.grid is cfg.distill.grid
+
+    def test_training_grid_is_the_checked_grid(self):
+        """The load-time grid check reads the grid that training reads."""
+        cfg = RunConfig(distill=DistillConfig(grid=BinGrid(-1.0, 8.0, 9)))
+        assert cfg.grid is cfg.distill.grid
+        with pytest.raises(ConfigError, match="grid.e_min >= 0"):
+            _check_training_grid(cfg, ("baseline",))
 
     def test_threads_validated(self):
         with pytest.raises(ConfigError):

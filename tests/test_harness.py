@@ -209,18 +209,28 @@ class TestDatasetIO:
         (_first_mixture([], []), "non-empty"),
         (lambda d: {**d, "features": d["features"][:-1]}, "63 features where the first"),
         (lambda d: {**d, "true_edges": d["true_edges"][:3]}, "4 true and 4 observed edges"),
+        (lambda d: {**d, "class_label": 1, "main": 1, "vlr": 1}, "both main-positive and VLR"),
+        ("", "at least one sample"),
+        ("\n  \n", "at least one sample"),
     ])
     def test_malformed_sample_rejected(self, tmp_path, corrupt, match):
-        """A malformed line is named by its file and 1-based line number."""
+        """A malformed line is named by its file and 1-based line number, and
+        a split file with no sample (``corrupt`` is then the whole file) by
+        its file."""
         ds = gen_dataset(FAST, DCFG, seed=11)
         train_path, heldout_path = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
         save_dataset(ds, train_path, heldout_path)
-        lines = train_path.read_text().splitlines()
-        lines[2] = json.dumps(corrupt(json.loads(lines[2])))
-        train_path.write_text("\n".join(lines) + "\n")
+        where = ""
+        if isinstance(corrupt, str):
+            train_path.write_text(corrupt)
+        else:
+            lines = train_path.read_text().splitlines()
+            lines[2] = json.dumps(corrupt(json.loads(lines[2])))
+            train_path.write_text("\n".join(lines) + "\n")
+            where = ", line 3"
         with pytest.raises(ValueError, match=match) as info:
             load_dataset(train_path, heldout_path, GRID)
-        assert str(info.value).startswith(f"{train_path}, line 3: ")
+        assert str(info.value).startswith(f"{train_path}{where}: ")
 
 
 class TestTraining:

@@ -766,30 +766,37 @@ class TestSceneObjective:
         off_main = _masks([0, 1, 0], [0, 0, 1])
         SceneObjective(flat_truth, off_main, DistillConfig(grid=GRID, **no_ld), None, 2)
 
-    def test_fused_ld_blocks_are_ld_box_loss(self):
-        """With LD active on both the main and the VLR rows, the one
-        tempered KL over both blocks gives each block its own gradient, the
-        block weight times ``ld_box_loss``'s over the block size, bit for
-        bit, and its own value. Block sizes and weights are powers of two,
-        so the scalings are exact."""
+    @pytest.mark.parametrize("head", ["ld", "kd"])
+    def test_fused_ld_blocks_are_ld_box_loss(self, head):
+        """With LD (edge head) or KD (class head) active on both the main
+        and the VLR rows, the one tempered KL over both blocks gives each
+        block its own gradient, the block weight times ``ld_box_loss``'s
+        (``kd_loss``'s) over the block size, bit for bit, and its own value.
+        Block sizes and weights are powers of two, so the scalings are
+        exact."""
         rng = _rng(115)
-        sizes = {"ld_main": 2, "ld_vlr": 4}
+        sizes = {"main": 2, "vlr": 4}
+        loss, logits = (ld_box_loss, "edge_logits") if head == "ld" else (kd_loss, "cls_logits")
         for _ in range(10):
             student, teacher, truth, _ = _random_scene(rng, n_anchors=7)
             masks = _masks([1, 0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 1, 0, 1])
+            weights = dict.fromkeys(("w_ld_main", "w_ld_vlr", "w_kd_main", "w_kd_vlr"), 0.0)
+            weights.update({f"w_{head}_main": 2.0, f"w_{head}_vlr": 0.5})
             cfg = DistillConfig(grid=GRID, tau=rng.uniform(0.5, 20.0), w_cls=0.0, w_reg=0.0,
-                                w_dfl=0.0, w_ld_main=2.0, w_ld_vlr=0.5, w_kd_main=0.0,
-                                w_kd_vlr=0.0)
-            _, _, g_edges, comps = SceneObjective(truth, masks, cfg, teacher, 2).step(student)
-            for name, rows in (("ld_main", masks.main), ("ld_vlr", masks.vlr)):
+                                w_dfl=0.0, **weights)
+            _, g_cls, g_edges, comps = SceneObjective(truth, masks, cfg, teacher, 2).step(student)
+            grad, other = (g_edges, g_cls) if head == "ld" else (g_cls, g_edges)
+            for region, rows in (("main", masks.main), ("vlr", masks.vlr)):
+                name = f"{head}_{region}"
                 weight = getattr(cfg, "w_" + name)
-                parts = [ld_box_loss(student.edge_logits[i], teacher.edge_logits[i], cfg.tau)
+                parts = [loss(getattr(student, logits)[i], getattr(teacher, logits)[i], cfg.tau)
                          for i in np.flatnonzero(rows)]
-                want = np.stack([weight * (r.grad / sizes[name]) for r in parts])
-                assert np.array_equal(g_edges[rows], want), name
+                want = np.stack([weight * (r.grad / sizes[region]) for r in parts])
+                assert np.array_equal(grad[rows], want), name
                 assert comps[name] == pytest.approx(math.fsum(r.kl for r in parts)
-                                                    / sizes[name], rel=1e-12, abs=1e-15)
-            assert not g_edges[5].any()
+                                                    / sizes[region], rel=1e-12, abs=1e-15)
+            assert not grad[5].any()
+            assert not other.any()
 
 
 def _oracle_cases(a, seed):
