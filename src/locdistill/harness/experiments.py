@@ -133,14 +133,17 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
              cfg: HarnessConfig, epochs: int, run: tuple[str, int, float],
              imitate: np.ndarray | None = None, trace: list[dict] | None = None) -> None:
     """Full-batch gradient descent on ``objective`` for ``epochs`` steps, in
-    place. ``imitate`` adds feature imitation of those hidden features to
-    every step, ``trace`` collects each step's loss components before its
+    place. ``imitate`` ``(A, hidden)`` adds feature imitation of those
+    hidden features to every step, on bins-first ``(hidden, A)`` blocks,
+    ``trace`` collects each step's loss components before its
     update, and ``run`` is the ``(who, seed, tau)`` a
     :class:`DivergenceError` names."""
     # x is fixed under full-batch descent, so the bins-first inputs and the
     # rows whose edges the objective reads are taken once.
     x_edge = x[objective.edge_rows]
     xt, xt_edge = np.ascontiguousarray(x.T), np.ascontiguousarray(x_edge.T)
+    if imitate is not None:  # a features() result: its .T is the stored block
+        imitate = np.ascontiguousarray(imitate.T)
     # The finite check on each step's loss replaces numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(epochs):
@@ -148,7 +151,7 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
                 *model.block_logits(xt, xt_edge))
             g_hidden = None
             if imitate is not None:
-                fi_value, g_fi = _imitation(model.features(x), imitate)
+                fi_value, g_fi = _imitation(model.block_features(xt), imitate)
                 value += cfg.fi_weight * fi_value
                 g_hidden = cfg.fi_weight * g_fi
             d_head, d_features = model.block_gradients(

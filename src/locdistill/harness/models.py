@@ -6,6 +6,15 @@ heads, stacked here as the ``(O, H)`` head matrix ``Wh`` of the class rows
 followed by the edge rows, bins-major (``O = C + m·E``). All gradients
 chain analytically, so no autodiff is involved anywhere.
 
+The hidden features are bins-first too: the ``(H, A)`` block ``Wf·xᵀ``,
+from the same contiguous ``xᵀ`` as the logits, of which ``features`` is the
+public ``(A, H)`` view. Feature imitation compares that block with the
+teacher's, and its gradient ``G_hid`` ``(H, A)`` enters the feature
+gradient as ``dWf += G_hid·x``. Both products take contiguous operands:
+with OpenBLAS 0.3.31 on two CPUs, ``x·Wfᵀ`` at A = 192 (a transposed
+``Wf``) was the only product of a run to wake the second thread of its
+pool, which then spun for about 0.05 s after each call.
+
 Training works through the product of the two layers, as in the
 deep-linear setting (Saxe et al., arXiv:1312.6120), on bins-first blocks
 and on the rows its objective reads: the class logits of all A anchors,
@@ -26,7 +35,10 @@ workload uses, and a training split of A = 192 anchors with K′ = 94 main
 rows read (seed 2; 78–107 over seeds 0–5), that is 0.83 M against 1.72 M
 (1.28 M against 2.23 M with every row computed). With every row read the
 product form is the dearer one only when ``hidden_dim`` is below
-``2·D·O / (2·D + 3·O)``, about 20 at D = 64 and O = 38.
+``2·D·O / (2·D + 3·O)``, about 20 at D = 64 and O = 38. Feature imitation
+adds two ``D·H·A`` products to the product form, the hidden block and
+``G_hid·x``: 1.18 M at the default dimensions, for 2.01 M against the
+factored form's 1.72 M, which already holds both.
 """
 
 from __future__ import annotations
@@ -70,8 +82,10 @@ class LinearLocalizer:
     def edge_weights(self) -> np.ndarray:
         return self._heads(self.head_weights)[1]
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.feature_weights.T
+    def block_features(self, xt: np.ndarray) -> np.ndarray:
+        """Bins-first hidden features: the ``(hidden, A)`` block at the
+        inputs ``xt`` ``(D, A)``."""
+        return self.feature_weights @ xt
 
     def block_logits(self, xt: np.ndarray, xt_edge: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +104,9 @@ class LinearLocalizer:
         ``head_weights`` and ``feature_weights``, of a loss whose gradients
         at :meth:`block_logits` are ``grad_cls`` ``(C, A)`` and
         ``grad_edges`` ``(m, E, K)``, at the inputs ``x`` ``(A, D)`` and
-        ``x_edge`` ``(K, D)``; ``grad_hidden`` ``(A, hidden)`` adds a loss on
-        the hidden features of ``x``. ``d_features`` is None unless
-        ``train_features``."""
+        ``x_edge`` ``(K, D)``; ``grad_hidden`` ``(hidden, A)``, a gradient at
+        :meth:`block_features`, adds a loss on the hidden features of ``x``.
+        ``d_features`` is None unless ``train_features``."""
         c = self.n_classes
         p = np.empty((len(self.head_weights), x.shape[1]))
         np.matmul(grad_cls, x, out=p[:c])
@@ -102,7 +116,7 @@ class LinearLocalizer:
             return d_head, None
         d_features = self.head_weights.T @ p
         if grad_hidden is not None:
-            d_features += grad_hidden.T @ x
+            d_features += grad_hidden @ x
         return d_head, d_features
 
     def logits(self, x: np.ndarray) -> SceneOutputs:
@@ -114,6 +128,11 @@ class LinearLocalizer:
         z_cls, z_edges = self.block_logits(xt, xt)
         return SceneOutputs(cls_logits=z_cls.T, edge_logits=z_edges.transpose(2, 1, 0))
 
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Hidden features ``(A, hidden)`` for a batch of inputs: the view of
+        :meth:`block_features` at a contiguous xᵀ."""
+        return self.block_features(np.ascontiguousarray(x.T)).T
+
     def forward(self, x: np.ndarray) -> tuple[SceneOutputs, np.ndarray]:
         """Head outputs and the hidden features for a batch of inputs."""
         return self.logits(x), self.features(x)
@@ -124,9 +143,11 @@ class LinearLocalizer:
         """Weight gradients ``(d_cls, d_edges, d_features)``, shaped like the
         weights: :meth:`block_gradients` over every row, at the gradients
         ``grad_cls`` ``(A, C)`` and ``grad_edges`` ``(A, E, m)`` of
-        :meth:`logits`."""
+        :meth:`logits` and ``grad_hidden`` ``(A, hidden)`` of
+        :meth:`features`."""
         d_head, d_features = self.block_gradients(
-            x, x, grad_cls.T, grad_edges.transpose(2, 1, 0), grad_hidden, train_features)
+            x, x, grad_cls.T, grad_edges.transpose(2, 1, 0),
+            None if grad_hidden is None else grad_hidden.T, train_features)
         return (*self._heads(d_head), d_features)
 
 

@@ -326,16 +326,17 @@ def tbr_loss(
 
 
 def _imitation(ms: np.ndarray, mt: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean L2 distance between the rows of ``(K, D)`` feature matrices and
-    its gradient w.r.t. ``ms``; unchecked, for a training loop's step.
+    """Mean L2 distance between the columns of bins-first ``(D, K)`` feature
+    blocks (one column per location) and its gradient w.r.t. ``ms``;
+    unchecked, for a training loop's step.
 
-    The subgradient is 0 on a row that matches exactly (the norm is not
+    The subgradient is 0 on a column that matches exactly (the norm is not
     differentiable at 0).
     """
     diff = ms - mt
-    norms = np.sqrt((diff * diff).sum(axis=1))
-    grad = np.divide(diff, norms[:, None] * len(ms), out=np.zeros_like(diff),
-                     where=(norms > 0.0)[:, None])
+    norms = np.sqrt((diff * diff).sum(axis=0))
+    grad = np.divide(diff, norms * diff.shape[1], out=np.zeros_like(diff),
+                     where=norms > 0.0)
     return float(norms.mean()), grad
 
 
@@ -345,7 +346,8 @@ def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:
     ``student_feats`` and ``teacher_feats`` are ``(L, D)`` arrays of equal
     shape; ``region`` is a boolean mask over the ``L`` locations. The
     gradient w.r.t. the student features is zero outside the region.
-    Validated form of the training kernel ``_imitation`` on the region's rows.
+    Validated form of the training kernel ``_imitation`` on the region's rows,
+    transposed.
     """
     ms = np.asarray(student_feats, dtype=np.float64)
     mt = np.asarray(teacher_feats, dtype=np.float64)
@@ -358,9 +360,9 @@ def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:
         raise ValueError(f"region mask shape {mask.shape} does not match {ms.shape[0]} locations")
     if not mask.any():
         raise ValueError("imitation region is empty")
-    value, region_grad = _imitation(ms[mask], mt[mask])
+    value, region_grad = _imitation(ms[mask].T, mt[mask].T)
     grad = np.zeros_like(ms)
-    grad[mask] = region_grad
+    grad[mask] = region_grad.T
     return LossResult(value=value, grad=grad)
 
 

@@ -2,7 +2,11 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +457,63 @@ class TestLocalizerModel:
         assert out.cls_logits.shape == (5, 2)
         assert out.edge_logits.shape == (5, 4, 9)
         assert hidden.shape == (5, 8)
+
+    def test_block_features_are_the_public_product(self):
+        """The bins-first hidden block, at the default dimensions and at
+        odd ones, is ``x @ feature_weights.T`` within 1e-13 relative, and
+        ``features`` is its transposed view."""
+        rng = np.random.default_rng(5)
+        for anchors, inputs, hidden in ((192, 64, 48), (128, 64, 48), (7, 5, 3)):
+            model = init_localizer(inputs, hidden, 2, 4, 9, rng)
+            x = rng.normal(0, 1, (anchors, inputs))
+            want = x @ model.feature_weights.T
+            block = model.block_features(np.ascontiguousarray(x.T))
+            assert block.shape == (hidden, anchors) and block.flags.c_contiguous
+            assert np.abs(block.T - want).max() <= 1e-13 * np.abs(want).max()
+            assert model.features(x).tobytes() == block.T.tobytes()
+
+
+# Runs every scheme of one seed at a tenth of the default epochs in a fresh
+# interpreter and prints its wall time and the CPU time of every thread but
+# the calling one, both over run_seed alone. The sleep lets the BLAS pool's
+# start-up spin end before the clock starts.
+_ONE_CORE_PROBE = """
+import json, resource, time
+from dataclasses import replace
+from locdistill.boxdist import BinGrid
+from locdistill.harness import SCHEMES, HarnessConfig, run_seed
+from locdistill.losses import DistillConfig
+cfg = replace(HarnessConfig(), epochs=60, teacher_epochs=90)
+dcfg = DistillConfig(grid=BinGrid(0, 8, 8))
+def off_thread_cpu():
+    whole = resource.getrusage(resource.RUSAGE_SELF)
+    this = resource.getrusage(resource.RUSAGE_THREAD)
+    return whole.ru_utime + whole.ru_stime - this.ru_utime - this.ru_stime
+time.sleep(0.3)
+cpu, start = off_thread_cpu(), time.perf_counter()
+run_seed(cfg, dcfg, list(SCHEMES), 2)
+wall = time.perf_counter() - start
+print(json.dumps({"wall": wall, "off_thread_cpu": off_thread_cpu() - cpu}))
+"""
+
+
+def test_harness_keeps_one_core():
+    """A serial run_seed over every scheme, with no BLAS thread variable
+    set, does its work on the calling thread: other threads (a BLAS pool
+    spinning between products) use at most a tenth of its wall time."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("per-thread CPU time (RUSAGE_THREAD) is not available")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _ONE_CORE_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    run = json.loads(result.stdout.splitlines()[-1])
+    assert run["off_thread_cpu"] <= 0.1 * run["wall"], run
 
 
 @pytest.fixture(scope="module")

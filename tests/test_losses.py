@@ -434,19 +434,20 @@ class TestFeatureImitation:
             assert relative_gradient_error(res.grad, fd) < 1e-6
 
     def test_training_kernel_is_the_validated_loss_bit_for_bit(self):
-        """The unchecked kernel the harness trains with gives the validated
-        loss's value and region rows to the last bit."""
+        """The unchecked kernel the harness trains with, on bins-first
+        ``(D, K)`` blocks, gives the validated loss's value and region rows
+        to the last bit."""
         rng = _rng(84)
         ms = rng.normal(0, 1, (6, 5))
         mt = rng.normal(0, 1, (6, 5))
         mt[3] = ms[3]  # a matched row takes the zero subgradient
         for region in (np.ones(6, dtype=bool), np.array([1, 0, 1, 1, 0, 1], dtype=bool)):
             res = feature_imitation_loss(ms, mt, region)
-            value, grad = _imitation(ms[region], mt[region])
+            value, grad = _imitation(ms[region].T, mt[region].T)
             assert res.value == value
-            assert res.grad[region].tobytes() == grad.tobytes()
+            assert res.grad[region].tobytes() == grad.T.tobytes()
             assert not res.grad[~region].any()
-        assert not _imitation(ms, mt)[1][3].any()
+        assert not _imitation(ms.T, mt.T)[1][:, 3].any()
 
 
 # ---------------------------------------------------------------------------
