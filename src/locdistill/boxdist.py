@@ -19,6 +19,7 @@ a few bins. The public functions and layouts above are unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,21 +93,24 @@ def generalized_softmax(z, tau: float) -> np.ndarray:
     return _softmax(_as_vector(z), tau)
 
 
-def _log_softmax_pair(z: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
-    """Tempered log-softmax over axis 0 of ``z`` (the bins) and the
-    probabilities ``e / sum(e)`` from the same exponentials, where ``exp``
-    of the log-probabilities would take a second pass. ``tau`` is a scalar
-    or broadcasts against ``z[0]`` (one per column). Both results are
+def _log_softmax_pair(z: np.ndarray, tau, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Tempered log-softmax over ``axis`` of ``z`` (the bins; axis 0 unless
+    a stack of independent problems leads) and the probabilities ``e /
+    sum(e)`` from the same exponentials, where ``exp`` of the
+    log-probabilities would take a second pass. ``tau`` is a scalar or
+    broadcasts against one bin's slice (one per column). Both results are
     C-contiguous whatever the layout of ``z``, so a transposed view is read
     once and every reduction runs over whole rows."""
     zt = np.true_divide(np.asarray(z, dtype=np.float64), tau, order="C")
-    zt -= np.maximum.reduce(zt, axis=0)
+    zt -= np.maximum.reduce(zt, axis=axis, keepdims=True)
     e = np.exp(zt)
     # numpy adds the rows of a leading axis in order, but sums a lone column
     # pairwise; its running sum keeps the row order, so a one-column call is
     # bit for bit the same column of a stacked call.
-    total = (np.add.reduce(e, axis=0) if e.size > e.shape[0]
-             else np.add.accumulate(e, axis=0)[-1])
+    if e.size > math.prod(e.shape[:axis + 1]):
+        total = np.add.reduce(e, axis=axis, keepdims=True)
+    else:
+        total = np.add.accumulate(e, axis=axis)[(slice(None),) * axis + (slice(-1, None),)]
     zt -= np.log(total)
     e /= total
     return zt, e
@@ -198,10 +202,13 @@ def decode_expectation(p, grid: BinGrid) -> float:
     return float(np.dot(p, grid.endpoints))
 
 
-def _expectation(p: np.ndarray, grid: BinGrid) -> np.ndarray:
+def _expectation(p: np.ndarray, grid: BinGrid, axis: int = 0) -> np.ndarray:
     """Expectations over the grid's endpoints of probabilities ``p`` with
-    the bins on axis 0: one vector-matrix product over every column."""
-    return (grid.endpoints @ p.reshape(p.shape[0], -1)).reshape(p.shape[1:])
+    the bins on ``axis``: one vector-matrix product over every column of
+    each leading (stack) entry."""
+    lead = p.shape[:axis]
+    return (grid.endpoints @ p.reshape(*lead, p.shape[axis], -1)).reshape(
+        *lead, *p.shape[axis + 1:])
 
 
 def _decode(z: np.ndarray, grid: BinGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -113,18 +113,19 @@ def _giou_edges(s: np.ndarray, g: np.ndarray, area_g: np.ndarray
     """GIoU of box pairs given as edge distances from a point the two boxes
     of a pair share, and its gradient w.r.t. the first box's edges.
 
-    ``s`` and ``g`` are ``(4, K)`` rows ``t, b, l, r``; ``area_g`` is
-    :func:`_edge_area` of ``g``. Returns ``(giou (K,), dgiou/ds (4, K))``.
+    ``s`` and ``g`` are ``(4, ...)`` rows ``t, b, l, r`` that broadcast, such
+    as a stack ``(4, S, K)`` of students' edges against one ground truth
+    ``(4, 1, K)``; ``area_g`` is :func:`_edge_area` of ``g``. Returns
+    ``(giou (...), dgiou/ds (4, ...))``.
     The shared point cancels: intersection height and width are the sums of
     the per-edge minima, the hull's the sums of the maxima, and a box's are
     ``t + b`` and ``l + r``. At tied edges the gradient takes the one-sided
     subgradient: a tie moves neither the intersection nor the hull. No
     check: a pair whose union is empty gives NaN.
     """
-    k = s.shape[-1]
-    # Each per-axis quantity is a (2, K) block with a y row (t, b) and an x
-    # row (l, r): the (2, 2, K) views pair each edge with its opposite.
-    s2, g2 = s.reshape(2, 2, k), g.reshape(2, 2, k)
+    # Each per-axis quantity is a (2, ...) block with a y row (t, b) and an
+    # x row (l, r): the (2, 2, ...) views pair each edge with its opposite.
+    s2, g2 = s.reshape(2, 2, *s.shape[1:]), g.reshape(2, 2, *g.shape[1:])
     near, far = np.minimum(s2, g2), np.maximum(s2, g2)
     inner = near[:, 0] + near[:, 1]  # ih, iw
     outer = far[:, 0] + far[:, 1]    # ch, cw
@@ -148,7 +149,7 @@ def _giou_edges(s: np.ndarray, g: np.ndarray, area_g: np.ndarray
 
     d_giou = (d_inter * union - inter * d_union) / (union * union)
     d_giou += (d_union * enclosing - union * d_enc) / (enclosing * enclosing)
-    return giou, d_giou.reshape(4, k)
+    return giou, d_giou.reshape(4, *d_giou.shape[2:])
 
 
 def _giou_batch(boxes_s: np.ndarray, boxes_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

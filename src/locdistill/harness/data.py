@@ -279,20 +279,26 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     )
 
 
-def _row_json(split: SceneStack, i: int) -> dict:
-    mixtures = zip(split.centers[i], split.weights[i], split.n_components[i])
-    return {
-        "features": split.features[i].tolist(),
-        "true_edges": split.true_edges[i].tolist(),
-        "observed_edges": split.observed_edges[i].tolist(),
-        "ambiguity": [{"centers": c[:n].tolist(), "weights": w[:n].tolist()}
-                      for c, w, n in mixtures],
-        "class_label": int(split.main[i]),
-        "anchor_box": split.anchor_boxes[i].tolist(),
-        "gt_box": split.gt_boxes[i].tolist(),
-        "main": int(split.main[i]),
-        "vlr": int(split.vlr[i]),
-    }
+def _jsonl(split: SceneStack) -> str:
+    """The split as JSONL, one sample per line, byte for byte what
+    ``json.dumps`` writes for each sample's dict: a list of finite floats
+    formats as its ``str()``, since both use ``float.__repr__``. Raises on a
+    non-finite value, which JSON cannot hold."""
+    floats = (split.features, split.true_edges, split.observed_edges, split.centers,
+              split.weights, split.anchor_boxes, split.gt_boxes)
+    if not all(np.isfinite(column).all() for column in floats):
+        raise ValueError("a split with non-finite values cannot be written as JSON")
+    lines = []
+    for (features, true_edges, observed, centers, weights, anchor, gt, counts, main,
+         vlr) in zip(*(column.tolist() for column in floats), split.n_components.tolist(),
+                     split.main.tolist(), split.vlr.tolist()):
+        ambiguity = ", ".join(f'{{"centers": {c[:n]}, "weights": {w[:n]}}}'
+                              for c, w, n in zip(centers, weights, counts))
+        lines.append(f'{{"features": {features}, "true_edges": {true_edges}, '
+                     f'"observed_edges": {observed}, "ambiguity": [{ambiguity}], '
+                     f'"class_label": {int(main)}, "anchor_box": {anchor}, "gt_box": {gt}, '
+                     f'"main": {int(main)}, "vlr": {int(vlr)}}}\n')
+    return "".join(lines)
 
 
 def _mixtures_from_json(mixtures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,8 +364,7 @@ def save_dataset(dataset: Dataset, train_path, heldout_path) -> None:
     """Write the two splits as JSONL, one sample per line."""
     for path, split in ((train_path, dataset.train), (heldout_path, dataset.heldout)):
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(len(split)):
-                fh.write(json.dumps(_row_json(split, i)) + "\n")
+            fh.write(_jsonl(split))
 
 
 def load_dataset(train_path, heldout_path, grid: BinGrid) -> Dataset:

@@ -11,7 +11,6 @@ whatever distillation signal their scheme enables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,10 +18,11 @@ import numpy as np
 from .._checks import check_finite
 from ..boxdist import BinGrid, _decode, _entropy, _log_softmax_pair
 from ..losses import (
+    _COMPONENTS,
     DistillConfig,
     SceneObjective,
-    SceneOutputs,
     _imitation,
+    _stack_index,
     _tempered_kl,
 )
 from .data import (
@@ -50,11 +50,9 @@ __all__ = [
 _SEED_TAG_TEACHER = 0x7EAC
 _SEED_TAG_STUDENT = 0x57D0
 
+# A trace's loss columns are the objective's components, in order, then the total.
 TRACE_COLUMNS = ("step", "L_cls", "L_reg", "L_DFL", "LD_main", "LD_vlr",
                  "KD_main", "KD_vlr", "total")
-# The objective's component behind each loss column of a trace.
-_TRACE_COMPONENTS = dict(zip(TRACE_COLUMNS[1:-1], ("cls", "reg", "dfl", "ld_main", "ld_vlr",
-                                                   "kd_main", "kd_vlr")))
 
 
 @dataclass(frozen=True)
@@ -130,40 +128,80 @@ class DivergenceError(ArithmeticError):
 
 
 def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
-             cfg: HarnessConfig, epochs: int, run: tuple[str, int, float],
-             imitate: np.ndarray | None = None, trace: list[dict] | None = None) -> None:
+             cfg: HarnessConfig, epochs: int, run: tuple, imitate=None,
+             trace: list | None = None) -> None:
     """Full-batch gradient descent on ``objective`` for ``epochs`` steps, in
-    place. ``imitate`` ``(A, hidden)`` adds feature imitation of those
-    hidden features to every step, on bins-first ``(hidden, A)`` blocks,
-    ``trace`` collects each step's loss components before its
-    update, and ``run`` is the ``(who, seed, tau)`` a
-    :class:`DivergenceError` names."""
+    place, of a stack of S students: ``model`` with a leading scheme axis
+    and ``objective`` over the same S schemes. ``imitate`` holds, per
+    scheme, the ``(A, hidden)`` features it imitates, or None, and adds
+    feature imitation of them, on bins-first ``(hidden, A)`` blocks, to
+    every step of those schemes. ``trace`` holds one list per scheme, which
+    collects each step's loss components before its update. ``run`` is
+    ``(names, seed, tau)``; a :class:`DivergenceError` names the first
+    scheme, in stack order, that is non-finite at the earliest such step.
+
+    One model (weights without the scheme axis), with ``run``'s name, its
+    imitated features and one trace list, is the stack of one it views."""
+    if model.feature_weights.ndim == 2:
+        model, run, imitate = model[None], ((run[0],), *run[1:]), (imitate,)
+        trace = None if trace is None else [trace]
+    names, seed, tau = run
     # x is fixed under full-batch descent, so the bins-first inputs and the
     # rows whose edges the objective reads are taken once.
-    x_edge = x[objective.edge_rows]
-    xt, xt_edge = np.ascontiguousarray(x.T), np.ascontiguousarray(x_edge.T)
-    if imitate is not None:  # a features() result: its .T is the stored block
-        imitate = np.ascontiguousarray(imitate.T)
+    xt = np.ascontiguousarray(x.T)
+    blocks = [(x[rows], models) for rows, models in objective.edge_blocks]
+    xt_blocks = [(np.ascontiguousarray(x_rows.T), models) for x_rows, models in blocks]
+    fi = None  # the schemes that imitate features
+    if imitate is not None and any(features is not None for features in imitate):
+        fi = _stack_index([features is not None for features in imitate])
+        imitated = np.stack([features.T for features in imitate if features is not None])
+    log = np.empty((epochs, len(TRACE_COLUMNS) - 1, len(names)))
     # The finite check on each step's loss replaces numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(epochs):
-            value, g_cls, g_edges, comps = objective.block_step(
-                *model.block_logits(xt, xt_edge))
+            values, g_cls, g_edges, terms = objective.block_step(
+                *model.block_logits(xt, *xt_blocks))
             g_hidden = None
-            if imitate is not None:
-                fi_value, g_fi = _imitation(model.block_features(xt), imitate)
-                value += cfg.fi_weight * fi_value
+            if fi is not None:
+                fi_values, g_fi = _imitation(model.block_features(xt, fi), imitated)
+                values[fi] += cfg.fi_weight * fi_values
                 g_hidden = cfg.fi_weight * g_fi
             d_head, d_features = model.block_gradients(
-                x, x_edge, g_cls, g_edges, g_hidden, cfg.train_features)
-            if not math.isfinite(value):
-                raise DivergenceError(*run, step)
-            if trace is not None:
-                row = {column: comps[key] for column, key in _TRACE_COMPONENTS.items()}
-                trace.append({"step": step, **row, "total": value})
-            model.head_weights -= cfg.lr * d_head
+                x, g_cls, *((x_rows, g, models) for (x_rows, models), g in zip(blocks, g_edges)),
+                grad_hidden=g_hidden, train_features=cfg.train_features, hidden_models=fi)
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise DivergenceError(names[np.argmin(finite)], seed, tau, step)
+            log[step, :-1] = terms[:len(_COMPONENTS)]
+            log[step, -1] = values
+            d_head *= cfg.lr
+            model.head_weights -= d_head
             if d_features is not None:
-                model.feature_weights -= cfg.lr * d_features
+                d_features *= cfg.lr
+                model.feature_weights -= d_features
+    for rows, out in zip(log.transpose(2, 0, 1).tolist(), trace or ()):
+        out.extend(dict(zip(TRACE_COLUMNS, (step, *row))) for step, row in enumerate(rows))
+
+
+def _scheme_problem(dataset: Dataset, schemes: list[str], teacher: LinearLocalizer | None,
+                    cfg: HarnessConfig, dcfg: DistillConfig
+                    ) -> tuple[np.ndarray, SceneObjective, tuple]:
+    """What :func:`_descend` trains ``schemes`` on, one stack entry each:
+    the training inputs, the objective, and the features each scheme
+    imitates (or None). The teacher's forward runs once, for every scheme."""
+    specs = [_resolve_scheme(scheme) for scheme in schemes]
+    distilling = [scheme for scheme, spec in zip(schemes, specs) if spec.needs_teacher]
+    if distilling and teacher is None:
+        raise ValueError(f"scheme {distilling[0]!r} distills from a teacher but none was given")
+    stack = dataset.train
+    x = stack.features
+    teacher_out = teacher_hidden = None
+    if distilling:
+        teacher_out, teacher_hidden = teacher.forward(x)
+    objective = SceneObjective(
+        stack.truth, stack.masks, [scheme_config(spec, dcfg, cfg.ld_dfl_scale) for spec in specs],
+        teacher_out, N_CLASSES, tbr_weight=[cfg.tbr_weight if spec.tbr else 0.0 for spec in specs])
+    return x, objective, tuple(teacher_hidden if spec.fi else None for spec in specs)
 
 
 def train(
@@ -177,23 +215,11 @@ def train(
 ) -> tuple[LinearLocalizer, list[dict]]:
     """Train a student in place under one scheme; returns the model and the
     per-epoch loss trace (components before each update step). ``seed``
-    only names the run in a :class:`DivergenceError`."""
-    spec = _resolve_scheme(scheme)
-    if spec.needs_teacher and teacher is None:
-        raise ValueError(f"scheme {scheme!r} distills from a teacher but none was given")
-    run_cfg = scheme_config(spec, dcfg, cfg.ld_dfl_scale)
-
-    stack = dataset.train
-    x = stack.features
-    teacher_out: SceneOutputs | None = None
-    teacher_hidden = None
-    if teacher is not None:
-        teacher_out, teacher_hidden = teacher.forward(x)
-    objective = SceneObjective(stack.truth, stack.masks, run_cfg, teacher_out, N_CLASSES,
-                               tbr_weight=cfg.tbr_weight if spec.tbr else 0.0)
+    only names the run in a :class:`DivergenceError`. The one-scheme case of
+    :func:`run_seed`'s stacked training."""
+    x, objective, (imitate,) = _scheme_problem(dataset, [scheme], teacher, cfg, dcfg)
     trace: list[dict] = []
-    _descend(model, x, objective, cfg, cfg.epochs, (scheme, seed, dcfg.tau),
-             imitate=teacher_hidden if spec.fi else None, trace=trace)
+    _descend(model, x, objective, cfg, cfg.epochs, (scheme, seed, dcfg.tau), imitate, trace)
     return model, trace
 
 
@@ -286,42 +312,48 @@ def _mean_pearson_columns(a: np.ndarray, b: np.ndarray) -> float:
 def _mean_kl(z_teacher: np.ndarray, z_student: np.ndarray) -> float:
     """Teacher-to-student KL at unit temperature, averaged per anchor, on
     the bins-first (``.T``) views of ``(A, ...)`` logits."""
-    return _tempered_kl(z_student.T, *_log_softmax_pair(z_teacher.T, 1.0), 1.0)[0][0]
+    return _tempered_kl(z_student.T, *_log_softmax_pair(z_teacher.T, 1.0), 1.0)[0]
 
 
 def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
              scheme: str = "", seed: int = 0,
              trace: list[dict] | tuple[dict, ...] = ()) -> ExperimentReport:
     """Held-out metrics: decoded-edge MAE on positives, teacher-student KL
-    per head, per-dimension Pearson correlations, and distribution flatness."""
+    per head, per-dimension Pearson correlations, and distribution flatness.
+    The one-scheme case of :func:`_evaluate_stack`."""
+    return _evaluate_stack(model[None], teacher, dataset, [scheme], seed, [trace])[0]
+
+
+def _evaluate_stack(students: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
+                    schemes: list[str], seed: int, traces) -> list[ExperimentReport]:
+    """:func:`evaluate` for each student of a stack, in order, under its
+    scheme's name and trace; the teacher's held-out forward runs once."""
     if not dataset.heldout:
         raise ValueError("dataset has no held-out split to evaluate on")
     stack = dataset.heldout
     x = stack.features
-    out_s, h_s = model.forward(x)
-    out_t, h_t = teacher.forward(x)
-
     main_idx = np.flatnonzero(stack.main)
     if main_idx.size == 0:
         raise ValueError("held-out split has no main positives to score MAE on")
-    p_main, decoded = _decode(out_s.edge_logits[main_idx].T, dataset.grid)
-    mae = float(np.abs(decoded - stack.true_edges[main_idx].T).mean())
-
-    entropy = float(_entropy(p_main).mean())
-
+    out_t, h_t = teacher.forward(x)
     a = x.shape[0]
-    return ExperimentReport(
-        scheme=scheme,
-        seed=seed,
-        mae_edges=mae,
-        kl_box=_mean_kl(out_t.edge_logits, out_s.edge_logits),
-        kl_cls=_mean_kl(out_t.cls_logits, out_s.cls_logits),
-        pearson_features=_mean_pearson_columns(h_t, h_s),
-        pearson_box_logits=_mean_pearson_columns(
-            out_t.edge_logits.reshape(a, -1), out_s.edge_logits.reshape(a, -1)),
-        flatness=entropy,
-        trace=tuple(trace),
-    )
+    reports = []
+    for i, (scheme, trace) in enumerate(zip(schemes, traces)):
+        out_s, h_s = students[i].forward(x)
+        p_main, decoded = _decode(out_s.edge_logits[main_idx].T, dataset.grid)
+        reports.append(ExperimentReport(
+            scheme=scheme,
+            seed=seed,
+            mae_edges=float(np.abs(decoded - stack.true_edges[main_idx].T).mean()),
+            kl_box=_mean_kl(out_t.edge_logits, out_s.edge_logits),
+            kl_cls=_mean_kl(out_t.cls_logits, out_s.cls_logits),
+            pearson_features=_mean_pearson_columns(h_t, h_s),
+            pearson_box_logits=_mean_pearson_columns(
+                out_t.edge_logits.reshape(a, -1), out_s.edge_logits.reshape(a, -1)),
+            flatness=float(_entropy(p_main).mean()),
+            trace=tuple(trace),
+        ))
+    return reports
 
 
 def _new_model(cfg: HarnessConfig, grid: BinGrid, seed: int,
@@ -334,20 +366,27 @@ def _new_model(cfg: HarnessConfig, grid: BinGrid, seed: int,
 def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, scheme: str, seed: int,
              dataset: Dataset, teacher: LinearLocalizer) -> ExperimentReport:
     """Train and evaluate one (scheme, seed) cell on the seed's dataset and
-    teacher, which every scheme of the seed shares."""
-    spec = _resolve_scheme(scheme)
-    student = _new_model(cfg, dataset.grid, seed)
-    student, trace = train(student, dataset, scheme,
-                           teacher if spec.needs_teacher else None, cfg, dcfg, seed)
-    return evaluate(student, teacher, dataset, scheme=scheme, seed=seed, trace=trace)
+    teacher: the one-scheme case of :func:`_run_schemes`."""
+    return _run_schemes(cfg, dcfg, [scheme], seed, dataset, teacher)[0]
+
+
+def _run_schemes(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str], seed: int,
+                 dataset: Dataset, teacher: LinearLocalizer) -> list[ExperimentReport]:
+    """Train every scheme from the seed's one initial student as one stack,
+    then evaluate each; reports in scheme order."""
+    x, objective, imitate = _scheme_problem(dataset, schemes, teacher, cfg, dcfg)
+    students = LinearLocalizer.stack([_new_model(cfg, dataset.grid, seed)] * len(schemes))
+    traces: list[list[dict]] = [[] for _ in schemes]
+    _descend(students, x, objective, cfg, cfg.epochs, (tuple(schemes), seed, dcfg.tau),
+             imitate, traces)
+    return _evaluate_stack(students, teacher, dataset, schemes, seed, traces)
 
 
 def run_seed(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str],
              seed: int) -> tuple[Dataset, list[ExperimentReport]]:
     """Every scheme of one seed: the seed's dataset and teacher are built
-    once and shared by its cells. Returns the dataset and the reports in
-    scheme order."""
+    once, and its schemes train together as one stacked student. Returns
+    the dataset and the reports in scheme order."""
     dataset = gen_dataset(cfg, dcfg, seed)
     teacher = train_teacher(dataset, cfg, dcfg, seed)
-    return dataset, [run_cell(cfg, dcfg, scheme, seed, dataset, teacher)
-                     for scheme in schemes]
+    return dataset, _run_schemes(cfg, dcfg, schemes, seed, dataset, teacher)

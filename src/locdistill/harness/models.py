@@ -53,20 +53,46 @@ __all__ = ["LinearLocalizer", "init_localizer"]
 class LinearLocalizer:
     """Linear feature projection plus class and edge-distribution heads, held
     as one bins-major ``(C + m·E, hidden)`` array ``head_weights``, of which
-    ``cls_weights`` and ``edge_weights`` ``(E, m, hidden)`` are views."""
+    ``cls_weights`` and ``edge_weights`` ``(E, m, hidden)`` are views.
+
+    A leading axis on every weight array makes a stack of independent
+    models of one shape, one per training scheme: the bins-first ``block_*``
+    methods then take and return one block per model, each product a
+    batched ``np.matmul`` whose slices are the one-model products, and
+    ``model[i]`` is model ``i`` as a view. The public-layout methods
+    (``logits``, ``features``, ``forward``, ``gradients``) take one model.
+    """
 
     def __init__(self, feature_weights: np.ndarray, cls_weights: np.ndarray,
                  edge_weights: np.ndarray) -> None:
-        self.feature_weights = feature_weights  # (hidden, input_dim)
-        self.n_classes = cls_weights.shape[0]
-        n_edges, n_bins, hidden = edge_weights.shape
+        *lead, n_edges, n_bins, hidden = edge_weights.shape
+        self.feature_weights = feature_weights  # (..., hidden, input_dim)
+        self.n_classes = cls_weights.shape[-2]
         self._bins_major = (n_bins, n_edges, hidden)
         self.head_weights = np.concatenate(
-            [cls_weights, edge_weights.transpose(1, 0, 2).reshape(-1, hidden)])
+            [cls_weights, edge_weights.swapaxes(-3, -2).reshape(*lead, -1, hidden)], axis=-2)
+
+    @classmethod
+    def stack(cls, models: list[LinearLocalizer]) -> LinearLocalizer:
+        """A stack of copies of one-model ``models``, in order."""
+        return models[0]._with(np.stack([m.feature_weights for m in models]),
+                               np.stack([m.head_weights for m in models]))
+
+    def _with(self, feature_weights: np.ndarray, head_weights: np.ndarray) -> LinearLocalizer:
+        model = object.__new__(type(self))
+        model.feature_weights, model.head_weights = feature_weights, head_weights
+        model.n_classes, model._bins_major = self.n_classes, self._bins_major
+        return model
+
+    def __getitem__(self, index) -> LinearLocalizer:
+        """The models of a stack at ``index`` (an int gives one model), or,
+        at ``None``, one model as a stack of one; views where numpy indexing
+        gives views, so an update in place trains the indexed models."""
+        return self._with(self.feature_weights[index], self.head_weights[index])
 
     @property
     def hidden_dim(self) -> int:
-        return self.feature_weights.shape[0]
+        return self.feature_weights.shape[-2]
 
     def _heads(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a bins-major ``(C + m·E, hidden)`` array as its
@@ -82,41 +108,55 @@ class LinearLocalizer:
     def edge_weights(self) -> np.ndarray:
         return self._heads(self.head_weights)[1]
 
-    def block_features(self, xt: np.ndarray) -> np.ndarray:
+    def block_features(self, xt: np.ndarray, models=Ellipsis) -> np.ndarray:
         """Bins-first hidden features: the ``(hidden, A)`` block at the
-        inputs ``xt`` ``(D, A)``."""
-        return self.feature_weights @ xt
+        inputs ``xt`` ``(D, A)``, of each of the stacked ``models``."""
+        return self.feature_weights[models] @ xt
 
-    def block_logits(self, xt: np.ndarray, xt_edge: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def block_logits(self, xt: np.ndarray, *edges: tuple[np.ndarray, object]
+                     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Bins-first logits: the ``(C, A)`` class block at the inputs
-        ``xt`` ``(D, A)`` and the ``(m, E, K)`` edge block at ``xt_edge``
-        ``(D, K)``, the transposed inputs of the rows whose edges are read."""
+        ``xt`` ``(D, A)``, and one ``(m, E, K_i)`` edge block per ``(xt_i,
+        models)`` pair of ``edges``: the transposed inputs ``(D, K_i)`` of a
+        block of rows whose edges are read, and the stacked models that read
+        them (``...`` for all). Each block is its own product: a gemm's bits
+        can depend on its column count, and this keeps a block's logits the
+        same whichever blocks follow it."""
         w = self.head_weights @ self.feature_weights
         c = self.n_classes
-        return w[:c] @ xt, (w[c:] @ xt_edge).reshape(*self._bins_major[:2], xt_edge.shape[1])
+        z_edges = []
+        for xt_rows, models in edges:
+            z = w[models, c:, :] @ xt_rows
+            z_edges.append(z.reshape(*z.shape[:-2], *self._bins_major[:2], z.shape[-1]))
+        return w[..., :c, :] @ xt, z_edges
 
-    def block_gradients(self, x: np.ndarray, x_edge: np.ndarray, grad_cls: np.ndarray,
-                        grad_edges: np.ndarray, grad_hidden: np.ndarray | None = None,
-                        train_features: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray | None]:
+    def block_gradients(self, x: np.ndarray, grad_cls: np.ndarray,
+                        *edges: tuple[np.ndarray, np.ndarray, object],
+                        grad_hidden: np.ndarray | None = None, train_features: bool = True,
+                        hidden_models=Ellipsis) -> tuple[np.ndarray, np.ndarray | None]:
         """Weight gradients ``(d_head, d_features)``, shaped like
         ``head_weights`` and ``feature_weights``, of a loss whose gradients
-        at :meth:`block_logits` are ``grad_cls`` ``(C, A)`` and
-        ``grad_edges`` ``(m, E, K)``, at the inputs ``x`` ``(A, D)`` and
-        ``x_edge`` ``(K, D)``; ``grad_hidden`` ``(hidden, A)``, a gradient at
-        :meth:`block_features`, adds a loss on the hidden features of ``x``.
-        ``d_features`` is None unless ``train_features``."""
+        at :meth:`block_logits` are ``grad_cls`` ``(C, A)`` at the inputs
+        ``x`` ``(A, D)`` and, per ``(x_i, grad_i, models)`` triple of
+        ``edges``, ``grad_i`` ``(m, E, K_i)`` at the inputs ``x_i`` ``(K_i,
+        D)`` of the stacked ``models`` (the first block: every model).
+        ``grad_hidden`` ``(hidden, A)``, a gradient at :meth:`block_features`
+        of the stacked ``hidden_models``, adds a loss on their hidden
+        features of ``x``. ``d_features`` is None unless ``train_features``."""
         c = self.n_classes
-        p = np.empty((len(self.head_weights), x.shape[1]))
-        np.matmul(grad_cls, x, out=p[:c])
-        np.matmul(grad_edges.reshape(len(p) - c, len(x_edge)), x_edge, out=p[c:])
-        d_head = p @ self.feature_weights.T
+        lead, rows = grad_cls.shape[:-2], self.head_weights.shape[-2]
+        p = np.empty((*lead, rows, x.shape[1]))
+        np.matmul(grad_cls, x, out=p[..., :c, :])
+        (x_rows, grad, _), *more = edges
+        np.matmul(grad.reshape(*lead, rows - c, len(x_rows)), x_rows, out=p[..., c:, :])
+        for x_rows, grad, models in more:
+            p[models, c:, :] += grad.reshape(*grad.shape[:-3], rows - c, len(x_rows)) @ x_rows
+        d_head = p @ self.feature_weights.mT
         if not train_features:
             return d_head, None
-        d_features = self.head_weights.T @ p
+        d_features = self.head_weights.mT @ p
         if grad_hidden is not None:
-            d_features += grad_hidden @ x
+            d_features[hidden_models] += grad_hidden @ x
         return d_head, d_features
 
     def logits(self, x: np.ndarray) -> SceneOutputs:
@@ -125,7 +165,7 @@ class LinearLocalizer:
         # A contiguous xᵀ, as the descent loop passes: the gemm's bits
         # depend on its operands' layout.
         xt = np.ascontiguousarray(x.T)
-        z_cls, z_edges = self.block_logits(xt, xt)
+        z_cls, (z_edges,) = self.block_logits(xt, (xt, Ellipsis))
         return SceneOutputs(cls_logits=z_cls.T, edge_logits=z_edges.transpose(2, 1, 0))
 
     def features(self, x: np.ndarray) -> np.ndarray:
@@ -146,8 +186,9 @@ class LinearLocalizer:
         :meth:`logits` and ``grad_hidden`` ``(A, hidden)`` of
         :meth:`features`."""
         d_head, d_features = self.block_gradients(
-            x, x, grad_cls.T, grad_edges.transpose(2, 1, 0),
-            None if grad_hidden is None else grad_hidden.T, train_features)
+            x, grad_cls.T, (x, grad_edges.transpose(2, 1, 0), Ellipsis),
+            grad_hidden=None if grad_hidden is None else grad_hidden.T,
+            train_features=train_features)
         return (*self._heads(d_head), d_features)
 
 

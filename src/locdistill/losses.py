@@ -142,65 +142,97 @@ class DistillConfig:
 # loss kernels, bins first: distributions on axis 0, K anchors on the last
 # ---------------------------------------------------------------------------
 
-def _cross_entropy(z: np.ndarray, picks, target: np.ndarray,
-                   weight: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _cross_entropy(z: np.ndarray, picks, target: np.ndarray, weight,
+                   axis: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax cross-entropy ``-sum g ln p`` at unit temperature over K anchors.
 
     ``z`` and ``target`` have shape ``(m, ..., K)``: distributions on axis 0,
-    anchors on the last. ``picks`` holds flat (C-order) indices covering the
-    target's nonzero entries; the value is read from those alone. Returns
-    the value summed over the other axes and averaged over the K anchors,
-    its gradient times ``weight``, which is ``weight * (p - target) / K``,
-    and the probabilities ``p``.
+    anchors on the last. With ``axis=1``, ``z`` is ``(S, m, ..., K)``, a
+    stack of S problems against the one ``target``. ``picks`` holds flat
+    (C-order) indices into one problem covering the target's nonzero
+    entries; the value is read from those alone. Returns the value of each
+    problem (a scalar unstacked), summed over the other axes and averaged
+    over the K anchors, its gradient times ``weight`` (a scalar, or one per
+    problem that broadcasts), which is ``weight * (p - target) / K``, and
+    the probabilities ``p``.
     """
     k = z.shape[-1]
-    ls, p = _log_softmax_pair(z, 1.0)
+    ls, p = _log_softmax_pair(z, 1.0, axis)
+    picks = np.ravel(picks)
     # Methods and ufunc reductions called directly, as np.take and
     # ndarray.sum would call them: this runs on every training step.
-    picked = target.take(picks) * ls.take(picks)
-    value = -float(np.add.reduce(picked, axis=None) / k)
-    return value, (p - target) * (weight / k), p
+    picked = target.take(picks) * ls.reshape(*z.shape[:axis], -1).take(picks, axis=-1)
+    value = -(np.add.reduce(picked, axis=-1) / k)
+    grad = p - target
+    grad *= weight / k
+    return value, grad, p
 
 
-def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray, tau,
-                 sizes: tuple[int, ...] | None = None, divisor=None,
-                 weight=None) -> tuple[list[float], np.ndarray]:
-    """Tempered KL and its student-logit gradient, the one kernel of KD and
-    LD, over K anchors in consecutive blocks of ``sizes`` (default: one).
+def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray, tau, weight=None,
+                 axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Tempered KL and its student-logit gradient over K anchors, the one
+    kernel of KD and LD.
 
-    ``z_s`` is ``(m, ..., K)``, logits on axis 0 and anchors on the last;
-    the teacher's tempered log-probabilities ``lt`` and probabilities ``q``
-    match or broadcast against it. Returns each block's KL, summed over the
-    other axes and averaged over the block, and the gradient ``weight * (p -
-    q) / divisor``, per column its block's weight and ``tau * size``
-    (default: no weight and ``tau * K``)."""
-    ls, p = _log_softmax_pair(z_s, tau)
+    ``z_s`` is ``(m, ..., K)``, logits on axis 0 and anchors on the last, or
+    with ``axis=1`` ``(S, m, ..., K)``, a stack of S students; the teacher's
+    tempered log-probabilities ``lt`` and probabilities ``q`` match or
+    broadcast against it. Returns the KL of each student (a scalar
+    unstacked), summed over the other axes and averaged over the K anchors,
+    and the gradient ``(p - q) / (tau * K)``, times ``weight`` (a scalar, or
+    one per student that broadcasts) if given."""
+    k = z_s.shape[-1]
+    ls, p = _log_softmax_pair(z_s, tau, axis)
     terms = q * (lt - ls)
-    values, end = [], 0
-    for size in sizes or (z_s.shape[-1],):
-        values.append(float(np.add.reduce(terms[..., end:end + size], axis=None) / size))
-        end += size
+    value = np.add.reduce(terms.reshape(*z_s.shape[:axis], -1), axis=-1) / k
     grad = p - q
-    grad /= tau * end if divisor is None else divisor
-    return values, grad if weight is None else np.multiply(grad, weight, out=grad)
+    grad /= tau * k
+    if weight is not None:
+        grad *= weight
+    return value, grad
 
 
-_Distill = namedtuple("_Distill", "names rows sizes lt q divisor weight")
+def _stack_index(mask) -> slice | np.ndarray:
+    """The entries of a stack where ``mask`` holds: a slice (numpy then
+    gives views) when they are consecutive, else their indices."""
+    idx = np.flatnonzero(mask)
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
-def _distill_block(tau: float, head: np.ndarray, *terms) -> _Distill | None:
-    """The active ones of ``terms``, ``(name, weight, anchors)`` triples on
-    a frozen teacher head ``(A, ...)``, as consecutive blocks of one tempered
-    KL with the teacher's side and each column's divisor and weight
-    precomputed; ``None`` when no term has a positive weight and an anchor."""
-    active = [(name, w, rows) for name, w, rows in terms if w > 0.0 and rows.size]
-    if not active:
+# The terms of the composite objective, in the order its value adds them.
+_TERMS = ("cls", "reg", "dfl", "ld_main", "ld_vlr", "kd_main", "kd_vlr", "tbr")
+_COMPONENTS = _TERMS[:-1]  # every term but TBR
+
+# One distillation term: its row in _TERMS, the students that weight it, the
+# index of their columns it reads, the teacher's side there and each
+# student's weight.
+_Distill = namedtuple("_Distill", "row students at lt q weight")
+
+
+def _distill_term(name: str, weights: np.ndarray, tau: float, head: np.ndarray,
+                  rows: np.ndarray) -> _Distill | None:
+    """Distillation term ``name`` of a stack whose students weight it by
+    ``weights`` ``(S,)``, on the anchors ``rows`` of a frozen teacher head
+    ``(A, ...)``: the students with a positive weight, with the teacher's
+    tempered distributions on those rows precomputed. ``at`` indexes the
+    students' ``(S, C, A)`` class logits at ``rows``; an edge term reads a
+    block of its own rows (see :attr:`SceneObjective.edge_blocks`) and
+    ``at`` indexes its students there. ``None`` when no student weights the
+    term or ``rows`` is empty."""
+    active = weights > 0.0
+    if not (rows.size and active.any()):
         return None
-    names, weights, rows = zip(*active)
-    sizes = tuple(r.size for r in rows)
-    rows = np.concatenate(rows)
-    return _Distill(names, rows, sizes, *_log_softmax_pair(head[rows].T, tau),
-                    np.repeat([tau * n for n in sizes], sizes), np.repeat(weights, sizes))
+    students = _stack_index(active)
+    weight = weights[students].reshape(-1, *(1,) * head.ndim)
+    if head.ndim == 3:  # edges
+        at = students
+    elif isinstance(students, slice):
+        at = (students, slice(None), rows)
+    else:
+        at = np.ix_(students, np.arange(head.shape[1]), rows)
+    return _Distill(_TERMS.index(name), students, at,
+                    *_log_softmax_pair(head[rows].T, tau), weight)
 
 
 def _one_anchor_kd(zs: np.ndarray, zt: np.ndarray, tau: float) -> LossResult:
@@ -208,8 +240,8 @@ def _one_anchor_kd(zs: np.ndarray, zt: np.ndarray, tau: float) -> LossResult:
     or ``(E, m)``, with the teacher entropy added back to give the
     cross-entropy ``value``."""
     lt, q = _log_softmax_pair(zt.T[..., None], tau)
-    (kl,), grad = _tempered_kl(zs.T[..., None], lt, q, tau)
-    return LossResult(value=kl - float(np.vdot(q, lt)), grad=grad[..., 0].T, kl=kl)
+    kl, grad = _tempered_kl(zs.T[..., None], lt, q, tau)
+    return LossResult(value=kl - float(np.vdot(q, lt)), grad=grad[..., 0].T, kl=float(kl))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +329,11 @@ def giou_regression_loss(student_box: BoundingBox, gt_box: BoundingBox) -> LossR
     return LossResult(value=1.0 - float(vals[0]), grad=-grads[:, 0])
 
 
-def _l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L2 distances between ``(4,)`` or ``(4, K)`` boxes: corner rows, or
-    edge rows from a point each pair shares, whose distance is the same."""
-    return np.sqrt(((a - b) ** 2).sum(axis=0))
+def _l2(a: np.ndarray, b: np.ndarray, axis: int = -2) -> np.ndarray:
+    """L2 distances between ``(..., 4, K)`` boxes (``(4,)`` with ``axis=0``):
+    corner rows, or edge rows from a point each pair shares, whose distance
+    is the same."""
+    return np.sqrt(((a - b) ** 2).sum(axis=axis))
 
 
 def tbr_loss(
@@ -317,27 +350,26 @@ def tbr_loss(
     is exactly zero with a zero gradient.
     """
     check_nonnegative("margin", margin)
-    s = np.asarray(student_box.to_list())
-    t = np.asarray(teacher_box.to_list())
-    g = np.asarray(gt_box.to_list())
-    if _l2(s, g) + margin > _l2(t, g):
+    s, t, g = (np.asarray(box.to_list()) for box in (student_box, teacher_box, gt_box))
+    if _l2(s, g, 0) + margin > _l2(t, g, 0):
         return giou_regression_loss(student_box, gt_box)
     return LossResult(value=0.0, grad=np.zeros(4))
 
 
-def _imitation(ms: np.ndarray, mt: np.ndarray) -> tuple[float, np.ndarray]:
+def _imitation(ms: np.ndarray, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean L2 distance between the columns of bins-first ``(D, K)`` feature
-    blocks (one column per location) and its gradient w.r.t. ``ms``;
-    unchecked, for a training loop's step.
+    blocks (one column per location), one per block of a ``(S, D, K)``
+    stack, and its gradient w.r.t. ``ms``; unchecked, for a training loop's
+    step.
 
     The subgradient is 0 on a column that matches exactly (the norm is not
     differentiable at 0).
     """
     diff = ms - mt
-    norms = np.sqrt((diff * diff).sum(axis=0))
-    grad = np.divide(diff, norms * diff.shape[1], out=np.zeros_like(diff),
+    norms = np.sqrt((diff * diff).sum(axis=-2))[..., None, :]
+    grad = np.divide(diff, norms * diff.shape[-1], out=np.zeros_like(diff),
                      where=norms > 0.0)
-    return float(norms.mean()), grad
+    return norms[..., 0, :].mean(axis=-1), grad
 
 
 def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:
@@ -434,26 +466,38 @@ def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
                        g_edge_vals: np.ndarray) -> np.ndarray:
     """Chain an edge-value gradient through the softmax expectation decode.
 
-    ``p`` is ``(m, E, K)`` probabilities, their expectations ``yhat`` and
-    ``g_edge_vals`` are ``(E, K)``; returns the ``(m, E, K)`` gradient
-    w.r.t. the edge logits.
+    ``p`` is ``(S, m, E, K)`` probabilities, a stack of S students, their
+    expectations ``yhat`` and ``g_edge_vals`` are ``(S, E, K)``; returns the
+    ``(S, m, E, K)`` gradient w.r.t. the edge logits.
     """
-    return g_edge_vals * p * (endpoints[:, None, None] - yhat)
+    grad = g_edge_vals[:, None] * p
+    grad *= endpoints[:, None, None] - yhat[:, None]
+    return grad
 
 
 class SceneObjective:
-    """The composite objective of one scene, compiled for repeated steps.
+    """The composite objective of one scene, compiled for repeated steps,
+    for one student or a stack of S students trained together.
 
-    Built once per (truth, masks, config, teacher outputs): it validates
+    ``cfg`` is one :class:`DistillConfig`, or one per student of a stack
+    (sharing ``grid``, ``tau`` and ``tbr_margin``); ``tbr_weight`` is one
+    weight, or one per student. Each student is then one row of per-term
+    weights, and each term runs only on the students that weight it: each
+    distillation term as one tempered KL, TBR on its own students, and the
+    supervised terms, whose values every trace reports, on all of them.
+
+    Built once per (truth, masks, configs, teacher outputs): it validates
     the inputs and computes everything that does not depend on the
-    student, bins first: the main/VLR indices, the one-hot labels, the main
+    students, bins first: the main/VLR indices, the one-hot labels, the main
     rows' edge target distributions, their target edges and box areas, and
     the frozen teacher's tempered log-probabilities on the rows each active
-    distillation term reads. ``edge_rows`` are the anchors whose edge
-    logits any term reads: the main positives, then the VLR when an
-    ``ld_vlr`` term is active. :meth:`block_step` then does only
-    student-dependent work on those rows and checks nothing: it is a
-    training loop's inner step. :meth:`step` is its public-layout form and
+    distillation term reads. ``edge_blocks`` are the blocks of anchors whose
+    edge logits a term reads, each with the students that read it: the main
+    positives, read by all, then the VLR, read by the students whose
+    ``ld_vlr`` term is active; a student's gradient is zero on rows it does
+    not read. :meth:`block_step` then does only student-dependent work on
+    those blocks and checks nothing: it is a training loop's inner step.
+    :meth:`step` is the public-layout form of a one-student objective and
     :func:`total_loss` its validated one-shot form, which defines the math.
 
     The main rows' edge targets default to the two-hot encodings of
@@ -465,33 +509,48 @@ class SceneObjective:
     anyway.
     """
 
-    def __init__(self, truth: SceneTruth, masks: RegionMasks, cfg: DistillConfig,
-                 teacher: SceneOutputs | None, n_classes: int,
-                 edge_dists: np.ndarray | None = None, tbr_weight: float = 0.0) -> None:
+    def __init__(self, truth: SceneTruth, masks: RegionMasks,
+                 cfg: DistillConfig | list[DistillConfig], teacher: SceneOutputs | None,
+                 n_classes: int, edge_dists: np.ndarray | None = None,
+                 tbr_weight: float | list[float] = 0.0) -> None:
+        cfgs = [cfg] if isinstance(cfg, DistillConfig) else list(cfg)
+        tbr = np.broadcast_to(np.asarray(tbr_weight, dtype=np.float64), (len(cfgs),))
+        if len({(c.grid, c.tau, c.tbr_margin) for c in cfgs}) != 1:
+            raise ValueError("a stack's configs must share grid, tau and tbr_margin")
+        for w in tbr:
+            check_nonnegative("tbr_weight", w)
         a, n_edges = truth.edge_targets.shape
-        m = cfg.grid.size
+        grid = cfgs[0].grid
+        m = grid.size
         self.cls_shape = (a, int(n_classes))
         self.edge_shape = (a, n_edges, m)
         if len(masks) != a:
             raise ValueError("scene truth and masks disagree on the anchor count")
         if ((truth.labels < 0) | (truth.labels >= n_classes)).any():
             raise ValueError("class labels out of range")
-        if cfg.distills and teacher is None:
+        if any(c.distills for c in cfgs) and teacher is None:
             raise ValueError("distillation weights are active but no teacher outputs given")
         if teacher is not None:
             teacher = _checked(teacher)
             if (teacher.cls_logits.shape != self.cls_shape
                     or teacher.edge_logits.shape != self.edge_shape):
                 raise ValueError("teacher and student scene outputs must have identical shapes")
-        if cfg.w_reg > 0.0:
-            _require_distances(cfg.grid, "the box regression term")
-        self.cfg = cfg
-        self.tbr_weight = float(check_nonnegative("tbr_weight", tbr_weight))
+        # One row per term, one column per student.
+        self._weights = np.array([[getattr(c, "w_" + t) for t in _COMPONENTS] + [w]
+                                  for c, w in zip(cfgs, tbr)]).T.copy()
+        weight = dict(zip(_TERMS, self._weights))
+        w_reg = weight["reg"]
+        if (w_reg > 0.0).any():
+            _require_distances(grid, "the box regression term")
+        self.grid, self.tau, self.tbr_margin = grid, cfgs[0].tau, cfgs[0].tbr_margin
         # Each cross-entropy target, bins first, with the flat picks of its
-        # nonzero entries.
+        # nonzero entries, and each student's weight of its term.
         self._cls_picks = truth.labels * a + np.arange(a)
         self._onehot = np.zeros((int(n_classes), a))
         np.put(self._onehot, self._cls_picks, 1.0)
+        self._w_cls = weight["cls"].reshape(-1, 1, 1)
+        self._w_dfl = weight["dfl"].reshape(-1, 1, 1, 1)
+        self._w_reg = w_reg.reshape(-1, 1)
         self.main_idx = np.flatnonzero(masks.main)
         self.vlr_idx = np.flatnonzero(masks.vlr)
 
@@ -499,7 +558,7 @@ class SceneObjective:
         self._edges_g = np.ascontiguousarray(truth.edge_targets[self.main_idx].T)
         if edge_dists is None:
             self._edge_dists, self._edge_picks = _two_hot(
-                *encode_targets(self._edges_g, cfg.grid), m)
+                *encode_targets(self._edges_g, grid), m)
         else:
             edge_dists = np.asarray(edge_dists, dtype=np.float64)
             if edge_dists.shape != (k, n_edges, m):
@@ -511,27 +570,30 @@ class SceneObjective:
         # A union holds its ground-truth box, so a positive area makes every
         # GIoU of a step defined once the student's edges are nonnegative.
         self._area_g = _edge_area(self._edges_g)
-        if (cfg.w_reg > 0.0 or self.tbr_weight > 0.0) and (self._area_g <= 0.0).any():
+        if ((w_reg > 0.0) | (tbr > 0.0)).any() and (self._area_g <= 0.0).any():
             raise ValueError("giou undefined: a main ground-truth box has zero area")
 
-        # Frozen teacher: each head's distillation terms as one tempered KL.
-        # LD reads the last edge columns of a step: the main block when
-        # ld_main is active, then the VLR block when ld_vlr is.
-        self._ld = self._kd = None
+        # Frozen teacher: each active distillation term on its region's rows.
+        self._ld_main = self._ld_vlr = None
+        self._kd = ()
         if teacher is not None:
-            self._ld = _distill_block(cfg.tau, teacher.edge_logits,
-                                      ("ld_main", cfg.w_ld_main, self.main_idx),
-                                      ("ld_vlr", cfg.w_ld_vlr, self.vlr_idx))
-            self._kd = _distill_block(cfg.tau, teacher.cls_logits,
-                                      ("kd_main", cfg.w_kd_main, self.main_idx),
-                                      ("kd_vlr", cfg.w_kd_vlr, self.vlr_idx))
-        ld_vlr = self._ld is not None and self._ld.names[-1] == "ld_vlr"
-        self.edge_rows = np.concatenate([self.main_idx, self.vlr_idx]) if ld_vlr else self.main_idx
-        if self.tbr_weight > 0.0:
+            self._ld_main, self._ld_vlr = (
+                _distill_term(name, weight[name], self.tau, teacher.edge_logits, rows)
+                for name, rows in (("ld_main", self.main_idx), ("ld_vlr", self.vlr_idx)))
+            self._kd = tuple(filter(None, (
+                _distill_term(name, weight[name], self.tau, teacher.cls_logits, rows)
+                for name, rows in (("kd_main", self.main_idx), ("kd_vlr", self.vlr_idx)))))
+        self.edge_blocks = ((self.main_idx, Ellipsis),)
+        if self._ld_vlr is not None:
+            self.edge_blocks += ((self.vlr_idx, self._ld_vlr.students),)
+        self._tbr = None
+        if (tbr > 0.0).any():
             if teacher is None:
                 raise ValueError("teacher-bounded regression needs teacher outputs")
-            _require_distances(cfg.grid, "teacher-bounded regression")
-            _, edges_t = _decode(teacher.edge_logits[self.main_idx].T, cfg.grid)
+            _require_distances(grid, "teacher-bounded regression")
+            _, edges_t = _decode(teacher.edge_logits[self.main_idx].T, grid)
+            self._tbr = _stack_index(tbr > 0.0)
+            self._tbr_weight = tbr[self._tbr][:, None]
             self._tbr_reference = _l2(edges_t, self._edges_g)
 
     def _check_student(self, student: SceneOutputs) -> None:
@@ -544,86 +606,89 @@ class SceneObjective:
 
     def step(self, student: SceneOutputs
              ) -> tuple[float, np.ndarray, np.ndarray, dict[str, float]]:
-        """The objective at ``student``: ``(value, grad_cls (A, C),
-        grad_edges (A, E, m), components)``; see :func:`total_loss`. With a
-        ``tbr_weight``, its multiple of TBR is in the value and gradient but
-        not in the components. The public-layout form of :meth:`block_step`:
-        zero outside ``edge_rows``."""
-        value, g_cls, g_rows, components = self.block_step(
-            student.cls_logits.T, student.edge_logits[self.edge_rows].T)
+        """The one-student objective at ``student``: ``(value, grad_cls (A,
+        C), grad_edges (A, E, m), components)``; see :func:`total_loss`.
+        With a ``tbr_weight``, its multiple of TBR is in the value and
+        gradient but not in the components. The public-layout form of
+        :meth:`block_step` on a stack of one: zero outside the edge blocks."""
+        values, g_cls, g_blocks, components = self.block_step(
+            student.cls_logits.T[None],
+            [student.edge_logits[rows].T[None] for rows, _ in self.edge_blocks])
         grad_edges = np.zeros(self.edge_shape)
-        grad_edges[self.edge_rows] = g_rows.T
-        return value, g_cls.T, grad_edges, components
+        for (rows, _), g in zip(self.edge_blocks, g_blocks):
+            grad_edges[rows] = g[0].T
+        return (float(values[0]), g_cls[0].T, grad_edges,
+                dict(zip(_COMPONENTS, components[:len(_COMPONENTS), 0].tolist())))
 
-    def block_step(self, z_cls: np.ndarray, z_edges: np.ndarray
-                   ) -> tuple[float, np.ndarray, np.ndarray, dict[str, float]]:
-        """The objective at the bins-first student logits ``z_cls`` ``(C, A)``
-        and ``z_edges`` ``(m, E, K)`` on the K ``edge_rows``: ``(value,
-        grad_cls (C, A), grad_edges (m, E, K), components)``. The main block
-        is ``[..., :k]`` over the k main positives, the VLR block the rest."""
-        cfg = self.cfg
-        kl = dict.fromkeys(("ld_main", "ld_vlr", "kd_main", "kd_vlr"), 0.0)
+    def block_step(self, z_cls: np.ndarray, z_edges: list[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+        """The objective at the bins-first logits of S stacked students: the
+        class logits ``z_cls`` ``(S, C, A)`` and, per edge block, the edge
+        logits ``(S_i, m, E, K_i)`` of the students that read it. Returns
+        ``(values (S,), grad_cls (S, C, A), grad_edges, components)``: the
+        gradients per edge block, and the components as a ``(len(_TERMS),
+        S)`` array of the terms' values in ``_TERMS`` order."""
+        terms = np.zeros((len(_TERMS), len(z_cls)))
 
         # Classification cross-entropy over every anchor, and KD on its
-        # columns; LD over the edge columns [lo:] it reads, then over the
-        # main block the edge cross-entropy (DFL) and the box regression
-        # with any TBR, added to the same gradient.
-        l_cls, grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot, cfg.w_cls)
-        if self._kd is not None:
-            rows = self._kd.rows
-            grad_cls[:, rows] += self._distill(self._kd, z_cls.take(rows, axis=1), kl)
-        k = self.main_idx.size
-        grad_edges = np.empty(z_edges.shape)
-        lo = k
-        if self._ld is not None:
-            lo = z_edges.shape[-1] - self._ld.rows.size
-            grad_edges[..., lo:] = self._distill(self._ld, z_edges[..., lo:], kl)
-        l_reg = l_dfl = l_tbr = 0.0
-        if k:
-            l_dfl, g_main, p_e = _cross_entropy(z_edges[..., :k], self._edge_picks,
-                                                self._edge_dists, cfg.w_dfl)
-            l_reg, l_tbr, g_box = self._box_terms(p_e)
-            g_main += g_box
-            if lo:
-                grad_edges[..., :k] = g_main
-            else:
-                grad_edges[..., :k] += g_main
+        # columns; over the main block the edge cross-entropy (DFL), the box
+        # regression with any TBR, and LD, added to the same gradient; LD on
+        # the VLR block is that block's gradient.
+        terms[0], grad_cls, _ = _cross_entropy(z_cls, self._cls_picks, self._onehot,
+                                               self._w_cls, axis=1)
+        for term in self._kd:
+            grad_cls[term.at] += self._distill(term, z_cls[term.at], terms)
+        z_main = z_edges[0]
+        if self.main_idx.size:
+            terms[2], grad_main, p_e = _cross_entropy(z_main, self._edge_picks,
+                                                      self._edge_dists, self._w_dfl, axis=1)
+            grad_main += self._box_terms(p_e, terms)
+        else:
+            grad_main = np.zeros(z_main.shape)
+        if self._ld_main is not None:
+            at = self._ld_main.at
+            grad_main[at] += self._distill(self._ld_main, z_main[at], terms)
+        grads = [grad_main]
+        if self._ld_vlr is not None:
+            grads.append(self._distill(self._ld_vlr, z_edges[1], terms))
 
-        components = {"cls": l_cls, "reg": l_reg, "dfl": l_dfl, **kl}
-        value = (cfg.w_cls * l_cls + cfg.w_reg * l_reg + cfg.w_dfl * l_dfl
-                 + cfg.w_ld_main * kl["ld_main"] + cfg.w_ld_vlr * kl["ld_vlr"]
-                 + cfg.w_kd_main * kl["kd_main"] + cfg.w_kd_vlr * kl["kd_vlr"]
-                 + self.tbr_weight * l_tbr)
-        return value, grad_cls, grad_edges, components
+        # Each student's weighted sum, added term by term in _TERMS order.
+        values = np.add.accumulate(self._weights * terms, axis=0)[-1]
+        return values, grad_cls, grads, terms
 
-    def _distill(self, block: _Distill, z: np.ndarray, kl: dict[str, float]) -> np.ndarray:
-        """The gradient of one head's terms at its student columns ``z``; values go to ``kl``."""
-        values, grad = _tempered_kl(z, block.lt, block.q, self.cfg.tau, block.sizes,
-                                    block.divisor, block.weight)
-        kl.update(zip(block.names, values))
+    def _distill(self, term: _Distill, z: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The gradient of one distillation term at its students' columns
+        ``z``; their values go to its row of ``terms``."""
+        terms[term.row, term.students], grad = _tempered_kl(
+            z, term.lt, term.q, self.tau, term.weight, axis=1)
         return grad
 
-    def _box_terms(self, p: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """The box terms at the student's main-row edge probabilities ``p``:
-        the ``1 - GIoU`` regression value, the TBR value (0 unless
-        ``tbr_weight > 0``), and the ``(m, E, K)`` edge-logit gradient of
-        their sum at weights ``w_reg`` and ``tbr_weight``, chained through
-        the decode once. Both act on the decoded edges directly (see
+    def _box_terms(self, p: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The box terms at the students' main-row edge probabilities ``p``
+        ``(S, m, E, k)``: the ``1 - GIoU`` regression value and the TBR
+        value (0 unless ``tbr_weight > 0``) go to ``terms``; returns the
+        ``(S, m, E, k)`` edge-logit gradient of their sum at weights
+        ``w_reg`` and ``tbr_weight``, chained through the decode once. Both
+        act on the decoded edges directly (see
         :func:`~locdistill.geometry._giou_edges`). TBR is the regression
         term on the anchors whose decoded edges are farther from the ground
         truth's than the teacher's by more than the margin."""
         k = self.main_idx.size
-        yhat = _expectation(p, self.cfg.grid)
-        giou_vals, dgiou = _giou_edges(yhat, self._edges_g, self._area_g)
-        l_reg = float(np.add.reduce(1.0 - giou_vals) / k)  # the mean
-        l_tbr = 0.0
-        weight = self.cfg.w_reg
-        if self.tbr_weight > 0.0:
-            active = _l2(yhat, self._edges_g) + self.cfg.tbr_margin > self._tbr_reference
-            l_tbr = float(np.add.reduce(1.0 - giou_vals[active]) / k)
-            weight = weight + self.tbr_weight * active
-        return l_reg, l_tbr, _expectation_chain(p, yhat, self.cfg.grid.endpoints,
-                                                dgiou * (-weight / k))
+        yhat = _expectation(p, self.grid, axis=1)
+        # GIoU on edges-first (4, S, k) views of the students' decoded edges.
+        giou_vals, dgiou = _giou_edges(yhat.transpose(1, 0, 2), self._edges_g[:, None],
+                                       self._area_g)
+        terms[1] = np.add.reduce(1.0 - giou_vals, axis=-1) / k  # the means
+        weight = self._w_reg
+        if self._tbr is not None:
+            students = self._tbr
+            active = _l2(yhat[students], self._edges_g) + self.tbr_margin > self._tbr_reference
+            terms[-1, students] = [np.add.reduce((1.0 - g)[on]) / k
+                                   for g, on in zip(giou_vals[students], active)]
+            weight = np.repeat(weight, k, axis=1)
+            weight[students] += self._tbr_weight * active
+        return _expectation_chain(p, yhat, self.grid.endpoints,
+                                  dgiou.transpose(1, 0, 2) * (-weight / k)[:, None, :])
 
 
 def _flat_grad(grad_cls: np.ndarray, grad_edges: np.ndarray) -> np.ndarray:

@@ -134,7 +134,7 @@ class TestGeneralizedSoftmax:
             assert np.array_equal(f_log, log_p) and np.array_equal(f_p, p_pair)
             value, g_ce, p = losses._cross_entropy(z, np.arange(m * n), target, 1.0)
             lt, q = boxdist._log_softmax_pair(z_t, 3.0)
-            (kl,), g_kl = losses._tempered_kl(z, lt, q, 3.0)
+            kl, g_kl = losses._tempered_kl(z, lt, q, 3.0)
             values, kls = [], []
             for j in range(n):
                 col = slice(j, j + 1)
@@ -148,7 +148,7 @@ class TestGeneralizedSoftmax:
                 assert np.array_equal(g / n, g_ce[:, col])
                 lt_j, q_j = boxdist._log_softmax_pair(z_t[:, col], 3.0)
                 assert np.array_equal(lt_j, lt[:, col]) and np.array_equal(q_j, q[:, col])
-                (k,), g = losses._tempered_kl(z[:, col], lt_j, q_j, 3.0)
+                k, g = losses._tempered_kl(z[:, col], lt_j, q_j, 3.0)
                 assert np.array_equal(g / n, g_kl[:, col])
                 values.append(v)
                 kls.append(k)
