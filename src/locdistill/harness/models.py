@@ -18,27 +18,39 @@ pool, which then spun for about 0.05 s after each call.
 Training works through the product of the two layers, as in the
 deep-linear setting (Saxe et al., arXiv:1312.6120), on bins-first blocks
 and on the rows its objective reads: the class logits of all A anchors,
-``(Wc·Wf)·xᵀ``, and the edge logits of K′ of them, ``(We·Wf)·x_edgeᵀ``,
-which reshape to ``(m, E, K′)`` as a view. Both weight gradients come from
-the one ``(O, D)`` product ``P = [G_cls·x ; G_edge·x_edge]`` of the logit
+``(Wc·Wf)·xᵀ``, and the edge logits of K′ of them, one ``(m, E, K_i)``
+block per block of rows, ``(We·Wf)·x_iᵀ``, each its own product (a gemm's
+bits can depend on its column count). Both weight gradients come from the
+one ``(O, D)`` product ``P = [G_cls·x ; Σ_i G_i·x_i]`` of the logit
 gradients and the inputs: ``dWh = P·Wfᵀ`` and ``dWf = Whᵀ·P``. By
 associativity these are the gradients of the factored chain rule
 (``g_h = G·Wh``, ``dWh = Gᵀ·h``, ``dWf = g_hᵀ·x``), up to rounding.
 
+A leading axis on the weights stacks S models, one per training scheme.
+Each product is then one batched ``np.matmul`` whose slices are the
+one-model products, so every model of a stack trains bit for bit as it
+would alone, and each numpy call of a step serves all S. Every model reads
+the first row block (the main positives); a later block (the VLR) has its
+logits and its ``G_i·x_i`` computed for the models that read it only.
+
 The heads are held as that one ``(O, H)`` array and updated with one
-subtraction per step. Cost model, in multiply-adds per step at D inputs and
-H hidden units, with ``R = C·A + m·E·K′`` logits computed and the update's
-``H·(O + D)`` left out: the product form costs ``2·D·R + 3·D·H·O`` against
-``2·D·H·A + 3·H·R`` for the factored form. At the default dimensions
-(D = 64, H = 48, C = 2, m·E = 36), which every config, test and benchmark
-workload uses, and a training split of A = 192 anchors with K′ = 94 main
-rows read (seed 2; 78–107 over seeds 0–5), that is 0.83 M against 1.72 M
-(1.28 M against 2.23 M with every row computed). With every row read the
-product form is the dearer one only when ``hidden_dim`` is below
+subtraction per step. Cost model, in multiply-adds per step of one model at
+D inputs and H hidden units, with ``R = C·A + m·E·K′`` logits computed and
+the update's ``H·(O + D)`` left out: the product form costs ``2·D·R +
+3·D·H·O`` against ``2·D·H·A + 3·H·R`` for the factored form. At the
+default dimensions (D = 64, H = 48, C = 2, m·E = 36), which every config,
+test and benchmark workload uses, and a training split of A = 192 anchors
+with K′ = 94 main rows read (seed 2; 78–107 over seeds 0–5), that is 0.83 M
+against 1.72 M (1.28 M against 2.23 M with every row computed); a model
+that also reads the 19 VLR rows of seed 2 costs 0.92 M. With every row read
+the product form is the dearer one only when ``hidden_dim`` is below
 ``2·D·O / (2·D + 3·O)``, about 20 at D = 64 and O = 38. Feature imitation
 adds two ``D·H·A`` products to the product form, the hidden block and
 ``G_hid·x``: 1.18 M at the default dimensions, for 2.01 M against the
-factored form's 1.72 M, which already holds both.
+factored form's 1.72 M, which already holds both. A stack costs the sum of
+its models: 7.18 M per step for the seven schemes at seed 2 (five at 0.83
+M, two VLR readers at 0.92 M, and feature imitation's 1.18 M), the
+multiply-adds of seven one-model steps in a seventh of the numpy calls.
 """
 
 from __future__ import annotations

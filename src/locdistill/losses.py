@@ -366,10 +366,11 @@ def _imitation(ms: np.ndarray, mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     differentiable at 0).
     """
     diff = ms - mt
-    norms = np.sqrt((diff * diff).sum(axis=-2))[..., None, :]
-    grad = np.divide(diff, norms * diff.shape[-1], out=np.zeros_like(diff),
-                     where=norms > 0.0)
-    return norms[..., 0, :].mean(axis=-1), grad
+    norms = np.sqrt((diff * diff).sum(axis=-2))
+    columns = norms[..., None, :]
+    grad = np.divide(diff, columns * diff.shape[-1], out=np.zeros_like(diff),
+                     where=columns > 0.0)
+    return norms.mean(axis=-1), grad
 
 
 def feature_imitation_loss(student_feats, teacher_feats, region) -> LossResult:

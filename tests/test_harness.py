@@ -23,6 +23,7 @@ from locdistill.harness import (
     gen_dataset,
     init_localizer,
     load_dataset,
+    run_cell,
     run_seed,
     save_dataset,
     train,
@@ -182,6 +183,23 @@ def _first_mixture(centers, weights):
                       + d["ambiguity"][1:]}
 
 
+def _sample_dict(split, i):
+    """One sample of a split as the dict the JSONL line encodes."""
+    mixtures = zip(split.centers[i], split.weights[i], split.n_components[i])
+    return {
+        "features": split.features[i].tolist(),
+        "true_edges": split.true_edges[i].tolist(),
+        "observed_edges": split.observed_edges[i].tolist(),
+        "ambiguity": [{"centers": c[:n].tolist(), "weights": w[:n].tolist()}
+                      for c, w, n in mixtures],
+        "class_label": int(split.main[i]),
+        "anchor_box": split.anchor_boxes[i].tolist(),
+        "gt_box": split.gt_boxes[i].tolist(),
+        "main": int(split.main[i]),
+        "vlr": int(split.vlr[i]),
+    }
+
+
 class TestDatasetIO:
     def test_jsonl_round_trip(self, tmp_path):
         ds = gen_dataset(FAST, DCFG, seed=11)
@@ -200,6 +218,26 @@ class TestDatasetIO:
         save_dataset(back, again / "train.jsonl", again / "heldout.jsonl")
         for name in ("train.jsonl", "heldout.jsonl"):
             assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_writer_is_json_dumps_byte_for_byte(self, tmp_path, seed):
+        """Each line ``save_dataset`` writes is ``json.dumps`` of the
+        sample's dict, on the default dataset's two splits."""
+        ds = gen_dataset(HarnessConfig(), DCFG, seed)
+        paths = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
+        save_dataset(ds, *paths)
+        for path, split in zip(paths, (ds.train, ds.heldout)):
+            want = "".join(json.dumps(_sample_dict(split, i)) + "\n" for i in range(len(split)))
+            assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_writer_rejects_non_finite_values(self, tmp_path, bad):
+        ds = gen_dataset(FAST, DCFG, seed=0)
+        gt_boxes = ds.heldout.gt_boxes.copy()
+        gt_boxes[3, 1] = bad
+        broken = replace(ds, heldout=replace(ds.heldout, gt_boxes=gt_boxes))
+        with pytest.raises(ValueError, match="non-finite"):
+            save_dataset(broken, tmp_path / "train.jsonl", tmp_path / "heldout.jsonl")
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda d: {**d, "class_label": 1 - d["main"]}, "class_label"),
@@ -376,6 +414,57 @@ class TestEvaluate:
         rows = report.rows()
         assert ("x", 10, "kl_box", 0.0) in rows
         assert len(rows) == len(report.METRICS)
+
+
+def _report_bits(report):
+    """A report's name, metrics and trace, every float as its exact hex."""
+    return (report.scheme, report.seed,
+            [float(getattr(report, m)).hex() for m in report.METRICS],
+            [[float(v).hex() for v in row.values()] for row in report.trace])
+
+
+class TestStackedTraining:
+    # The benchmark's length; in the interleaved order the students of LD,
+    # of LD on the VLR and of KD are not consecutive, so their sub-stacks
+    # are index arrays rather than slices.
+    CFG = replace(HarnessConfig(), epochs=60, teacher_epochs=90)
+    ORDERS = {"given": list(SCHEMES),
+              "interleaved": ["ld_main", "baseline", "selective", "tbr",
+                              "feature_imitation", "kd_main", "ld_main_vlr"]}
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_stack_matches_each_scheme_alone(self, seed, order):
+        """Every scheme of a stacked run_seed reports the metrics and trace
+        of that scheme trained alone on the seed's dataset and teacher, bit
+        for bit."""
+        schemes = self.ORDERS[order]
+        dataset, reports = run_seed(self.CFG, DCFG, schemes, seed)
+        teacher = train_teacher(dataset, self.CFG, DCFG, seed)
+        alone = [run_cell(self.CFG, DCFG, scheme, seed, dataset, teacher) for scheme in schemes]
+        assert [_report_bits(r) for r in reports] == [_report_bits(r) for r in alone]
+
+    def test_divergent_stack_names_first_scheme_at_earliest_step(self):
+        """A stack at lr = 1e6 raises DivergenceError naming the first
+        scheme, in the given order, of those that are non-finite at the
+        earliest step any is: at seed 0 that is step 20, where ld_main_vlr
+        and selective both diverge alone and the rest later."""
+        seed = 0
+        dataset = gen_dataset(FAST, DCFG, seed)
+        teacher = train_teacher(dataset, FAST, DCFG, seed)
+        hot = replace(FAST, lr=1e6)
+        steps = {}
+        for scheme in SCHEMES:
+            with pytest.raises(DivergenceError) as info:
+                run_cell(hot, DCFG, scheme, seed, dataset, teacher)
+            steps[scheme] = info.value.args[3]
+        assert sorted(steps.values())[:3] == [20, 20, 21]
+        for schemes in (list(SCHEMES), list(SCHEMES)[::-1]):
+            earliest = min(steps.values())
+            first = next(scheme for scheme in schemes if steps[scheme] == earliest)
+            with pytest.raises(DivergenceError) as info:
+                experiments._run_schemes(hot, DCFG, schemes, seed, dataset, teacher)
+            assert info.value.args == (first, seed, DCFG.tau, earliest)
 
 
 def _ambiguity_sweep(out_dir, cfg, levels, schemes, seeds):
