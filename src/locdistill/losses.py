@@ -612,6 +612,9 @@ class SceneObjective:
         With a ``tbr_weight``, its multiple of TBR is in the value and
         gradient but not in the components. The public-layout form of
         :meth:`block_step` on a stack of one: zero outside the edge blocks."""
+        if self._weights.shape[1] != 1:
+            raise ValueError(f"step takes one student; this objective stacks "
+                             f"{self._weights.shape[1]}")
         values, g_cls, g_blocks, components = self.block_step(
             student.cls_logits.T[None],
             [student.edge_logits[rows].T[None] for rows, _ in self.edge_blocks])

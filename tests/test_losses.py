@@ -738,6 +738,15 @@ class TestSceneObjective:
         with pytest.raises(ValueError, match="do not match"):
             scene_tbr_loss(wrong_bins, teacher, truth, masks.main, cfg)
 
+    def test_step_takes_one_student(self):
+        """``step`` is the one-student form; a stack trains through
+        ``block_step``."""
+        rng = _rng(116)
+        student, teacher, truth, masks = _random_scene(rng, n_anchors=3)
+        cfg = DistillConfig(grid=GRID)
+        with pytest.raises(ValueError, match="stacks 2"):
+            SceneObjective(truth, masks, [cfg, cfg], teacher, n_classes=2).step(student)
+
     def test_tbr_needs_teacher(self):
         rng = _rng(113)
         student, _, truth, masks = _random_scene(rng, n_anchors=3)
