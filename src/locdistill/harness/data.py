@@ -280,10 +280,9 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
 
 
 def _jsonl(split: SceneStack) -> str:
-    """The split as JSONL, one sample per line, byte for byte what
-    ``json.dumps`` writes for each sample's dict: a list of finite floats
-    formats as its ``str()``, since both use ``float.__repr__``. Raises on a
-    non-finite value, which JSON cannot hold."""
+    """The split as JSONL: one ``json.dumps`` line per sample, built from
+    whole-column ``tolist()`` lists. Raises on a non-finite value, which
+    JSON cannot hold."""
     floats = (split.features, split.true_edges, split.observed_edges, split.centers,
               split.weights, split.anchor_boxes, split.gt_boxes)
     if not all(np.isfinite(column).all() for column in floats):
@@ -292,12 +291,18 @@ def _jsonl(split: SceneStack) -> str:
     for (features, true_edges, observed, centers, weights, anchor, gt, counts, main,
          vlr) in zip(*(column.tolist() for column in floats), split.n_components.tolist(),
                      split.main.tolist(), split.vlr.tolist()):
-        ambiguity = ", ".join(f'{{"centers": {c[:n]}, "weights": {w[:n]}}}'
-                              for c, w, n in zip(centers, weights, counts))
-        lines.append(f'{{"features": {features}, "true_edges": {true_edges}, '
-                     f'"observed_edges": {observed}, "ambiguity": [{ambiguity}], '
-                     f'"class_label": {int(main)}, "anchor_box": {anchor}, "gt_box": {gt}, '
-                     f'"main": {int(main)}, "vlr": {int(vlr)}}}\n')
+        lines.append(json.dumps({
+            "features": features,
+            "true_edges": true_edges,
+            "observed_edges": observed,
+            "ambiguity": [{"centers": c[:n], "weights": w[:n]}
+                          for c, w, n in zip(centers, weights, counts)],
+            "class_label": int(main),
+            "anchor_box": anchor,
+            "gt_box": gt,
+            "main": int(main),
+            "vlr": int(vlr),
+        }) + "\n")
     return "".join(lines)
 
 

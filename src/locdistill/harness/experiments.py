@@ -22,7 +22,6 @@ from ..losses import (
     DistillConfig,
     SceneObjective,
     _imitation,
-    _stack_index,
     _tempered_kl,
 )
 from .data import (
@@ -153,7 +152,7 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
     xt_blocks = [(np.ascontiguousarray(x_rows.T), models) for x_rows, models in blocks]
     fi = None  # the schemes that imitate features
     if imitate is not None and any(features is not None for features in imitate):
-        fi = _stack_index([features is not None for features in imitate])
+        fi = np.flatnonzero([features is not None for features in imitate])
         imitated = np.stack([features.T for features in imitate if features is not None])
     log = np.empty((epochs, len(TRACE_COLUMNS) - 1, len(names)))
     # The finite check on each step's loss replaces numpy's overflow warnings.

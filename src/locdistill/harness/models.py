@@ -29,9 +29,10 @@ associativity these are the gradients of the factored chain rule
 A leading axis on the weights stacks S models, one per training scheme.
 Each product is then one batched ``np.matmul`` whose slices are the
 one-model products, so every model of a stack trains bit for bit as it
-would alone, and each numpy call of a step serves all S. Every model reads
-the first row block (the main positives); a later block (the VLR) has its
-logits and its ``G_i·x_i`` computed for the models that read it only.
+would alone, and each numpy call of a step serves all S. Each row block
+names the models that read it (the objective's main positives: all; the
+VLR: the schemes that distill there), and has its logits and its
+``G_i·x_i`` computed for those models only.
 
 The heads are held as that one ``(O, H)`` array and updated with one
 subtraction per step. Cost model, in multiply-adds per step of one model at
@@ -151,22 +152,23 @@ class LinearLocalizer:
         at :meth:`block_logits` are ``grad_cls`` ``(C, A)`` at the inputs
         ``x`` ``(A, D)`` and, per ``(x_i, grad_i, models)`` triple of
         ``edges``, ``grad_i`` ``(m, E, K_i)`` at the inputs ``x_i`` ``(K_i,
-        D)`` of the stacked ``models`` (the first block: every model).
-        ``grad_hidden`` ``(hidden, A)``, a gradient at :meth:`block_features`
-        of the stacked ``hidden_models``, adds a loss on their hidden
-        features of ``x``. ``d_features`` is None unless ``train_features``."""
+        D)`` of the stacked ``models`` (``...`` for all); a model's edge rows
+        get zero from the blocks it does not read. ``grad_hidden``
+        ``(hidden, A)``, a gradient at :meth:`block_features` of the stacked
+        ``hidden_models``, adds a loss on their hidden features of ``x``.
+        ``d_features`` is None unless ``train_features``."""
         c = self.n_classes
         lead, rows = grad_cls.shape[:-2], self.head_weights.shape[-2]
         p = np.empty((*lead, rows, x.shape[1]))
         np.matmul(grad_cls, x, out=p[..., :c, :])
-        (x_rows, grad, _), *more = edges
-        np.matmul(grad.reshape(*lead, rows - c, len(x_rows)), x_rows, out=p[..., c:, :])
-        for x_rows, grad, models in more:
-            p[models, c:, :] += grad.reshape(*grad.shape[:-3], rows - c, len(x_rows)) @ x_rows
-        d_head = p @ self.feature_weights.mT
+        p_edges = p[..., c:, :]
+        p_edges.fill(0.0)
+        for x_rows, grad, models in edges:
+            p_edges[models] += grad.reshape(*grad.shape[:-3], rows - c, len(x_rows)) @ x_rows
+        d_head = p @ self.feature_weights.swapaxes(-1, -2)
         if not train_features:
             return d_head, None
-        d_features = self.head_weights.mT @ p
+        d_features = self.head_weights.swapaxes(-1, -2) @ p
         if grad_hidden is not None:
             d_features[hidden_models] += grad_hidden @ x
         return d_head, d_features

@@ -191,15 +191,6 @@ def _tempered_kl(z_s: np.ndarray, lt: np.ndarray, q: np.ndarray, tau, weight=Non
     return value, grad
 
 
-def _stack_index(mask) -> slice | np.ndarray:
-    """The entries of a stack where ``mask`` holds: a slice (numpy then
-    gives views) when they are consecutive, else their indices."""
-    idx = np.flatnonzero(mask)
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 # The terms of the composite objective, in the order its value adds them.
 _TERMS = ("cls", "reg", "dfl", "ld_main", "ld_vlr", "kd_main", "kd_vlr", "tbr")
 _COMPONENTS = _TERMS[:-1]  # every term but TBR
@@ -223,14 +214,9 @@ def _distill_term(name: str, weights: np.ndarray, tau: float, head: np.ndarray,
     active = weights > 0.0
     if not (rows.size and active.any()):
         return None
-    students = _stack_index(active)
+    students = np.flatnonzero(active)
     weight = weights[students].reshape(-1, *(1,) * head.ndim)
-    if head.ndim == 3:  # edges
-        at = students
-    elif isinstance(students, slice):
-        at = (students, slice(None), rows)
-    else:
-        at = np.ix_(students, np.arange(head.shape[1]), rows)
+    at = students if head.ndim == 3 else np.ix_(students, np.arange(head.shape[1]), rows)
     return _Distill(_TERMS.index(name), students, at,
                     *_log_softmax_pair(head[rows].T, tau), weight)
 
@@ -593,7 +579,7 @@ class SceneObjective:
                 raise ValueError("teacher-bounded regression needs teacher outputs")
             _require_distances(grid, "teacher-bounded regression")
             _, edges_t = _decode(teacher.edge_logits[self.main_idx].T, grid)
-            self._tbr = _stack_index(tbr > 0.0)
+            self._tbr = np.flatnonzero(tbr > 0.0)
             self._tbr_weight = tbr[self._tbr][:, None]
             self._tbr_reference = _l2(edges_t, self._edges_g)
 

@@ -183,23 +183,6 @@ def _first_mixture(centers, weights):
                       + d["ambiguity"][1:]}
 
 
-def _sample_dict(split, i):
-    """One sample of a split as the dict the JSONL line encodes."""
-    mixtures = zip(split.centers[i], split.weights[i], split.n_components[i])
-    return {
-        "features": split.features[i].tolist(),
-        "true_edges": split.true_edges[i].tolist(),
-        "observed_edges": split.observed_edges[i].tolist(),
-        "ambiguity": [{"centers": c[:n].tolist(), "weights": w[:n].tolist()}
-                      for c, w, n in mixtures],
-        "class_label": int(split.main[i]),
-        "anchor_box": split.anchor_boxes[i].tolist(),
-        "gt_box": split.gt_boxes[i].tolist(),
-        "main": int(split.main[i]),
-        "vlr": int(split.vlr[i]),
-    }
-
-
 class TestDatasetIO:
     def test_jsonl_round_trip(self, tmp_path):
         ds = gen_dataset(FAST, DCFG, seed=11)
@@ -222,13 +205,24 @@ class TestDatasetIO:
     @pytest.mark.parametrize("seed", range(5))
     def test_writer_is_json_dumps_byte_for_byte(self, tmp_path, seed):
         """Each line ``save_dataset`` writes is ``json.dumps`` of the
-        sample's dict, on the default dataset's two splits."""
+        sample's dict, keys in the format's order and flags as ints, and
+        reads back to every column of the default dataset's two splits."""
         ds = gen_dataset(HarnessConfig(), DCFG, seed)
         paths = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
         save_dataset(ds, *paths)
-        for path, split in zip(paths, (ds.train, ds.heldout)):
-            want = "".join(json.dumps(_sample_dict(split, i)) + "\n" for i in range(len(split)))
-            assert path.read_bytes() == want.encode("utf-8")
+        for path in paths:
+            for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+                d = json.loads(line)
+                assert json.dumps(d) + "\n" == line
+                assert list(d) == ["features", "true_edges", "observed_edges", "ambiguity",
+                                   "class_label", "anchor_box", "gt_box", "main", "vlr"]
+                assert all(list(mix) == ["centers", "weights"] for mix in d["ambiguity"])
+                assert all(type(d[key]) is int for key in ("class_label", "main", "vlr"))
+        back = load_dataset(*paths, GRID)
+        for split, read in ((ds.train, back.train), (ds.heldout, back.heldout)):
+            for f in fields(split):
+                want, got = getattr(split, f.name), getattr(read, f.name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_writer_rejects_non_finite_values(self, tmp_path, bad):
@@ -425,8 +419,7 @@ def _report_bits(report):
 
 class TestStackedTraining:
     # The benchmark's length; in the interleaved order the students of LD,
-    # of LD on the VLR and of KD are not consecutive, so their sub-stacks
-    # are index arrays rather than slices.
+    # of LD on the VLR and of KD are not consecutive in the stack.
     CFG = replace(HarnessConfig(), epochs=60, teacher_epochs=90)
     ORDERS = {"given": list(SCHEMES),
               "interleaved": ["ld_main", "baseline", "selective", "tbr",
@@ -560,6 +553,27 @@ class TestLocalizerModel:
             assert block.shape == (hidden, anchors) and block.flags.c_contiguous
             assert np.abs(block.T - want).max() <= 1e-13 * np.abs(want).max()
             assert model.features(x).tobytes() == block.T.tobytes()
+
+    def test_block_gradients_honour_each_blocks_models(self):
+        """A row block read by some models of a stack, given alone, adds
+        their gradients and none to the edge rows of the others: each
+        model's are its own gradients at those rows, within 1e-12."""
+        rng = np.random.default_rng(3)
+        models = [init_localizer(6, 5, 2, 4, 9, rng) for _ in range(3)]
+        stack = LinearLocalizer.stack(models)
+        x, rows, readers = rng.normal(0, 1, (7, 6)), np.array([1, 4, 5]), np.array([0, 2])
+        g_cls = rng.normal(0, 1, (3, 2, 7))
+        g_rows = rng.normal(0, 1, (2, 9, 4, 3))
+        d_head, d_features = stack.block_gradients(x, g_cls, (x[rows], g_rows, readers))
+        assert not d_head[1, 2:].any()
+        for i, model in enumerate(models):
+            g_edges = np.zeros((7, 4, 9))
+            if i in readers:
+                g_edges[rows] = g_rows[list(readers).index(i)].T
+            want = model.gradients(x, g_cls[i].T, g_edges)
+            got = (*model._heads(d_head[i]), d_features[i])
+            for w, g in zip(want, got):
+                assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
 
 # Runs every scheme of one seed at a tenth of the default epochs in a fresh
