@@ -6,6 +6,11 @@ The overlap metrics follow the standard closed forms:
 * GIoU: IoU - (enclosing_area - union_area) / enclosing_area.
 * DIoU: IoU - squared center distance / squared enclosing-box diagonal.
 
+IoU and DIoU have one scalar pair kernel, :func:`_pair_overlap`, which
+returns both from a pair's eight corner values. :func:`iou` and
+:func:`diou` are its one-pair views; :func:`_overlap_matrices`, behind
+:func:`diou_matrix` and region assignment, calls it once per pair.
+
 GIoU has one implementation, :func:`_giou_edges`, on the edge distances
 ``(t, b, l, r)`` of box pairs from a point each pair shares: GIoU does not
 move with that point (as IoU in UnitBox, Yu et al., arXiv:1608.01471), so
@@ -82,25 +87,45 @@ class BoundingBox:
         return cls(*map(float, values))
 
 
-def _intersection_area(a: BoundingBox, b: BoundingBox) -> float:
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
+def _pair_overlap(ax1: float, ay1: float, ax2: float, ay2: float,
+                  bx1: float, by1: float, bx2: float, by2: float) -> tuple[float, float]:
+    """``(IoU, DIoU)`` of one box pair. Raises ValueError if the union has
+    zero area; if the boxes are one point, the message names the zero
+    enclosing diagonal too."""
+    # Each conditional picks what ``min``/``max`` of the two would (the first
+    # on a tie) without the cost of a builtin call.
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    cw = (bx2 if bx2 > ax2 else ax2) - (bx1 if bx1 < ax1 else ax1)
+    ch = (by2 if by2 > ay2 else ay2) - (by1 if by1 < ay1 else ay1)
+    if union <= 0.0:
+        point = " and the enclosing box has zero diagonal" if cw * cw + ch * ch <= 0.0 else ""
+        raise ValueError(f"iou undefined: union of the two boxes has zero area{point}")
+    center_dist_sq = ((0.5 * (ax1 + ax2) - 0.5 * (bx1 + bx2)) ** 2
+                      + (0.5 * (ay1 + ay2) - 0.5 * (by1 + by2)) ** 2)
+    ratio = inter / union
+    return ratio, ratio - center_dist_sq / (cw * cw + ch * ch)
+
+
+def _overlap_matrices(anchors: list[BoundingBox], gts: list[BoundingBox]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise IoU and DIoU matrices, each ``(len(anchors), len(gts))``:
+    one :func:`_pair_overlap` call per pair, filled one anchor row at a time."""
+    ious, dious = np.empty((2, len(anchors), len(gts)), dtype=np.float64)
+    if gts:
+        corners = [(g.x1, g.y1, g.x2, g.y2) for g in gts]
+        for i, a in enumerate(anchors):
+            ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+            ious[i], dious[i] = zip(*[_pair_overlap(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2)
+                                      for bx1, by1, bx2, by2 in corners])
+    return ious, dious
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union, in [0, 1].
-
-    Raises ValueError when the union has zero area (both boxes degenerate),
-    where the ratio is undefined.
-    """
-    inter = _intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        raise ValueError("iou undefined: union of the two boxes has zero area")
-    return inter / union
+    """Intersection over union, in [0, 1]; raises ValueError on a zero-area union."""
+    return _pair_overlap(a.x1, a.y1, a.x2, a.y2, b.x1, b.y1, b.x2, b.y2)[0]
 
 
 def _edge_area(e: np.ndarray) -> np.ndarray:
@@ -189,14 +214,7 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
 
 def diou(a: BoundingBox, b: BoundingBox) -> float:
     """Distance IoU: IoU minus normalized squared center distance, in (-1, 1]."""
-    cw = max(a.x2, b.x2) - min(a.x1, b.x1)
-    ch = max(a.y2, b.y2) - min(a.y1, b.y1)
-    diag_sq = cw * cw + ch * ch
-    if diag_sq <= 0.0:
-        raise ValueError("diou undefined: enclosing box has zero diagonal")
-    (ax, ay), (bx, by) = a.center, b.center
-    center_dist_sq = (ax - bx) ** 2 + (ay - by) ** 2
-    return iou(a, b) - center_dist_sq / diag_sq
+    return _pair_overlap(a.x1, a.y1, a.x2, a.y2, b.x1, b.y1, b.x2, b.y2)[1]
 
 
 def diou_matrix(anchors: list[BoundingBox], gts: list[BoundingBox]) -> np.ndarray:
@@ -205,8 +223,4 @@ def diou_matrix(anchors: list[BoundingBox], gts: list[BoundingBox]) -> np.ndarra
         raise ValueError("diou_matrix: anchor list is empty")
     if not gts:
         raise ValueError("diou_matrix: ground-truth list is empty")
-    out = np.empty((len(anchors), len(gts)), dtype=np.float64)
-    for i, a in enumerate(anchors):
-        for j, g in enumerate(gts):
-            out[i, j] = diou(a, g)
-    return out
+    return _overlap_matrices(anchors, gts)[1]

@@ -4,6 +4,11 @@ The main region is the set of positive anchors under max-IoU thresholding.
 The valuable localization region (VLR) collects anchors whose DIoU to some
 ground-truth box falls in ``[gamma * alpha_pos, alpha_pos]`` and that are
 not already main positives, so the two masks stay disjoint.
+
+One pass, :func:`_masks_and_diou`, evaluates geometry's scalar pair kernel
+once per anchor-gt pair into ``(N, M)`` IoU and DIoU matrices and reads
+both masks off them; :func:`compute_region_masks`, :func:`assign_main` and
+:func:`assign_vlr` are its views.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_unit_interval
-from .geometry import BoundingBox, diou_matrix, iou
+from .geometry import BoundingBox, _overlap_matrices
 
 __all__ = [
     "RegionMasks",
@@ -58,23 +63,7 @@ def assign_main(
 
     An empty ground-truth list is a valid background scene (all False).
     """
-    check_unit_interval("alpha_pos", alpha_pos, open_low=True)
-    if not anchors:
-        raise ValueError("assign_main: anchor list is empty")
-    out = np.zeros(len(anchors), dtype=bool)
-    if not gts:
-        return out
-    for i, a in enumerate(anchors):
-        out[i] = any(iou(a, g) >= alpha_pos for g in gts)
-    return out
-
-
-def _diou_band(main: np.ndarray, anchors: list[BoundingBox], gts: list[BoundingBox],
-               alpha_pos: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The DIoU matrix, and its band ``[gamma * alpha_pos, alpha_pos]`` minus the ``main`` anchors."""
-    x = diou_matrix(anchors, gts) if gts else np.empty((len(anchors), 0))
-    in_band = np.any((x >= gamma * alpha_pos) & (x <= alpha_pos), axis=1)
-    return x, in_band & ~main
+    return _masks_and_diou(anchors, gts, alpha_pos, 0.0)[0].main
 
 
 def assign_vlr(
@@ -88,10 +77,7 @@ def assign_vlr(
     ``gamma = 0`` admits every anchor with ``0 <= DIoU <= alpha_pos``;
     as ``gamma`` grows toward 1 the region shrinks to empty.
     """
-    check_unit_interval("gamma", gamma)  # alpha_pos is checked by assign_main
-    if not anchors:
-        raise ValueError("assign_vlr: anchor list is empty")
-    return _diou_band(assign_main(anchors, gts, alpha_pos), anchors, gts, alpha_pos, gamma)[1]
+    return _masks_and_diou(anchors, gts, alpha_pos, gamma)[0].vlr
 
 
 def compute_region_masks(
@@ -100,21 +86,21 @@ def compute_region_masks(
     alpha_pos: float,
     gamma: float,
 ) -> RegionMasks:
-    """Main and VLR assignment for one scene, with the main region computed once."""
+    """Main and VLR assignment for one scene, each pair's IoU and DIoU computed once."""
     return _masks_and_diou(anchors, gts, alpha_pos, gamma)[0]
 
 
-def _masks_and_diou(
-    anchors: list[BoundingBox],
-    gts: list[BoundingBox],
-    alpha_pos: float,
-    gamma: float,
-) -> tuple[RegionMasks, np.ndarray]:
+def _masks_and_diou(anchors: list[BoundingBox], gts: list[BoundingBox], alpha_pos: float,
+                    gamma: float) -> tuple[RegionMasks, np.ndarray]:
     """:func:`compute_region_masks` plus the ``(len(anchors), len(gts))``
-    DIoU matrix it assigned the VLR from, each DIoU computed once."""
-    check_unit_interval("gamma", gamma)  # alpha_pos is checked by assign_main
-    main = assign_main(anchors, gts, alpha_pos)
-    x, vlr = _diou_band(main, anchors, gts, alpha_pos, gamma)
+    DIoU matrix it assigned the VLR from."""
+    check_unit_interval("gamma", gamma)
+    check_unit_interval("alpha_pos", alpha_pos, open_low=True)
+    if not anchors:
+        raise ValueError("region assignment: anchor list is empty")
+    ious, x = _overlap_matrices(anchors, gts)
+    main = np.any(ious >= alpha_pos, axis=1)
+    vlr = np.any((x >= gamma * alpha_pos) & (x <= alpha_pos), axis=1) & ~main
     return RegionMasks(main=main, vlr=vlr), x
 
 
@@ -127,9 +113,15 @@ class UnfoldedAnchors:
     n_locations: int
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.location_index, dtype=np.int64)
-        idx.flags.writeable = False
         object.__setattr__(self, "anchors", tuple(self.anchors))
+        idx = np.asarray(self.location_index, dtype=np.int64)
+        if idx.shape != (len(self.anchors),):
+            raise ValueError(f"location_index of shape {idx.shape} does not match "
+                             f"{len(self.anchors)} anchors")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_locations):
+            raise ValueError(f"location_index entries must lie in [0, {self.n_locations}), "
+                             f"got [{idx.min()}, {idx.max()}]")
+        idx.flags.writeable = False
         object.__setattr__(self, "location_index", idx)
 
 

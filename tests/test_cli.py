@@ -454,13 +454,13 @@ class TestDumpAssignment:
         from locdistill.cli import SceneConfig
 
         calls = []
-        real = geometry.diou
+        real = geometry._pair_overlap
 
-        def counting(a, b):
+        def counting(*corners):
             calls.append(1)
-            return real(a, b)
+            return real(*corners)
 
-        monkeypatch.setattr(geometry, "diou", counting)
+        monkeypatch.setattr(geometry, "_pair_overlap", counting)
         assert main(["-o", str(tmp_path / "dcount"), "dump-assignment"]) == 0
         scene = SceneConfig()
         assert len(calls) == scene.n_locations * scene.anchors_per_location * scene.n_gts

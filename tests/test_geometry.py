@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from locdistill.geometry import (
     BoundingBox,
     _edge_area,
+    _pair_overlap,
     _giou_batch,
     _giou_edges,
     diou,
@@ -13,7 +14,9 @@ from locdistill.geometry import (
     iou,
 )
 
-from oracles import _oracle_giou_and_grad, grid_overlap_oracle
+from locdistill.regions import _masks_and_diou
+
+from oracles import _oracle_giou_and_grad, grid_overlap_oracle, oracle_diou, oracle_iou
 
 
 def _box(x1, y1, x2, y2):
@@ -208,6 +211,77 @@ class TestDiouMatrix:
             diou_matrix([], [b])
         with pytest.raises(ValueError):
             diou_matrix([b], [])
+
+    def test_point_pair_rejected(self):
+        p = _box(1, 1, 1, 1)
+        with pytest.raises(ValueError, match="union"):
+            diou_matrix([_box(0, 0, 2, 2), p], [p])
+
+
+def _pinned_scene(rng, n, zero_width_share):
+    """Boxes whose corners sit on a half-unit grid for half of them, so
+    edges tie (signed zeros included); a share of them has zero width."""
+    x1, y1 = rng.uniform(-4.0, 4.0, (2, n))
+    w, h = rng.uniform(0.5, 4.0, (2, n))
+    snap = rng.random(n) < 0.5
+    for v in (x1, y1, w, h):
+        v[snap] = np.round(2.0 * v[snap]) / 2.0
+    w[rng.random(n) < zero_width_share] = 0.0
+    return [BoundingBox(*c) for c in zip(x1, y1, x1 + w, y1 + h)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestPairKernelPin:
+    """Every view of the pair kernel, bit for bit against the closed forms of
+    ``oracles.py``, which take the same operations in the same order."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rng = np.random.default_rng(2020)
+        anchors, gts = _pinned_scene(rng, 200, 0.2), _pinned_scene(rng, 100, 0.0)
+        flat_a, flat_g = [a.to_list() for a in anchors], [g.to_list() for g in gts]
+        want_iou = np.array([[oracle_iou(a, g) for g in flat_g] for a in flat_a])
+        want_diou = np.array([[oracle_diou(a, g) for g in flat_g] for a in flat_a])
+        return anchors, gts, want_iou, want_diou
+
+    def test_scene_has_zero_width_boxes_and_ties(self, scene):
+        anchors, gts, _, _ = scene
+        assert 20 <= sum(a.width == 0.0 for a in anchors) <= 60
+        assert {a.x2 for a in anchors} & {g.x2 for g in gts}
+
+    def test_iou_and_diou_both_roles(self, scene):
+        anchors, gts, want_iou, want_diou = scene
+        for fn, want in ((iou, want_iou), (diou, want_diou)):
+            got = [[fn(a, g) for g in gts] for a in anchors]
+            swapped = [[fn(g, a) for a in anchors] for g in gts]
+            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(swapped), _bits(want).T)
+
+    def test_kernel_returns_both(self, scene):
+        anchors, gts, want_iou, want_diou = scene
+        a, g = anchors[7], gts[3]
+        assert _pair_overlap(*a.to_list(), *g.to_list()) == (want_iou[7, 3], want_diou[7, 3])
+
+    def test_diou_matrix_both_roles(self, scene):
+        anchors, gts, _, want_diou = scene
+        assert np.array_equal(_bits(diou_matrix(anchors, gts)), _bits(want_diou))
+        assert np.array_equal(_bits(diou_matrix(gts, anchors)), _bits(want_diou).T)
+
+    def test_region_pass_both_roles(self, scene):
+        anchors, gts, want_iou, want_diou = scene
+        masks, x = _masks_and_diou(anchors, gts, 0.5, 0.25)
+        masks_t, x_t = _masks_and_diou(gts, anchors, 0.5, 0.25)
+        assert np.array_equal(_bits(x), _bits(want_diou))
+        assert np.array_equal(_bits(x_t), _bits(want_diou).T)
+        assert np.array_equal(masks.main, (want_iou >= 0.5).any(axis=1))
+        assert np.array_equal(masks_t.main, (want_iou >= 0.5).any(axis=0))
+
+    def test_point_pair_names_both_conditions(self):
+        with pytest.raises(ValueError, match="union.*diagonal"):
+            _pair_overlap(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestGridOracleAgreement:

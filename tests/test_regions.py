@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from locdistill.geometry import BoundingBox, diou, iou
 from locdistill.regions import (
     RegionMasks,
+    UnfoldedAnchors,
     assign_main,
     assign_vlr,
     compute_region_masks,
@@ -149,22 +150,28 @@ class TestRegionMasks:
         assert not (masks.main & masks.vlr).any()
 
     def test_main_region_computed_once(self, monkeypatch):
-        from locdistill import geometry, regions
+        from locdistill import geometry
 
         calls = []
+        real = geometry._pair_overlap
 
-        def counting(a, b):
+        def counting(*corners):
             calls.append(1)
-            return iou(a, b)
+            return real(*corners)
 
-        monkeypatch.setattr(geometry, "iou", counting)
-        monkeypatch.setattr(regions, "iou", counting)
         anchors, gts = _random_scene(np.random.default_rng(23), n_anchors=60, n_gts=4)
+        main, vlr = assign_main(anchors, gts, 0.5), assign_vlr(anchors, gts, 0.5, 0.25)
+        monkeypatch.setattr(geometry, "_pair_overlap", counting)
         masks = compute_region_masks(anchors, gts, 0.5, 0.25)
-        # At most one IoU per pair for the main region and one inside each DIoU.
-        assert len(calls) <= 2 * len(anchors) * len(gts)
-        assert np.array_equal(masks.main, assign_main(anchors, gts, 0.5))
-        assert np.array_equal(masks.vlr, assign_vlr(anchors, gts, 0.5, 0.25))
+        # One kernel call per pair gives both its IoU and its DIoU.
+        assert len(calls) == len(anchors) * len(gts)
+        assert np.array_equal(masks.main, main)
+        assert np.array_equal(masks.vlr, vlr)
+
+    def test_point_pair_rejected(self):
+        p = _box(1, 1, 1, 1)
+        with pytest.raises(ValueError, match="union"):
+            compute_region_masks([_box(0, 0, 2, 2), p], [p], 0.5, 0.25)
 
 
 class TestUnfoldAnchors:
@@ -200,6 +207,12 @@ class TestUnfoldAnchors:
             unfold_anchors([])
         with pytest.raises(ValueError):
             unfold_anchors([[], []])
+
+    @pytest.mark.parametrize("location_index", [[0], [0, 1, 2], [0, -1], [0, 3]])
+    def test_location_index_validated(self, location_index):
+        b = _box(0, 0, 1, 1)
+        with pytest.raises(ValueError, match="location_index"):
+            UnfoldedAnchors(anchors=(b, b), location_index=location_index, n_locations=3)
 
     def test_fold_length_mismatch_rejected(self):
         unfolded = unfold_anchors([[_box(0, 0, 1, 1)]])
