@@ -5,9 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 from locdistill.geometry import (
     BoundingBox,
     _edge_area,
-    _pair_overlap,
     _giou_batch,
     _giou_edges,
+    _pair_overlap,
     diou,
     diou_matrix,
     giou,
