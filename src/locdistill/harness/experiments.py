@@ -126,46 +126,41 @@ class DivergenceError(ArithmeticError):
                 f"(seed {seed}, tau {tau:g})")
 
 
-def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
+def _descend(students: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
              cfg: HarnessConfig, epochs: int, run: tuple, imitate=None,
              trace: list | None = None) -> None:
     """Full-batch gradient descent on ``objective`` for ``epochs`` steps, in
-    place, of a stack of S students: ``model`` with a leading scheme axis
-    and ``objective`` over the same S schemes. ``imitate`` holds, per
-    scheme, the ``(A, hidden)`` features it imitates, or None, and adds
-    feature imitation of them, on bins-first ``(hidden, A)`` blocks, to
-    every step of those schemes. ``trace`` holds one list per scheme, which
-    collects each step's loss components before its update. ``run`` is
+    place, of a stack of S students: ``students`` with a leading scheme axis
+    and ``objective`` over the same S schemes. ``imitate``, if given, is
+    ``(models, features)``: the indices of the students that imitate
+    features and the one ``(A, hidden)`` block they all imitate; it adds
+    feature imitation, on bins-first ``(hidden, A)`` blocks, to every step
+    of those students. ``trace`` holds one list per scheme, which collects
+    each step's loss components before its update. ``run`` is
     ``(names, seed, tau)``; a :class:`DivergenceError` names the first
-    scheme, in stack order, that is non-finite at the earliest such step.
-
-    One model (weights without the scheme axis), with ``run``'s name, its
-    imitated features and one trace list, is the stack of one it views."""
-    if model.feature_weights.ndim == 2:
-        model, run, imitate = model[None], ((run[0],), *run[1:]), (imitate,)
-        trace = None if trace is None else [trace]
+    scheme, in stack order, that is non-finite at the earliest such step."""
     names, seed, tau = run
     # x is fixed under full-batch descent, so the bins-first inputs and the
     # rows whose edges the objective reads are taken once.
     xt = np.ascontiguousarray(x.T)
     blocks = [(x[rows], models) for rows, models in objective.edge_blocks]
     xt_blocks = [(np.ascontiguousarray(x_rows.T), models) for x_rows, models in blocks]
-    fi = None  # the schemes that imitate features
-    if imitate is not None and any(features is not None for features in imitate):
-        fi = np.flatnonzero([features is not None for features in imitate])
-        imitated = np.stack([features.T for features in imitate if features is not None])
+    fi = None  # the students that imitate features
+    if imitate is not None:
+        fi, features = imitate
+        imitated = np.ascontiguousarray(features.T)
     log = np.empty((epochs, len(TRACE_COLUMNS) - 1, len(names)))
     # The finite check on each step's loss replaces numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(epochs):
             values, g_cls, g_edges, terms = objective.block_step(
-                *model.block_logits(xt, *xt_blocks))
+                *students.block_logits(xt, *xt_blocks))
             g_hidden = None
             if fi is not None:
-                fi_values, g_fi = _imitation(model.block_features(xt, fi), imitated)
+                fi_values, g_fi = _imitation(students.block_features(xt, fi), imitated)
                 values[fi] += cfg.fi_weight * fi_values
                 g_hidden = cfg.fi_weight * g_fi
-            d_head, d_features = model.block_gradients(
+            d_head, d_features = students.block_gradients(
                 x, g_cls, *((x_rows, g, models) for (x_rows, models), g in zip(blocks, g_edges)),
                 grad_hidden=g_hidden, train_features=cfg.train_features, hidden_models=fi)
             finite = np.isfinite(values)
@@ -174,20 +169,34 @@ def _descend(model: LinearLocalizer, x: np.ndarray, objective: SceneObjective,
             log[step, :-1] = terms[:len(_COMPONENTS)]
             log[step, -1] = values
             d_head *= cfg.lr
-            model.head_weights -= d_head
+            students.head_weights -= d_head
             if d_features is not None:
                 d_features *= cfg.lr
-                model.feature_weights -= d_features
+                students.feature_weights -= d_features
     for rows, out in zip(log.transpose(2, 0, 1).tolist(), trace or ()):
         out.extend(dict(zip(TRACE_COLUMNS, (step, *row))) for step, row in enumerate(rows))
 
 
-def _scheme_problem(dataset: Dataset, schemes: list[str], teacher: LinearLocalizer | None,
-                    cfg: HarnessConfig, dcfg: DistillConfig
-                    ) -> tuple[np.ndarray, SceneObjective, tuple]:
-    """What :func:`_descend` trains ``schemes`` on, one stack entry each:
-    the training inputs, the objective, and the features each scheme
-    imitates (or None). The teacher's forward runs once, for every scheme."""
+def train(
+    students: LinearLocalizer,
+    dataset: Dataset,
+    schemes: list[str],
+    teacher: LinearLocalizer | None,
+    cfg: HarnessConfig,
+    dcfg: DistillConfig,
+    seed: int = 0,
+) -> tuple[LinearLocalizer, list[list[dict]]]:
+    """Train a stack of students in place, student ``i`` under
+    ``schemes[i]``; returns the stack and one per-epoch loss trace per
+    scheme (components before each update step). The teacher's forward
+    runs once, for every scheme. ``seed`` only names the run in a
+    :class:`DivergenceError`. One scheme is a stack of one
+    (``model[None]``, ``[scheme]``)."""
+    if isinstance(schemes, str):
+        raise TypeError(f"schemes must be a list of scheme names, got the string {schemes!r}")
+    if students.feature_weights.ndim != 3 or len(students.feature_weights) != len(schemes):
+        raise ValueError(f"{len(schemes)} schemes need a stack of {len(schemes)} students, "
+                         f"got feature weights of shape {students.feature_weights.shape}")
     specs = [_resolve_scheme(scheme) for scheme in schemes]
     distilling = [scheme for scheme, spec in zip(schemes, specs) if spec.needs_teacher]
     if distilling and teacher is None:
@@ -200,26 +209,11 @@ def _scheme_problem(dataset: Dataset, schemes: list[str], teacher: LinearLocaliz
     objective = SceneObjective(
         stack.truth, stack.masks, [scheme_config(spec, dcfg, cfg.ld_dfl_scale) for spec in specs],
         teacher_out, N_CLASSES, tbr_weight=[cfg.tbr_weight if spec.tbr else 0.0 for spec in specs])
-    return x, objective, tuple(teacher_hidden if spec.fi else None for spec in specs)
-
-
-def train(
-    model: LinearLocalizer,
-    dataset: Dataset,
-    scheme: str,
-    teacher: LinearLocalizer | None,
-    cfg: HarnessConfig,
-    dcfg: DistillConfig,
-    seed: int = 0,
-) -> tuple[LinearLocalizer, list[dict]]:
-    """Train a student in place under one scheme; returns the model and the
-    per-epoch loss trace (components before each update step). ``seed``
-    only names the run in a :class:`DivergenceError`. The one-scheme case of
-    :func:`run_seed`'s stacked training."""
-    x, objective, (imitate,) = _scheme_problem(dataset, [scheme], teacher, cfg, dcfg)
-    trace: list[dict] = []
-    _descend(model, x, objective, cfg, cfg.epochs, (scheme, seed, dcfg.tau), imitate, trace)
-    return model, trace
+    fi = np.flatnonzero([spec.fi for spec in specs])
+    traces: list[list[dict]] = [[] for _ in schemes]
+    _descend(students, x, objective, cfg, cfg.epochs, (tuple(schemes), seed, dcfg.tau),
+             (fi, teacher_hidden) if fi.size else None, traces)
+    return students, traces
 
 
 def train_teacher(
@@ -250,7 +244,7 @@ def train_teacher(
                           w_kd_main=0.0, w_kd_vlr=0.0)
     objective = SceneObjective(true_truth, stack.masks, teacher_cfg, None, N_CLASSES,
                                edge_dists=bayes_main)
-    _descend(model, x, objective, cfg, cfg.teacher_epochs, ("teacher", seed, dcfg.tau))
+    _descend(model[None], x, objective, cfg, cfg.teacher_epochs, (("teacher",), seed, dcfg.tau))
     return model
 
 
@@ -314,19 +308,12 @@ def _mean_kl(z_teacher: np.ndarray, z_student: np.ndarray) -> float:
     return _tempered_kl(z_student.T, *_log_softmax_pair(z_teacher.T, 1.0), 1.0)[0]
 
 
-def evaluate(model: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
-             scheme: str = "", seed: int = 0,
-             trace: list[dict] | tuple[dict, ...] = ()) -> ExperimentReport:
-    """Held-out metrics: decoded-edge MAE on positives, teacher-student KL
-    per head, per-dimension Pearson correlations, and distribution flatness.
-    The one-scheme case of :func:`_evaluate_stack`."""
-    return _evaluate_stack(model[None], teacher, dataset, [scheme], seed, [trace])[0]
-
-
-def _evaluate_stack(students: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
-                    schemes: list[str], seed: int, traces) -> list[ExperimentReport]:
-    """:func:`evaluate` for each student of a stack, in order, under its
-    scheme's name and trace; the teacher's held-out forward runs once."""
+def evaluate(students: LinearLocalizer, teacher: LinearLocalizer, dataset: Dataset,
+             schemes: list[str], seed: int, traces) -> list[ExperimentReport]:
+    """Held-out metrics of each student of a stack, in order, under its
+    scheme's name and trace: decoded-edge MAE on positives, teacher-student
+    KL per head, per-dimension Pearson correlations, and distribution
+    flatness. The teacher's held-out forward runs once."""
     if not dataset.heldout:
         raise ValueError("dataset has no held-out split to evaluate on")
     stack = dataset.heldout
@@ -337,7 +324,7 @@ def _evaluate_stack(students: LinearLocalizer, teacher: LinearLocalizer, dataset
     out_t, h_t = teacher.forward(x)
     a = x.shape[0]
     reports = []
-    for i, (scheme, trace) in enumerate(zip(schemes, traces)):
+    for i, (scheme, trace) in enumerate(zip(schemes, traces, strict=True)):
         out_s, h_s = students[i].forward(x)
         p_main, decoded = _decode(out_s.edge_logits[main_idx].T, dataset.grid)
         reports.append(ExperimentReport(
@@ -362,30 +349,21 @@ def _new_model(cfg: HarnessConfig, grid: BinGrid, seed: int,
                           grid.size, rng)
 
 
-def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, scheme: str, seed: int,
-             dataset: Dataset, teacher: LinearLocalizer) -> ExperimentReport:
-    """Train and evaluate one (scheme, seed) cell on the seed's dataset and
-    teacher: the one-scheme case of :func:`_run_schemes`."""
-    return _run_schemes(cfg, dcfg, [scheme], seed, dataset, teacher)[0]
-
-
-def _run_schemes(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str], seed: int,
-                 dataset: Dataset, teacher: LinearLocalizer) -> list[ExperimentReport]:
-    """Train every scheme from the seed's one initial student as one stack,
-    then evaluate each; reports in scheme order."""
-    x, objective, imitate = _scheme_problem(dataset, schemes, teacher, cfg, dcfg)
+def run_cell(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str], seed: int,
+             dataset: Dataset, teacher: LinearLocalizer) -> list[ExperimentReport]:
+    """Train every scheme from the seed's one initial student as one stack
+    on the seed's dataset and teacher, then evaluate each; reports in
+    scheme order."""
     students = LinearLocalizer.stack([_new_model(cfg, dataset.grid, seed)] * len(schemes))
-    traces: list[list[dict]] = [[] for _ in schemes]
-    _descend(students, x, objective, cfg, cfg.epochs, (tuple(schemes), seed, dcfg.tau),
-             imitate, traces)
-    return _evaluate_stack(students, teacher, dataset, schemes, seed, traces)
+    students, traces = train(students, dataset, schemes, teacher, cfg, dcfg, seed)
+    return evaluate(students, teacher, dataset, schemes, seed, traces)
 
 
 def run_seed(cfg: HarnessConfig, dcfg: DistillConfig, schemes: list[str],
              seed: int) -> tuple[Dataset, list[ExperimentReport]]:
     """Every scheme of one seed: the seed's dataset and teacher are built
-    once, and its schemes train together as one stacked student. Returns
-    the dataset and the reports in scheme order."""
+    once, and :func:`run_cell` trains its schemes together as one stacked
+    student. Returns the dataset and the reports in scheme order."""
     dataset = gen_dataset(cfg, dcfg, seed)
     teacher = train_teacher(dataset, cfg, dcfg, seed)
-    return dataset, _run_schemes(cfg, dcfg, schemes, seed, dataset, teacher)
+    return dataset, run_cell(cfg, dcfg, schemes, seed, dataset, teacher)

@@ -39,8 +39,9 @@ class RegionMasks:
     vlr: np.ndarray
 
     def __post_init__(self) -> None:
-        main = np.asarray(self.main, dtype=bool)
-        vlr = np.asarray(self.vlr, dtype=bool)
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        main = np.array(self.main, dtype=bool)
+        vlr = np.array(self.vlr, dtype=bool)
         if main.shape != vlr.shape or main.ndim != 1:
             raise ValueError(
                 f"masks must be 1-D vectors of equal length, got {main.shape} and {vlr.shape}"
@@ -114,7 +115,7 @@ class UnfoldedAnchors:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchors", tuple(self.anchors))
-        idx = np.asarray(self.location_index, dtype=np.int64)
+        idx = np.array(self.location_index, dtype=np.int64)  # a copy, frozen below
         if idx.shape != (len(self.anchors),):
             raise ValueError(f"location_index of shape {idx.shape} does not match "
                              f"{len(self.anchors)} anchors")

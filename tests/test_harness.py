@@ -274,19 +274,34 @@ class TestTraining:
         ds = gen_dataset(FAST, DCFG, seed=0)
         student = _new_model(FAST, GRID, 0)
         with pytest.raises(ValueError, match="baseline"):
-            train(student, ds, "nope", None, FAST, DCFG)
+            train(student[None], ds, ["nope"], None, FAST, DCFG)
 
     def test_teacher_required_for_distilling_schemes(self):
         ds = gen_dataset(FAST, DCFG, seed=0)
         student = _new_model(FAST, GRID, 0)
         with pytest.raises(ValueError, match="teacher"):
-            train(student, ds, "ld_main", None, FAST, DCFG)
+            train(student[None], ds, ["ld_main"], None, FAST, DCFG)
+
+    def test_schemes_must_be_a_list_not_a_string(self):
+        ds = gen_dataset(FAST, DCFG, seed=0)
+        student = _new_model(FAST, GRID, 0)
+        with pytest.raises(TypeError, match="schemes"):
+            train(student[None], ds, "ld_main", None, FAST, DCFG)
+        with pytest.raises(TypeError, match="schemes"):
+            run_cell(FAST, DCFG, "ld_main", 0, ds, None)
+
+    def test_stack_must_match_schemes(self):
+        ds = gen_dataset(FAST, DCFG, seed=0)
+        student = _new_model(FAST, GRID, 0)
+        for students in (student, LinearLocalizer.stack([student] * 2)):
+            with pytest.raises(ValueError, match="stack of 1 students"):
+                train(students, ds, ["baseline"], None, FAST, DCFG)
 
     def test_baseline_trace_matches_direct_total_loss(self):
         ds = gen_dataset(FAST, DCFG, seed=1)
         student = _new_model(FAST, GRID, 1)
         init = copy.deepcopy(student)
-        _, trace = train(student, ds, "baseline", None, FAST, DCFG)
+        _, (trace,) = train(student[None], ds, ["baseline"], None, FAST, DCFG)
 
         stack = ds.train
         out, _ = init.forward(stack.features)
@@ -300,14 +315,14 @@ class TestTraining:
         ds = gen_dataset(FAST, DCFG, seed=2)
         student = _new_model(FAST, GRID, 2)
         teacher = copy.deepcopy(student)
-        _, trace = train(student, ds, "ld_main", teacher, FAST, DCFG)
+        _, (trace,) = train(student[None], ds, ["ld_main"], teacher, FAST, DCFG)
         assert trace[0]["LD_main"] == 0.0
 
     def test_divergence_is_a_named_error(self):
         ds = gen_dataset(FAST, DCFG, seed=0)
         student = _new_model(FAST, GRID, 0)
         with pytest.raises(DivergenceError) as info:
-            train(student, ds, "baseline", None, replace(FAST, lr=1e6), DCFG, seed=3)
+            train(student[None], ds, ["baseline"], None, replace(FAST, lr=1e6), DCFG, seed=3)
         assert info.value.args[:3] == ("baseline", 3, 10.0)
         assert str(info.value).startswith("baseline training diverged: non-finite loss at step ")
         with pytest.raises(DivergenceError, match=r"^teacher .*\(seed 5, tau 10\)$"):
@@ -336,7 +351,7 @@ class TestTraining:
                        w_kd_main=0.0, w_kd_vlr=0.0)
         ds = gen_dataset(cfg, dcfg, seed=3)
         student = _new_model(cfg, GRID, 3)
-        _, trace = train(student, ds, "baseline", None, cfg, dcfg)
+        _, (trace,) = train(student[None], ds, ["baseline"], None, cfg, dcfg)
         totals = [row["total"] for row in trace]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
@@ -346,9 +361,9 @@ class TestTraining:
         runs = []
         for _ in range(2):
             student = _new_model(FAST, GRID, 4)
-            model, trace = train(student, ds, "selective", teacher, FAST, DCFG)
-            runs.append((model.cls_weights.tobytes(), model.edge_weights.tobytes(),
-                         model.feature_weights.tobytes(),
+            _, (trace,) = train(student[None], ds, ["selective"], teacher, FAST, DCFG)
+            runs.append((student.cls_weights.tobytes(), student.edge_weights.tobytes(),
+                         student.feature_weights.tobytes(),
                          tuple(row["total"] for row in trace)))
         assert runs[0] == runs[1]
 
@@ -358,7 +373,7 @@ class TestTraining:
         for scheme in ("baseline", "tbr", "ld_main_vlr", "selective",
                        "kd_main", "feature_imitation"):
             student = _new_model(FAST, GRID, 5)
-            _, trace = train(student, ds, scheme, teacher, FAST, DCFG)
+            _, (trace,) = train(student[None], ds, [scheme], teacher, FAST, DCFG)
             for row in trace:
                 assert all(np.isfinite(v) for v in row.values())
 
@@ -378,7 +393,7 @@ class TestEvaluate:
     def test_teacher_against_itself(self):
         ds = gen_dataset(FAST, DCFG, seed=7)
         teacher = train_teacher(ds, FAST, DCFG, seed=7)
-        report = evaluate(copy.deepcopy(teacher), teacher, ds, scheme="self", seed=7)
+        (report,) = evaluate(copy.deepcopy(teacher)[None], teacher, ds, ["self"], 7, [()])
         assert report.kl_box == 0.0
         assert report.kl_cls == 0.0
         assert report.pearson_box_logits == 1.0
@@ -389,7 +404,7 @@ class TestEvaluate:
         ds = gen_dataset(cfg, DCFG, seed=8)
         teacher = train_teacher(ds, cfg, DCFG, seed=8)
         student = _new_model(cfg, GRID, 8)
-        report = evaluate(student, teacher, ds, scheme="untrained", seed=8)
+        (report,) = evaluate(student[None], teacher, ds, ["untrained"], 8, [()])
         assert abs(report.pearson_box_logits) < 0.2
         assert abs(report.pearson_features) < 0.2
 
@@ -399,12 +414,12 @@ class TestEvaluate:
         empty = replace(ds, heldout=SceneStack(**no_rows))
         teacher = train_teacher(ds, FAST, DCFG, seed=9)
         with pytest.raises(ValueError, match="held-out"):
-            evaluate(copy.deepcopy(teacher), teacher, empty)
+            evaluate(copy.deepcopy(teacher)[None], teacher, empty, [""], 0, [()])
 
     def test_report_rows_long_format(self):
         ds = gen_dataset(FAST, DCFG, seed=10)
         teacher = train_teacher(ds, FAST, DCFG, seed=10)
-        report = evaluate(copy.deepcopy(teacher), teacher, ds, scheme="x", seed=10)
+        (report,) = evaluate(copy.deepcopy(teacher)[None], teacher, ds, ["x"], 10, [()])
         rows = report.rows()
         assert ("x", 10, "kl_box", 0.0) in rows
         assert len(rows) == len(report.METRICS)
@@ -434,7 +449,8 @@ class TestStackedTraining:
         schemes = self.ORDERS[order]
         dataset, reports = run_seed(self.CFG, DCFG, schemes, seed)
         teacher = train_teacher(dataset, self.CFG, DCFG, seed)
-        alone = [run_cell(self.CFG, DCFG, scheme, seed, dataset, teacher) for scheme in schemes]
+        alone = [run_cell(self.CFG, DCFG, [scheme], seed, dataset, teacher)[0]
+                 for scheme in schemes]
         assert [_report_bits(r) for r in reports] == [_report_bits(r) for r in alone]
 
     def test_divergent_stack_names_first_scheme_at_earliest_step(self):
@@ -449,14 +465,14 @@ class TestStackedTraining:
         steps = {}
         for scheme in SCHEMES:
             with pytest.raises(DivergenceError) as info:
-                run_cell(hot, DCFG, scheme, seed, dataset, teacher)
+                run_cell(hot, DCFG, [scheme], seed, dataset, teacher)
             steps[scheme] = info.value.args[3]
         assert sorted(steps.values())[:3] == [20, 20, 21]
         for schemes in (list(SCHEMES), list(SCHEMES)[::-1]):
             earliest = min(steps.values())
             first = next(scheme for scheme in schemes if steps[scheme] == earliest)
             with pytest.raises(DivergenceError) as info:
-                experiments._run_schemes(hot, DCFG, schemes, seed, dataset, teacher)
+                run_cell(hot, DCFG, schemes, seed, dataset, teacher)
             assert info.value.args == (first, seed, DCFG.tau, earliest)
 
 
@@ -477,6 +493,26 @@ class TestExperimentRunner:
         _, reports = run_seed(FAST, DCFG, ["baseline", "ld_main_vlr"], 0)
         assert [r.scheme for r in reports] == ["baseline", "ld_main_vlr"]
         assert all(r.seed == 0 for r in reports)
+
+    def test_run_seed_reaches_each_traced_stage_once(self, monkeypatch):
+        """One run_seed call reaches train, evaluate and run_cell once each,
+        through every ``locdistill`` module global bound to them: the names
+        a tracer rebinds to time a seed's training and evaluation."""
+        counts = {}
+        for name in ("train", "evaluate", "run_cell"):
+            real = getattr(experiments, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name == "locdistill" or mod_name.startswith("locdistill."):
+                    for attr, value in list(vars(module).items()):
+                        if value is real:
+                            monkeypatch.setattr(module, attr, counting)
+        run_seed(FAST, DCFG, ["baseline", "ld_main"], 0)
+        assert counts == {"train": 1, "evaluate": 1, "run_cell": 1}
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -626,8 +662,9 @@ def trained_teacher():
 
 
 def _training_problem(monkeypatch, scheme, ds, teacher):
-    """The model, inputs, objective and imitated features that ``train``
-    (or ``train_teacher``, for ``"teacher"``) hands to its descent loop."""
+    """The model, inputs, objective and imitated features (or None) that
+    ``train`` (or ``train_teacher``, for ``"teacher"``) hands to its descent
+    loop, for its stack of one model."""
     calls = []
     monkeypatch.setattr(experiments, "_descend",
                         lambda model, x, objective, cfg, epochs, run, imitate=None, trace=None:
@@ -635,9 +672,9 @@ def _training_problem(monkeypatch, scheme, ds, teacher):
     if scheme == "teacher":
         train_teacher(ds, FAST, DCFG, seed=12)
     else:
-        train(_new_model(FAST, GRID, 12), ds, scheme, teacher, FAST, DCFG)
-    (problem,) = calls
-    return problem
+        train(_new_model(FAST, GRID, 12)[None], ds, [scheme], teacher, FAST, DCFG)
+    ((model, x, objective, imitate),) = calls
+    return model[0], x, objective, None if imitate is None else imitate[1]
 
 
 # Degenerate scenes for the block-path test, named by the rows read.
@@ -678,7 +715,8 @@ class TestLocalizerGradients:
         steps = 5
         block, ref = copy.deepcopy(model), copy.deepcopy(model)
         trace = []
-        _descend(block, x, objective, FAST, steps, (problem, 12, DCFG.tau), imitate, trace)
+        _descend(block[None], x, objective, FAST, steps, ((problem,), 12, DCFG.tau),
+                 None if imitate is None else ([0], imitate), [trace])
 
         everywhere = np.ones(len(x), dtype=bool)
         for step in range(steps):

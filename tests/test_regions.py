@@ -218,3 +218,30 @@ class TestUnfoldAnchors:
         unfolded = unfold_anchors([[_box(0, 0, 1, 1)]])
         with pytest.raises(ValueError):
             fold_membership(unfolded, np.array([True, False]))
+
+
+def _build_region_masks():
+    given = (np.array([True, False]), np.array([False, True]))
+    masks = RegionMasks(*given)
+    return given, (masks.main, masks.vlr)
+
+
+def _build_unfolded_anchors():
+    b = _box(0, 0, 1, 1)
+    given = (np.array([0, 1], dtype=np.int64),)
+    unfolded = UnfoldedAnchors(anchors=(b, b), location_index=given[0], n_locations=2)
+    return given, (unfolded.location_index,)
+
+
+@pytest.mark.parametrize("build", [_build_region_masks, _build_unfolded_anchors],
+                         ids=["RegionMasks", "UnfoldedAnchors"])
+def test_construction_freezes_only_its_own_arrays(build):
+    """The object freezes copies of its inputs: the caller's arrays, already
+    of the object's dtype, stay writeable, and the object's are read-only."""
+    given, own = build()
+    for arr in given:
+        assert arr.flags.writeable
+    for arr in own:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
