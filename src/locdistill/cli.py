@@ -28,9 +28,9 @@ import yaml
 from ._checks import check_count, check_finite, check_nonnegative, check_positive
 from .boxdist import BinGrid
 from .geometry import BoundingBox
-from .harness.data import HarnessConfig, save_dataset
+from .harness.data import HarnessConfig, _check_max_offset, save_dataset
 from .harness.experiments import (TRACE_COLUMNS, DivergenceError, ExperimentReport,
-                                  _resolve_scheme, run_seed)
+                                  _check_imitation, _resolve_scheme, run_seed, scheme_weights)
 from .losses import DistillConfig, _require_distances
 from .regions import _masks_and_diou, unfold_anchors
 from .theory import (_check_pairs, _check_sizes, certify_decomposition, certify_proposition1,
@@ -275,14 +275,15 @@ def load_run_config(config_path: str | None, overrides: list[str],
 
 
 def _check_training_grid(cfg: RunConfig, schemes) -> None:
-    """Reject at load what training would reject after generating data: box
-    regression, and TBR when a scheme trains with it, decode boxes from edge
-    distances, so they need a grid of nonnegative ones."""
+    """Reject at load what training would reject after generating data: the
+    mixture offset must fit the grid, box regression and TBR decode boxes
+    from edge distances, so weight rows that weight either need a grid of
+    nonnegative ones, and feature imitation needs trained features."""
     try:
-        if cfg.distill.w_reg > 0.0:
-            _require_distances(cfg.grid, "the box regression term")
-        if cfg.harness.tbr_weight > 0.0 and any(_resolve_scheme(s).tbr for s in schemes):
-            _require_distances(cfg.grid, "teacher-bounded regression")
+        _require_distances(cfg.grid, [scheme_weights(s, cfg.distill, cfg.harness)
+                                      for s in schemes])
+        _check_max_offset(cfg.harness, cfg.grid)
+        _check_imitation(schemes, cfg.harness)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -417,11 +418,12 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
     rows = [row for r in reports for row in r.rows()]
     _write_csv(out / "metrics.csv", ("scheme", "seed", "metric", "value"), rows)
-    _write_json(out / "summary.json", _summarize(reports))
+    summary = _summarize(reports)
+    _write_json(out / "summary.json", summary)
     for r in reports:
         trace_rows = [[row[c] for c in TRACE_COLUMNS] for row in r.trace]
         _write_csv(out / f"trace_{r.scheme}_seed{r.seed}.csv", TRACE_COLUMNS, trace_rows)
-    _print_summary(_summarize(reports))
+    _print_summary(summary)
     return 0
 
 

@@ -42,6 +42,7 @@ N_COMPONENTS = 2  # mixture components per edge; single-component edges are padd
 # Object geometry relative to its own reference point, in scene units.
 _OBJECT_EDGE_LO = 1.7
 _OBJECT_EDGE_HI = 2.7
+_OBJECT_EDGE_MID = 0.5 * (_OBJECT_EDGE_LO + _OBJECT_EDGE_HI)
 _VLR_SHIFT = (1.8, 3.5)
 _BACKGROUND_SHIFT = (5.0, 7.0)
 _N_LATENT = 11  # 4 edges + 4 ambiguity spreads + dx + dy + squared offset
@@ -187,6 +188,15 @@ def _draw(cdf: list[float], rng: np.random.Generator) -> int:
     return bisect.bisect_right(cdf, rng.random())
 
 
+def _check_max_offset(cfg: HarnessConfig, grid: BinGrid) -> None:
+    """The mixture centers of a mid-range edge, ``max_offset`` either side
+    of it, must lie in the grid's regression range."""
+    mid = _OBJECT_EDGE_MID
+    if mid - cfg.max_offset < grid.e_min or mid + cfg.max_offset > grid.e_max:
+        raise ValueError(f"max_offset {cfg.max_offset:g} pushes mixture centers outside "
+                         f"the regression range [{grid.e_min:g}, {grid.e_max:g}]")
+
+
 def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     """Deterministically generate train and held-out splits for one seed.
 
@@ -197,11 +207,7 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     once.
     """
     grid = dcfg.grid
-    mid = 0.5 * (_OBJECT_EDGE_LO + _OBJECT_EDGE_HI)
-    if mid - cfg.max_offset < grid.e_min or mid + cfg.max_offset > grid.e_max:
-        raise ValueError(
-            "max_offset pushes mixture centers outside the regression range"
-        )
+    _check_max_offset(cfg, grid)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_DATA)))
     encoder = rng.normal(0.0, 1.0 / np.sqrt(_N_LATENT), size=(cfg.input_dim, _N_LATENT))
     n = cfg.n_train + cfg.n_heldout
@@ -256,7 +262,7 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     dx, dy = shifts.T
     shift = np.stack([-dy, dy, -dx, dx], axis=1)
     latent = np.concatenate([
-        (edges - mid) / (0.5 * (_OBJECT_EDGE_HI - _OBJECT_EDGE_LO)),
+        (edges - _OBJECT_EDGE_MID) / (0.5 * (_OBJECT_EDGE_HI - _OBJECT_EDGE_LO)),
         spreads - 0.5,
         np.stack([dx / 3.0, dy / 3.0, (dx * dx + dy * dy - 10.0) / 15.0], axis=1),
     ], axis=1)

@@ -6,7 +6,9 @@ steps; every gradient comes from the loss module's closed forms. The
 teacher is trained against the true edge mixtures (soft distribution
 targets plus regression to the true boxes), emulating a stronger,
 longer-trained model; students see only the sampled observations plus
-whatever distillation signal their scheme enables.
+whatever distillation signal their scheme adds. A scheme is the set of
+terms it adds (:data:`SCHEMES`), and :func:`scheme_weights` is the one
+place that turns it into a student's row of per-term weights.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import numpy as np
 
 from .._checks import check_finite
 from ..boxdist import BinGrid, _decode, _entropy, _log_softmax_pair
-from ..losses import (
-    _COMPONENTS,
-    DistillConfig,
-    SceneObjective,
-    _imitation,
-    _tempered_kl,
-)
+from ..losses import _COMPONENTS, _TERMS, DistillConfig, SceneObjective, _imitation, _tempered_kl
 from .data import (
     Dataset,
     HarnessConfig,
@@ -35,8 +31,8 @@ from .data import (
 from .models import LinearLocalizer, init_localizer
 
 __all__ = [
-    "SchemeSpec",
     "SCHEMES",
+    "scheme_weights",
     "DivergenceError",
     "ExperimentReport",
     "train",
@@ -54,63 +50,56 @@ TRACE_COLUMNS = ("step", "L_cls", "L_reg", "L_DFL", "LD_main", "LD_vlr",
                  "KD_main", "KD_vlr", "total")
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    """Which loss terms a training scheme enables."""
-
-    ld_main: bool = False
-    ld_vlr: bool = False
-    kd_main: bool = False
-    kd_vlr: bool = False
-    tbr: bool = False
-    fi: bool = False
-
-    @property
-    def needs_teacher(self) -> bool:
-        """Whether any enabled term reads the teacher."""
-        return any((self.ld_main, self.ld_vlr, self.kd_main, self.kd_vlr, self.tbr, self.fi))
-
-
-SCHEMES: dict[str, SchemeSpec] = {
-    "baseline": SchemeSpec(),
-    "tbr": SchemeSpec(tbr=True),
-    "kd_main": SchemeSpec(kd_main=True),
-    "ld_main": SchemeSpec(ld_main=True),
-    "ld_main_vlr": SchemeSpec(ld_main=True, ld_vlr=True),
-    "selective": SchemeSpec(ld_main=True, ld_vlr=True, kd_main=True),
-    "feature_imitation": SchemeSpec(fi=True),
+# Each scheme is the set of terms it adds to the supervised ones: names of
+# losses._TERMS, and "fi" for feature imitation.
+SCHEMES: dict[str, frozenset[str]] = {
+    "baseline": frozenset(),
+    "tbr": frozenset({"tbr"}),
+    "kd_main": frozenset({"kd_main"}),
+    "ld_main": frozenset({"ld_main"}),
+    "ld_main_vlr": frozenset({"ld_main", "ld_vlr"}),
+    "selective": frozenset({"ld_main", "ld_vlr", "kd_main"}),
+    "feature_imitation": frozenset({"fi"}),
 }
 
 
-def scheme_config(scheme: SchemeSpec, base: DistillConfig,
-                  ld_dfl_scale: float = 1.0) -> DistillConfig:
-    """Zero out the distillation weights a scheme does not use and weight
-    its LD terms by ``tau**2``, which keeps the LD step independent of
-    ``tau`` (Hinton et al., arXiv:1503.02531, section 2).
-
-    In LD schemes the two-hot supervised term runs at ``ld_dfl_scale``
-    times its weight: the distilled distributions carry the edge
-    supervision, and at full weight the noisy sampled targets drown the
-    teacher signal.
-    """
-    distills_boxes = scheme.ld_main or scheme.ld_vlr
-    ld_scale = base.tau * base.tau
-    return replace(
-        base,
-        w_dfl=base.w_dfl * ld_dfl_scale if distills_boxes else base.w_dfl,
-        w_ld_main=base.w_ld_main * ld_scale if scheme.ld_main else 0.0,
-        w_ld_vlr=base.w_ld_vlr * ld_scale if scheme.ld_vlr else 0.0,
-        w_kd_main=base.w_kd_main if scheme.kd_main else 0.0,
-        w_kd_vlr=base.w_kd_vlr if scheme.kd_vlr else 0.0,
-    )
-
-
-def _resolve_scheme(scheme: str) -> SchemeSpec:
+def _resolve_scheme(scheme: str) -> frozenset[str]:
     if scheme not in SCHEMES:
         raise ValueError(
             f"unknown scheme {scheme!r}; valid schemes: {', '.join(sorted(SCHEMES))}"
         )
     return SCHEMES[scheme]
+
+
+def scheme_weights(scheme: str, dcfg: DistillConfig, cfg: HarnessConfig) -> list[float]:
+    """The row of per-term weights, in ``_TERMS`` order, that ``scheme``
+    trains with: the supervised weights of ``dcfg``, its distillation
+    weights on the terms the scheme adds and 0 elsewhere, and TBR at
+    ``cfg.tbr_weight`` if the scheme adds it.
+
+    LD terms run at ``tau**2`` times their weight, which keeps the LD step
+    independent of ``tau`` (Hinton et al., arXiv:1503.02531, section 2).
+    In LD schemes the two-hot supervised term runs at ``cfg.ld_dfl_scale``
+    times its weight: the distilled distributions carry the edge
+    supervision, and at full weight the noisy sampled targets drown the
+    teacher signal.
+    """
+    terms = _resolve_scheme(scheme) | {"cls", "reg", "dfl"}
+    ld_scale = dcfg.tau * dcfg.tau
+    scale = {"dfl": cfg.ld_dfl_scale if terms & {"ld_main", "ld_vlr"} else 1.0,
+             "ld_main": ld_scale, "ld_vlr": ld_scale}
+    weight = {t: getattr(dcfg, "w_" + t) for t in _COMPONENTS} | {"tbr": cfg.tbr_weight}
+    return [weight[t] * scale.get(t, 1.0) if t in terms else 0.0 for t in _TERMS]
+
+
+def _check_imitation(schemes, cfg: HarnessConfig) -> None:
+    """Feature imitation trains the features alone, so it needs
+    ``cfg.train_features``."""
+    if not cfg.train_features:
+        for scheme in schemes:
+            if "fi" in _resolve_scheme(scheme):
+                raise ValueError(f"scheme {scheme!r} imitates features, which "
+                                 "harness.train_features=false leaves untrained")
 
 
 class DivergenceError(ArithmeticError):
@@ -187,8 +176,10 @@ def train(
     seed: int = 0,
 ) -> tuple[LinearLocalizer, list[list[dict]]]:
     """Train a stack of students in place, student ``i`` under
-    ``schemes[i]``; returns the stack and one per-epoch loss trace per
-    scheme (components before each update step). The teacher's forward
+    ``schemes[i]``, whose :func:`scheme_weights` row is its row of the
+    objective; returns the stack and one per-epoch loss trace per scheme
+    (components before each update step). Feature imitation needs
+    ``cfg.train_features``. The teacher's forward
     runs once, for every scheme. ``seed`` only names the run in a
     :class:`DivergenceError`. One scheme is a stack of one
     (``model[None]``, ``[scheme]``)."""
@@ -197,8 +188,8 @@ def train(
     if students.feature_weights.ndim != 3 or len(students.feature_weights) != len(schemes):
         raise ValueError(f"{len(schemes)} schemes need a stack of {len(schemes)} students, "
                          f"got feature weights of shape {students.feature_weights.shape}")
-    specs = [_resolve_scheme(scheme) for scheme in schemes]
-    distilling = [scheme for scheme, spec in zip(schemes, specs) if spec.needs_teacher]
+    _check_imitation(schemes, cfg)
+    distilling = [scheme for scheme in schemes if _resolve_scheme(scheme)]
     if distilling and teacher is None:
         raise ValueError(f"scheme {distilling[0]!r} distills from a teacher but none was given")
     stack = dataset.train
@@ -206,10 +197,9 @@ def train(
     teacher_out = teacher_hidden = None
     if distilling:
         teacher_out, teacher_hidden = teacher.forward(x)
-    objective = SceneObjective(
-        stack.truth, stack.masks, [scheme_config(spec, dcfg, cfg.ld_dfl_scale) for spec in specs],
-        teacher_out, N_CLASSES, tbr_weight=[cfg.tbr_weight if spec.tbr else 0.0 for spec in specs])
-    fi = np.flatnonzero([spec.fi for spec in specs])
+    objective = SceneObjective(stack.truth, stack.masks, dcfg, teacher_out, N_CLASSES,
+                               weights=[scheme_weights(s, dcfg, cfg) for s in schemes])
+    fi = np.flatnonzero(["fi" in SCHEMES[s] for s in schemes])
     traces: list[list[dict]] = [[] for _ in schemes]
     _descend(students, x, objective, cfg, cfg.epochs, (tuple(schemes), seed, dcfg.tau),
              (fi, teacher_hidden) if fi.size else None, traces)
@@ -240,10 +230,9 @@ def train_teacher(
     bayes_main = (1.0 - cfg.label_smoothing) * bayes + cfg.label_smoothing / m
     # Regression targets the true geometry.
     true_truth = replace(stack.truth, edge_targets=stack.true_edges)
-    teacher_cfg = replace(dcfg, w_dfl=1.0, w_ld_main=0.0, w_ld_vlr=0.0,
-                          w_kd_main=0.0, w_kd_vlr=0.0)
-    objective = SceneObjective(true_truth, stack.masks, teacher_cfg, None, N_CLASSES,
-                               edge_dists=bayes_main)
+    weights = [[dcfg.w_cls, dcfg.w_reg, 1.0] + [0.0] * (len(_TERMS) - 3)]
+    objective = SceneObjective(true_truth, stack.masks, dcfg, None, N_CLASSES,
+                               edge_dists=bayes_main, weights=weights)
     _descend(model[None], x, objective, cfg, cfg.teacher_epochs, (("teacher",), seed, dcfg.tau))
     return model
 

@@ -43,7 +43,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,11 +131,6 @@ class DistillConfig:
         for name in ("w_cls", "w_reg", "w_dfl", "w_ld_main", "w_ld_vlr",
                      "w_kd_main", "w_kd_vlr"):
             object.__setattr__(self, name, float(check_nonnegative(name, getattr(self, name))))
-
-    @property
-    def distills(self) -> bool:
-        return (self.w_ld_main > 0 or self.w_ld_vlr > 0
-                or self.w_kd_main > 0 or self.w_kd_vlr > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +437,16 @@ class SceneTruth:
         object.__setattr__(self, "edge_targets", targets)
 
 
-def _require_distances(grid: BinGrid, term: str) -> None:
-    """Box terms decode boxes from edge distances, so ``term`` needs a grid
-    of nonnegative ones."""
+def _require_distances(grid: BinGrid, weights) -> None:
+    """Box terms decode boxes from edge distances, so weight rows ``(S,
+    len(_TERMS))`` that weight box regression or TBR need a grid of
+    nonnegative ones."""
     if grid.e_min < 0.0:
-        raise ValueError(f"{term} needs nonnegative edge distances (grid.e_min >= 0)")
+        weights = np.asarray(weights)
+        for name, term in (("reg", "the box regression term"),
+                           ("tbr", "teacher-bounded regression")):
+            if (weights[:, _TERMS.index(name)] > 0.0).any():
+                raise ValueError(f"{term} needs nonnegative edge distances (grid.e_min >= 0)")
 
 
 def _expectation_chain(p: np.ndarray, yhat: np.ndarray, endpoints: np.ndarray,
@@ -466,14 +466,15 @@ class SceneObjective:
     """The composite objective of one scene, compiled for repeated steps,
     for one student or a stack of S students trained together.
 
-    ``cfg`` is one :class:`DistillConfig`, or one per student of a stack
-    (sharing ``grid``, ``tau`` and ``tbr_margin``); ``tbr_weight`` is one
-    weight, or one per student. Each student is then one row of per-term
-    weights, and each term runs only on the students that weight it: each
-    distillation term as one tempered KL, TBR on its own students, and the
-    supervised terms, whose values every trace reports, on all of them.
+    ``weights`` holds one row of per-term weights per student, ``(S,
+    len(_TERMS))`` in ``_TERMS`` order; by default it is ``cfg``'s own one
+    row, with TBR at 0. Of ``cfg`` the objective then reads only ``grid``,
+    ``tau`` and ``tbr_margin``. Each term runs only on the students that
+    weight it: each distillation term as one tempered KL, TBR on its own
+    students, and the supervised terms, whose values every trace reports,
+    on all of them.
 
-    Built once per (truth, masks, configs, teacher outputs): it validates
+    Built once per (truth, masks, weights, teacher outputs): it validates
     the inputs and computes everything that does not depend on the
     students, bins first: the main/VLR indices, the one-hot labels, the main
     rows' edge target distributions, their target edges and box areas, and
@@ -490,24 +491,25 @@ class SceneObjective:
     The main rows' edge targets default to the two-hot encodings of
     ``truth.edge_targets`` (DFL). ``edge_dists``, ``(K, E, m)`` over the K
     main positives, replaces them with any target distributions (the
-    general distribution of GFL); the term keeps the weight ``w_dfl``.
-    ``tbr_weight > 0`` adds that multiple of teacher-bounded regression
+    general distribution of GFL); the term keeps its ``dfl`` weight. A
+    positive ``tbr`` weight adds that multiple of teacher-bounded regression
     (:func:`scene_tbr_loss`) to every step, on the edges the step decodes
     anyway.
     """
 
-    def __init__(self, truth: SceneTruth, masks: RegionMasks,
-                 cfg: DistillConfig | list[DistillConfig], teacher: SceneOutputs | None,
-                 n_classes: int, edge_dists: np.ndarray | None = None,
-                 tbr_weight: float | list[float] = 0.0) -> None:
-        cfgs = [cfg] if isinstance(cfg, DistillConfig) else list(cfg)
-        tbr = np.broadcast_to(np.asarray(tbr_weight, dtype=np.float64), (len(cfgs),))
-        if len({(c.grid, c.tau, c.tbr_margin) for c in cfgs}) != 1:
-            raise ValueError("a stack's configs must share grid, tau and tbr_margin")
-        for w in tbr:
-            check_nonnegative("tbr_weight", w)
+    def __init__(self, truth: SceneTruth, masks: RegionMasks, cfg: DistillConfig,
+                 teacher: SceneOutputs | None, n_classes: int,
+                 edge_dists: np.ndarray | None = None, weights=None) -> None:
+        if weights is None:
+            weights = [[getattr(cfg, "w_" + t) for t in _COMPONENTS] + [0.0]]
+        weights = np.array(weights, dtype=np.float64)
+        if weights.ndim != 2 or not len(weights) or weights.shape[1] != len(_TERMS):
+            raise ValueError(f"weights must be rows of {len(_TERMS)} per-term weights, "
+                             f"one per student, got shape {weights.shape}")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ValueError("weights must be finite and nonnegative")
         a, n_edges = truth.edge_targets.shape
-        grid = cfgs[0].grid
+        grid = cfg.grid
         m = grid.size
         self.cls_shape = (a, int(n_classes))
         self.edge_shape = (a, n_edges, m)
@@ -515,21 +517,22 @@ class SceneObjective:
             raise ValueError("scene truth and masks disagree on the anchor count")
         if ((truth.labels < 0) | (truth.labels >= n_classes)).any():
             raise ValueError("class labels out of range")
-        if any(c.distills for c in cfgs) and teacher is None:
-            raise ValueError("distillation weights are active but no teacher outputs given")
-        if teacher is not None:
+        # One row per term, one column per student.
+        self._weights = weights.T.copy()
+        weight = dict(zip(_TERMS, self._weights))
+        w_reg, tbr = weight["reg"], weight["tbr"]
+        if teacher is None:
+            if any((weight[t] > 0.0).any() for t in ("ld_main", "ld_vlr", "kd_main", "kd_vlr")):
+                raise ValueError("distillation weights are active but no teacher outputs given")
+            if (tbr > 0.0).any():
+                raise ValueError("teacher-bounded regression needs teacher outputs")
+        else:
             teacher = _checked(teacher)
             if (teacher.cls_logits.shape != self.cls_shape
                     or teacher.edge_logits.shape != self.edge_shape):
                 raise ValueError("teacher and student scene outputs must have identical shapes")
-        # One row per term, one column per student.
-        self._weights = np.array([[getattr(c, "w_" + t) for t in _COMPONENTS] + [w]
-                                  for c, w in zip(cfgs, tbr)]).T.copy()
-        weight = dict(zip(_TERMS, self._weights))
-        w_reg = weight["reg"]
-        if (w_reg > 0.0).any():
-            _require_distances(grid, "the box regression term")
-        self.grid, self.tau, self.tbr_margin = grid, cfgs[0].tau, cfgs[0].tbr_margin
+        _require_distances(grid, weights)
+        self.grid, self.tau, self.tbr_margin = grid, cfg.tau, cfg.tbr_margin
         # Each cross-entropy target, bins first, with the flat picks of its
         # nonzero entries, and each student's weight of its term.
         self._cls_picks = truth.labels * a + np.arange(a)
@@ -575,9 +578,6 @@ class SceneObjective:
             self.edge_blocks += ((self.vlr_idx, self._ld_vlr.students),)
         self._tbr = None
         if (tbr > 0.0).any():
-            if teacher is None:
-                raise ValueError("teacher-bounded regression needs teacher outputs")
-            _require_distances(grid, "teacher-bounded regression")
             _, edges_t = _decode(teacher.edge_logits[self.main_idx].T, grid)
             self._tbr = np.flatnonzero(tbr > 0.0)
             self._tbr_weight = tbr[self._tbr][:, None]
@@ -595,7 +595,7 @@ class SceneObjective:
              ) -> tuple[float, np.ndarray, np.ndarray, dict[str, float]]:
         """The one-student objective at ``student``: ``(value, grad_cls (A,
         C), grad_edges (A, E, m), components)``; see :func:`total_loss`.
-        With a ``tbr_weight``, its multiple of TBR is in the value and
+        With a ``tbr`` weight, its multiple of TBR is in the value and
         gradient but not in the components. The public-layout form of
         :meth:`block_step` on a stack of one: zero outside the edge blocks."""
         if self._weights.shape[1] != 1:
@@ -656,9 +656,9 @@ class SceneObjective:
     def _box_terms(self, p: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """The box terms at the students' main-row edge probabilities ``p``
         ``(S, m, E, k)``: the ``1 - GIoU`` regression value and the TBR
-        value (0 unless ``tbr_weight > 0``) go to ``terms``; returns the
-        ``(S, m, E, k)`` edge-logit gradient of their sum at weights
-        ``w_reg`` and ``tbr_weight``, chained through the decode once. Both
+        value (0 unless a ``tbr`` weight is positive) go to ``terms``;
+        returns the ``(S, m, E, k)`` edge-logit gradient of their sum at the
+        ``reg`` and ``tbr`` weights, chained through the decode once. Both
         act on the decoded edges directly (see
         :func:`~locdistill.geometry._giou_edges`). TBR is the regression
         term on the anchors whose decoded edges are farther from the ground
@@ -738,10 +738,8 @@ def scene_tbr_loss(
     if main_mask.shape != (a,):
         raise ValueError(f"main mask shape {main_mask.shape} does not match {a} anchors")
     masks = RegionMasks(main=main_mask, vlr=np.zeros(a, dtype=bool))
-    tbr_only = replace(cfg, w_cls=0.0, w_reg=0.0, w_dfl=0.0, w_ld_main=0.0,
-                       w_ld_vlr=0.0, w_kd_main=0.0, w_kd_vlr=0.0)
-    objective = SceneObjective(truth, masks, tbr_only, teacher,
-                               student.cls_logits.shape[1], tbr_weight=1.0)
+    objective = SceneObjective(truth, masks, cfg, teacher, student.cls_logits.shape[1],
+                               weights=[[0.0] * len(_COMPONENTS) + [1.0]])
     objective._check_student(student)
     value, _, grad_edges, _ = objective.step(student)
     return LossResult(value=value,

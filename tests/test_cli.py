@@ -165,6 +165,19 @@ class TestConfigValidation:
             f"config error: {term} needs nonnegative edge distances (grid.e_min >= 0)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("harness.max_offset=3",
+         "max_offset 3 pushes mixture centers outside the regression range [0, 8]"),
+        ("harness.train_features=false", "scheme 'feature_imitation' imitates features"),
+    ])
+    def test_untrainable_harness_is_config_error(self, tmp_path, capsys, override, message):
+        """Training would reject these after generating data; the sweep
+        forms are in ``TestSweepValidation``."""
+        out = tmp_path / "out"
+        assert main(["-o", str(out), "--set", override, "experiment"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         [*FAST_VERIFY, "verify"],
         ["dump-assignment"],
@@ -565,6 +578,8 @@ class TestSweepValidation:
         ["sweep.values=[0.5, 0.5]"],
         ["sweep.seeds=[0, 0]"],
         ["sweep.schemes=[baseline, baseline]"],
+        ["harness.max_offset=3"],
+        ["harness.train_features=false", "sweep.schemes=[feature_imitation]"],
     ])
     def test_rejected_before_training(self, tmp_path, overrides):
         out = tmp_path / "sw"

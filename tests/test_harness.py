@@ -31,7 +31,8 @@ from locdistill.harness import (
 )
 from locdistill.harness import experiments
 from locdistill.harness.data import _cdf, _draw
-from locdistill.harness.experiments import DivergenceError, _new_model, scheme_config
+from locdistill.harness.experiments import DivergenceError, _new_model, scheme_weights
+from locdistill.losses import _TERMS
 from locdistill.harness.models import LinearLocalizer
 from locdistill.regions import RegionMasks
 
@@ -331,10 +332,33 @@ class TestTraining:
     def test_ld_weight_is_tau_squared(self):
         for tau in (1.0, 3.0, 10.0):
             base = DistillConfig(grid=GRID, tau=tau, w_reg=2.0)  # LD weights tie to w_reg
-            cfg = scheme_config(SCHEMES["selective"], base, 0.25)
-            assert cfg.w_ld_main == cfg.w_ld_vlr == 2.0 * tau * tau
-            assert cfg.w_kd_main == DCFG.w_cls  # KD stays unscaled
-        assert scheme_config(SCHEMES["ld_main"], DCFG).w_ld_main == 100.0
+            w = dict(zip(_TERMS, scheme_weights("selective", base, FAST)))
+            assert w["ld_main"] == w["ld_vlr"] == 2.0 * tau * tau
+            assert w["kd_main"] == DCFG.w_cls  # KD stays unscaled
+        assert dict(zip(_TERMS, scheme_weights("ld_main", DCFG, FAST)))["ld_main"] == 100.0
+
+    def test_scheme_weight_table(self):
+        """Each scheme's weight row at the default config, in ``_TERMS``
+        order: LD at tau**2 = 100, DFL at ld_dfl_scale under LD, TBR at
+        tbr_weight."""
+        rows = {name: scheme_weights(name, DCFG, HarnessConfig()) for name in SCHEMES}
+        assert rows == {
+            "baseline": [1, 1, 1, 0, 0, 0, 0, 0],
+            "tbr": [1, 1, 1, 0, 0, 0, 0, 1],
+            "kd_main": [1, 1, 1, 0, 0, 1, 0, 0],
+            "ld_main": [1, 1, 0.25, 100, 0, 0, 0, 0],
+            "ld_main_vlr": [1, 1, 0.25, 100, 100, 0, 0, 0],
+            "selective": [1, 1, 0.25, 100, 100, 1, 0, 0],
+            "feature_imitation": [1, 1, 1, 0, 0, 0, 0, 0],
+        }
+
+    def test_feature_imitation_needs_trained_features(self):
+        """Frozen features would drop the imitation gradient and train the
+        baseline under another name."""
+        cfg = replace(FAST, train_features=False)
+        ds = gen_dataset(cfg, DCFG, seed=0)
+        with pytest.raises(ValueError, match="train_features"):
+            train(_new_model(cfg, GRID, 0)[None], ds, ["feature_imitation"], None, cfg, DCFG)
 
     def test_ld_main_trains_at_unit_temperature(self):
         """At tau = 1 the LD step is as large as at tau = 10; the fixed
@@ -521,7 +545,7 @@ class TestExperimentRunner:
             build_run_config({"sweep": {"values": []}})
 
     def test_only_the_baseline_trains_without_a_teacher(self):
-        assert [name for name, spec in SCHEMES.items() if not spec.needs_teacher] == [
+        assert [name for name, terms in SCHEMES.items() if not terms] == [
             "baseline"]
 
     def test_ambiguity_sweep_reproducible(self, tmp_path):
@@ -692,8 +716,9 @@ def _degenerate_problem(name, ds, teacher):
                  "empty_vlr": (stack.main, none),
                  "every_anchor_main": (~none, none)}[name]
     objective = SceneObjective(stack.truth, RegionMasks(main=main, vlr=vlr),
-                               scheme_config(SCHEMES["selective"], DCFG, FAST.ld_dfl_scale),
-                               teacher.forward(x)[0], 2, tbr_weight=FAST.tbr_weight)
+                               DCFG, teacher.forward(x)[0], 2,
+                               weights=[[*scheme_weights("selective", DCFG, FAST)[:-1],
+                                         FAST.tbr_weight]])
     return _new_model(FAST, GRID, 12), x, objective, None
 
 

@@ -23,6 +23,7 @@ from locdistill.losses import (
     scene_tbr_loss,
     tbr_loss,
     total_loss,
+    _COMPONENTS,
     _imitation,
 )
 from locdistill.regions import RegionMasks
@@ -669,14 +670,20 @@ class TestSceneTBR:
             assert relative_gradient_error(res.grad, fd) < 1e-5
 
 
+def _row(cfg, tbr=0.0):
+    """``cfg``'s own weight row with TBR at ``tbr``."""
+    return [getattr(cfg, "w_" + t) for t in _COMPONENTS] + [tbr]
+
+
 def _scheme_configs():
     from locdistill.harness import HarnessConfig
-    from locdistill.harness.experiments import SCHEMES, scheme_config
+    from locdistill.harness.experiments import SCHEMES, scheme_weights
 
     h = HarnessConfig()
     base = DistillConfig(grid=GRID, tau=7.0)
-    return {name: scheme_config(spec, base, h.ld_dfl_scale)
-            for name, spec in SCHEMES.items()}
+    return {name: replace(base, **{"w_" + t: w for t, w in
+                                   zip(_COMPONENTS, scheme_weights(name, base, h))})
+            for name in SCHEMES}
 
 
 def _masks(main, vlr):
@@ -704,10 +711,8 @@ class TestSceneObjective:
         else:
             cfg = _scheme_configs()[scheme]
             # scene_tbr_loss is the one-shot form of an objective whose only term is TBR.
-            tbr_only = replace(cfg, w_cls=0.0, w_reg=0.0, w_dfl=0.0, w_ld_main=0.0,
-                               w_ld_vlr=0.0, w_kd_main=0.0, w_kd_vlr=0.0)
-            tbr_objective = SceneObjective(truth, masks, tbr_only, teacher, n_classes=2,
-                                           tbr_weight=1.0)
+            tbr_objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2,
+                                           weights=[[0.0] * len(_COMPONENTS) + [1.0]])
         objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2)
         for _ in range(3):  # fresh students against one compiled objective
             student, _, _, _ = _random_scene(rng, n_anchors=5)
@@ -745,14 +750,26 @@ class TestSceneObjective:
         student, teacher, truth, masks = _random_scene(rng, n_anchors=3)
         cfg = DistillConfig(grid=GRID)
         with pytest.raises(ValueError, match="stacks 2"):
-            SceneObjective(truth, masks, [cfg, cfg], teacher, n_classes=2).step(student)
+            SceneObjective(truth, masks, cfg, teacher, n_classes=2,
+                           weights=[_row(cfg)] * 2).step(student)
+
+    @pytest.mark.parametrize("weights", [
+        [[1.0] * 7], [[1.0] * 9], [1.0] * 8, np.ones((0, 8)),
+        [[1.0] * 7 + [-1.0]], [[1.0] * 7 + [math.nan]], [[math.inf] + [1.0] * 7],
+    ])
+    def test_bad_weight_rows_rejected(self, weights):
+        rng = _rng(117)
+        _, teacher, truth, masks = _random_scene(rng, n_anchors=3)
+        with pytest.raises(ValueError, match="weights must be"):
+            SceneObjective(truth, masks, DistillConfig(grid=GRID), teacher, n_classes=2,
+                           weights=weights)
 
     def test_tbr_needs_teacher(self):
         rng = _rng(113)
         student, _, truth, masks = _random_scene(rng, n_anchors=3)
         cfg = DistillConfig(grid=GRID, w_ld_main=0, w_ld_vlr=0, w_kd_main=0, w_kd_vlr=0)
         with pytest.raises(ValueError, match="teacher"):
-            SceneObjective(truth, masks, cfg, None, n_classes=2, tbr_weight=1.0)
+            SceneObjective(truth, masks, cfg, None, n_classes=2, weights=[_row(cfg, 1.0)])
         with pytest.raises(ValueError, match="teacher"):
             scene_tbr_loss(student, None, truth, masks.main, cfg)
 
@@ -771,7 +788,8 @@ class TestSceneObjective:
             SceneObjective(flat_truth, masks, DistillConfig(grid=GRID, **no_ld), None, 2)
         tbr_only = DistillConfig(grid=GRID, w_cls=0, w_reg=0, w_dfl=0, **no_ld)
         with pytest.raises(ValueError, match="ground-truth box has zero area"):
-            SceneObjective(flat_truth, masks, tbr_only, teacher, 2, tbr_weight=1.0)
+            SceneObjective(flat_truth, masks, tbr_only, teacher, 2,
+                           weights=[_row(tbr_only, 1.0)])
         SceneObjective(flat_truth, masks, replace(tbr_only, w_dfl=1.0), None, 2)
         off_main = _masks([0, 1, 0], [0, 0, 1])
         SceneObjective(flat_truth, off_main, DistillConfig(grid=GRID, **no_ld), None, 2)
@@ -818,7 +836,7 @@ def _oracle_cases(a, seed):
     objective's arguments and a student."""
     from locdistill.harness import HarnessConfig
     from locdistill.harness.data import binned_mixture, gen_dataset
-    from locdistill.harness.experiments import SCHEMES, _new_model, scheme_config
+    from locdistill.harness.experiments import SCHEMES, _new_model, scheme_weights
 
     h = HarnessConfig()
     base = DistillConfig(grid=GRID)
@@ -841,14 +859,13 @@ def _oracle_cases(a, seed):
         true_truth = truth
         masks = _masks(np.arange(a) == 0, np.arange(a) == 1)
         bayes = rng.dirichlet(np.ones(GRID.size), size=(1, 4))
-    for name, spec in SCHEMES.items():
-        cfg = scheme_config(spec, base, h.ld_dfl_scale)
-        yield (name, truth, masks, cfg, teacher if spec.needs_teacher else None,
-               None, h.tbr_weight if spec.tbr else 0.0, student)
+    for name, terms in SCHEMES.items():
+        yield (name, truth, masks, base, teacher if terms else None, None,
+               scheme_weights(name, base, h), student)
     edge_dists = (1.0 - h.label_smoothing) * bayes + h.label_smoothing / GRID.size
     teacher_cfg = DistillConfig(grid=GRID, w_ld_main=0.0, w_ld_vlr=0.0, w_kd_main=0.0,
                                 w_kd_vlr=0.0)
-    yield "teacher", true_truth, masks, teacher_cfg, None, edge_dists, 0.0, student
+    yield "teacher", true_truth, masks, teacher_cfg, None, edge_dists, _row(teacher_cfg), student
 
 
 class TestObjectiveMatchesOracle:
@@ -868,17 +885,17 @@ class TestObjectiveMatchesOracle:
     @pytest.mark.parametrize("a, seed", [(2, 131), (2, 132), (5, 133), (192, 0), (192, 1)])
     def test_step_matches_oracle(self, a, seed):
         points = _rng(seed).uniform(-50.0, 50.0, (a, 2))
-        for (name, truth, masks, cfg, teacher, edge_dists, tbr_weight,
+        for (name, truth, masks, cfg, teacher, edge_dists, row,
              student) in _oracle_cases(a, seed):
             objective = SceneObjective(truth, masks, cfg, teacher, n_classes=2,
-                                       edge_dists=edge_dists, tbr_weight=tbr_weight)
+                                       edge_dists=edge_dists, weights=[row])
             value, g_cls, g_edges, comps = objective.step(student)
             pair = None if teacher is None else (teacher.cls_logits, teacher.edge_logits)
             ref_value, ref_cls, ref_edges, ref_comps = composite_objective_oracle(
                 (student.cls_logits, student.edge_logits), pair, truth.labels,
                 truth.edge_targets, points, masks.main, masks.vlr, GRID.endpoints,
-                {w: getattr(cfg, w) for w in self.WEIGHTS}, cfg.tau, cfg.tbr_margin,
-                tbr_weight=tbr_weight, edge_dists=edge_dists)
+                dict(zip(self.WEIGHTS, row)), cfg.tau, cfg.tbr_margin,
+                tbr_weight=row[-1], edge_dists=edge_dists)
             assert self._close(value, ref_value), name
             assert self._close(g_cls, ref_cls), name
             assert self._close(g_edges, ref_edges), name
