@@ -274,16 +274,21 @@ def load_run_config(config_path: str | None, overrides: list[str],
     return build_run_config(raw)
 
 
-def _check_training_grid(cfg: RunConfig, schemes) -> None:
-    """Reject at load what training would reject after generating data: the
-    mixture offset must fit the grid, box regression and TBR decode boxes
-    from edge distances, so weight rows that weight either need a grid of
-    nonnegative ones, and feature imitation needs trained features."""
+def _check_training_grid(cfg: RunConfig, command: str) -> None:
+    """Reject at load what ``command`` (``experiment`` or ``sweep``) would
+    reject after generating data, at each point it trains: the mixture
+    offset must fit the grid, box regression and TBR decode boxes from edge
+    distances, so weight rows that weight either need a grid of nonnegative
+    ones, and feature imitation needs trained features."""
+    schemes = getattr(cfg, command).schemes
+    points = ([_sweep_point(cfg, value) for value in cfg.sweep.values] if command == "sweep"
+              else [(cfg.harness, cfg.distill)])
     try:
-        _require_distances(cfg.grid, [scheme_weights(s, cfg.distill, cfg.harness)
-                                      for s in schemes])
-        _check_max_offset(cfg.harness, cfg.grid)
-        _check_imitation(schemes, cfg.harness)
+        for harness, distill in points:
+            _require_distances(cfg.grid, [scheme_weights(s, distill, harness)
+                                          for s in schemes])
+            _check_max_offset(harness, cfg.grid)
+            _check_imitation(schemes, harness)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -528,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, args.overrides, args)
         if args.command in ("experiment", "sweep"):
-            _check_training_grid(cfg, getattr(cfg, args.command).schemes)
+            _check_training_grid(cfg, args.command)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

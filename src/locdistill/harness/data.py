@@ -189,12 +189,16 @@ def _draw(cdf: list[float], rng: np.random.Generator) -> int:
 
 
 def _check_max_offset(cfg: HarnessConfig, grid: BinGrid) -> None:
-    """The mixture centers of a mid-range edge, ``max_offset`` either side
-    of it, must lie in the grid's regression range."""
-    mid = _OBJECT_EDGE_MID
-    if mid - cfg.max_offset < grid.e_min or mid + cfg.max_offset > grid.e_max:
+    """Every mixture center must lie in the grid's regression range. An
+    ambiguous edge mixes two centers ``ambiguity * max_offset`` either side
+    of an edge in ``[_OBJECT_EDGE_LO, _OBJECT_EDGE_HI)``; any other edge is
+    its own one center."""
+    spread = cfg.ambiguity * cfg.max_offset if cfg.ambiguous_edge_prob > 0.0 else 0.0
+    lo, hi = _OBJECT_EDGE_LO - spread, _OBJECT_EDGE_HI + spread
+    if lo < grid.e_min or hi > grid.e_max:
         raise ValueError(f"max_offset {cfg.max_offset:g} pushes mixture centers outside "
-                         f"the regression range [{grid.e_min:g}, {grid.e_max:g}]")
+                         f"the regression range [{grid.e_min:g}, {grid.e_max:g}] at "
+                         f"ambiguity {cfg.ambiguity:g} (centers span [{lo:g}, {hi:g}])")
 
 
 def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
@@ -239,12 +243,6 @@ def gen_dataset(cfg: HarnessConfig, dcfg: DistillConfig, seed: int) -> Dataset:
     # others are one center, padded by repeating it at zero weight.
     spreads = np.where(ambiguous, offset, 0.0)
     centers = np.stack([edges - spreads, edges + spreads], axis=-1)
-    out_of_range = ambiguous & ((centers[..., 0] < grid.e_min) | (centers[..., 1] > grid.e_max))
-    if out_of_range.any():
-        raise ValueError(
-            f"ambiguity mixture center outside regression range "
-            f"[{grid.e_min}, {grid.e_max}]: {tuple(centers[out_of_range][0].tolist())}"
-        )
     weights = np.where(ambiguous[..., None], 0.5, np.array([1.0, 0.0]))
     observed = np.take_along_axis(centers, picks[..., None], axis=-1)[..., 0]
 

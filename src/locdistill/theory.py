@@ -17,8 +17,9 @@ gradients come from the loss kernels that training uses
 3. Adding distillation to the two-hot supervised loss rescales its
    per-logit gradient by ``gamma + (lam / tau) * c_i / (u_i - p_i)`` in
    expectation under an additive teacher-confidence model. The noise-free
-   identity is solved as one stack; the Monte-Carlo expectation is averaged
-   per instance over antithetic noise draws, so it equals the closed form to
+   identity and the Monte-Carlo expectation are each solved as one stack;
+   the expectation averages each instance over antithetic draws of the one
+   noise coordinate the ratio reads, so it equals the closed form to
    rounding.
 
 The public one-vector functions (:func:`verify_proposition1`,
@@ -281,6 +282,44 @@ def _exact_rescaling(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray
     return ld_i / dfl_i, predicted
 
 
+def _noisy_rescaling(p: np.ndarray, c: np.ndarray, i: np.ndarray, u1: np.ndarray,
+                     u2: np.ndarray, gamma: np.ndarray, lam: np.ndarray, tau: np.ndarray,
+                     eta_scale: float, trials: int, rngs) -> tuple[np.ndarray, ...]:
+    """Measured mean, predicted ratio and standard error, ``(n,)`` each, of
+    the rescaling identity under teacher noise, for the stacked instances of
+    :func:`_rescaling_setup` and one generator per row.
+
+    Only the probed bin of each centred noise vector enters the ratio. For
+    ``m`` iid N(0, eta^2) entries, ``eta_i - mean(eta)`` is N(0, eta^2 (m - 1) / m),
+    so each row draws ``trials / 2`` values of that marginal and uses each
+    with both signs.
+    """
+    n, m = p.shape
+    rows = np.arange(n)
+    _, p_tau, c_eff, predicted, dfl_i = _rescaling_setup(p, c, i, u1, u2, gamma, lam, tau)
+    scale = eta_scale * math.sqrt((m - 1) / m)
+    half = trials // 2
+    p_tau_i = p_tau[rows, i][:, None]
+    dfl_i = dfl_i[:, None]
+    # One (n, trials) buffer, turned in place from the signed draws into
+    # q_tau_i and then into (gamma * dfl + (lam / tau) * (p_tau - q_tau))_i / dfl_i,
+    # identical to composing the dfl_loss and kd_loss gradients.
+    ratios = np.empty((n, trials))
+    for row, rng in zip(ratios, rngs):
+        row[:half] = rng.normal(0.0, scale, size=half)
+    np.negative(ratios[:, :half], out=ratios[:, half:])
+    ratios += p_tau_i + c_eff[rows, i][:, None]
+    np.subtract(p_tau_i, ratios, out=ratios)
+    ratios *= (lam / tau)[:, None]
+    ratios += gamma[:, None] * dfl_i
+    ratios /= dfl_i
+    measured = ratios.mean(axis=1)
+    # ratios.std(axis=1, ddof=1), without its (n, trials) copy.
+    ratios -= measured[:, None]
+    std = np.sqrt(np.square(ratios, out=ratios).sum(axis=1) / (trials - 1))
+    return measured, predicted, std / math.sqrt(trials)
+
+
 def gradient_rescaling_ratio(
     p,
     c,
@@ -298,14 +337,16 @@ def gradient_rescaling_ratio(
 
     The teacher's tempered distribution follows the additive model
     ``q_tau = p_tau + c + eta`` with ``eta`` zero-mean noise of scale
-    ``eta_scale``. With ``eta_scale = 0`` the measured ratio is computed
-    through the real loss code paths and must match exactly. With noise the
-    ratio is averaged over ``trials`` (even) Monte-Carlo draws: ``trials / 2``
-    Gaussian vectors, each centred so that ``q_tau`` sums to 1 and used as
-    ``+eta`` and ``-eta``. The ratio is affine in ``q_tau``, so this
-    antithetic average equals the closed form to rounding. The draws are not
-    restricted to the simplex: the ratio needs only ``q_tau`` summing to 1.
-    ``std_error`` is what an average of independent draws would carry.
+    ``eta_scale``, centred so that ``q_tau`` sums to 1. With
+    ``eta_scale = 0`` the measured ratio is computed through the real loss
+    code paths and must match exactly. With noise the ratio is averaged over
+    ``trials`` (even) Monte-Carlo draws: ``trials / 2`` draws of the probed
+    bin's centred noise, taken from its exact marginal (the one-row call of
+    :func:`_noisy_rescaling`), each used as ``+eta_i`` and ``-eta_i``. The
+    ratio is affine in ``q_tau``, so this antithetic average equals the
+    closed form to rounding. The draws are not restricted to the simplex:
+    the ratio needs only ``q_tau`` summing to 1. ``std_error`` is what an
+    average of independent draws would carry.
     """
     p = _check_simplex(p, "student probabilities")
     c = np.asarray(c, dtype=np.float64)
@@ -337,22 +378,12 @@ def gradient_rescaling_ratio(
     trials = _check_pairs("trials", trials)
     if rng is None:
         rng = np.random.default_rng(0)
-    _, p_tau, c_eff, predicted, dfl_grad_i = (a[0] for a in _rescaling_setup(*row))
-    # Bins-major, so the centring reduces over the short axis 0; only the
-    # probed bin of each centred draw enters the ratio.
-    noise = rng.normal(0.0, eta_scale, size=(p.shape[0], trials // 2))
-    eta_i = noise[i] - noise.mean(axis=0)
-    q_tau_i = (p_tau + c_eff)[i] + np.concatenate([eta_i, -eta_i])
-    # (gamma * dfl + (lam / tau) * (p_tau - q_tau))_i / dfl_i, vectorized
-    # over trials; identical to composing dfl_loss and kd_loss gradients.
-    ratios = (gamma * dfl_grad_i + (lam / tau) * (p_tau[i] - q_tau_i)) / dfl_grad_i
-    measured = float(ratios.mean())
-    std_error = float(ratios.std(ddof=1) / math.sqrt(trials))
+    measured, predicted, std_error = _noisy_rescaling(*row, eta_scale, trials, [rng])
     return RescalingReport(
-        measured_ratio=measured,
-        predicted_ratio=float(predicted),
-        abs_error=abs(measured - predicted),
-        std_error=std_error,
+        measured_ratio=measured[0],
+        predicted_ratio=predicted[0],
+        abs_error=abs(measured[0] - predicted[0]),
+        std_error=float(std_error[0]),
         trials=trials,
     )
 
@@ -447,10 +478,11 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
 
     The noise-free identity is checked over ``trials`` random instances,
     solved as one stack; the noisy expectation over ``mc_instances`` further
-    instances, each averaged over ``mc_trials`` antithetic draws (see
-    :func:`gradient_rescaling_ratio`). Both kinds of instance come from
-    :func:`_rescaling_draws` on one generator, and each part reports its
-    largest absolute error against the closed form.
+    instances, also one stack, each row averaged over ``mc_trials``
+    antithetic draws from its own generator (see :func:`_noisy_rescaling`).
+    Both kinds of instance come from :func:`_rescaling_draws` on one
+    generator, and each part reports its largest absolute error against the
+    closed form.
     """
     trials = check_count("trials", trials)
     mc_instances = check_count("mc_instances", mc_instances)
@@ -465,12 +497,13 @@ def certify_rescaling(trials: int = 1000, seed: int = 0, size: int = 9,
     worst = float(np.abs(measured - predicted).max())
 
     p, c, i, u1, gamma, lam, tau = _rescaling_draws(rng, mc_instances, size)
-    mc_worst = 0.0
-    for k in range(mc_instances):
-        target = TwoHotTarget(i=i[k], u1=u1[k], u2=1.0 - u1[k])
-        report = gradient_rescaling_ratio(p[k], c[k], eta_scale, gamma[k], lam[k], tau[k],
-                                          target, trials=mc_trials, rng=_spawn_rng(seed, 4 + k))
-        mc_worst = max(mc_worst, report.abs_error)
+    stack = (_check_simplex(p, "student probabilities"), c, i, u1, 1.0 - u1, gamma, lam, tau)
+    if eta_scale == 0.0:
+        measured, predicted = _exact_rescaling(*stack)
+    else:
+        rngs = [_spawn_rng(seed, 4 + k) for k in range(mc_instances)]
+        measured, predicted, _ = _noisy_rescaling(*stack, eta_scale, mc_trials, rngs)
+    mc_worst = float(np.abs(measured - predicted).max())
 
     return {
         "max_abs_error": worst,

@@ -107,7 +107,7 @@ class TestConfigValidation:
         cfg = RunConfig(distill=DistillConfig(grid=BinGrid(-1.0, 8.0, 9)))
         assert cfg.grid is cfg.distill.grid
         with pytest.raises(ConfigError, match="grid.e_min >= 0"):
-            _check_training_grid(cfg, ("baseline",))
+            _check_training_grid(cfg, "experiment")
 
     def test_threads_validated(self):
         with pytest.raises(ConfigError):
@@ -177,6 +177,25 @@ class TestConfigValidation:
         assert main(["-o", str(out), "--set", override, "experiment"]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+    def test_mixture_spread_is_config_error(self, tmp_path, capsys):
+        """The spread is ambiguity * max_offset around edges from 1.7 to 2.7,
+        so a center falls at -0.3 although the mid-range edge's do not."""
+        out = tmp_path / "out"
+        assert main(["-o", str(out), "--set", "harness.max_offset=2",
+                     "--set", "harness.ambiguity=1", "experiment"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: max_offset 2 pushes mixture centers outside the regression range "
+            "[0, 8] at ambiguity 1 (centers span [-0.3, 4.7])\n")
+        assert not out.exists()
+
+    def test_mixture_within_the_grid_accepted(self, tmp_path):
+        """A spread of 2.5 * 0.5 = 1.25 keeps every center of an edge in
+        [1.7, 2.7] inside [0, 8], though ``max_offset`` alone would not."""
+        out = tmp_path / "out"
+        assert main(["-o", str(out), *FAST_EXPERIMENT, "--set", "harness.max_offset=2.5",
+                     "--set", "harness.ambiguity=0.5", "experiment"]) == 0
+        assert (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         [*FAST_VERIFY, "verify"],
@@ -580,6 +599,8 @@ class TestSweepValidation:
         ["sweep.schemes=[baseline, baseline]"],
         ["harness.max_offset=3"],
         ["harness.train_features=false", "sweep.schemes=[feature_imitation]"],
+        # Fits at harness.ambiguity 0.5, not at the swept ambiguity 1.0.
+        ["harness.max_offset=2", "harness.ambiguity=0.5"],
     ])
     def test_rejected_before_training(self, tmp_path, overrides):
         out = tmp_path / "sw"

@@ -99,6 +99,21 @@ class TestDataGeneration:
         with pytest.raises(ValueError, match="range"):
             gen_dataset(cfg, DCFG, seed=0)
 
+    def test_mixture_bound_is_exact(self):
+        """Edges run from 1.7 to 2.7, so a spread of exactly 1.7 reaches the
+        grid's 0 and is kept, and a little more is rejected. Edges that are
+        never ambiguous have no spread, but must fit the grid themselves."""
+        ds = gen_dataset(replace(FAST, max_offset=1.7, ambiguity=1.0), DCFG, seed=0)
+        centers = ds.train.centers[ds.train.n_components == 2]
+        assert centers.size and centers.min() >= DCFG.grid.e_min
+        with pytest.raises(ValueError, match="^max_offset 1.71 pushes mixture centers"):
+            gen_dataset(replace(FAST, max_offset=1.71, ambiguity=1.0), DCFG, seed=0)
+        gen_dataset(replace(FAST, max_offset=10.0, ambiguity=1.0, ambiguous_edge_prob=0.0),
+                    DCFG, seed=0)
+        with pytest.raises(ValueError, match=r"centers span \[1.7, 2.7\]\)$"):
+            gen_dataset(replace(FAST, ambiguity=0.0), DistillConfig(grid=BinGrid(0.0, 2.0, 4)),
+                        seed=0)
+
     def test_strata_present(self):
         ds = gen_dataset(replace(FAST, n_train=150), DCFG, seed=5)
         mains = ds.train.main.sum()

@@ -324,9 +324,11 @@ class TestGradientRescaling:
         assert report.abs_error <= 1e-6 * report.std_error
 
     def test_monte_carlo_exact_at_wide_noise(self):
-        """``eta_scale`` 0.05 was once rejected as too wide for 9 bins. About
-        a sixth of its draws here leave the simplex, but the ratio needs only
-        ``q_tau`` summing to 1, so the mean stays exact."""
+        """``eta_scale`` 0.05 was once rejected as too wide for 9 bins: here
+        about a sixth of the full noise vectors would put ``q_tau`` off the
+        simplex. The kernel draws only the probed bin of the centred noise,
+        and the ratio needs only ``q_tau`` summing to 1, so the mean stays
+        exact."""
         rng = _rng(24)
         p = rng.dirichlet(np.ones(9))
         target = TwoHotTarget(i=4, u1=0.7, u2=0.3)
@@ -334,6 +336,48 @@ class TestGradientRescaling:
             p, rng.normal(0, 0.01, 9), 0.05, gamma=0.5, lam=1.5, tau=4.0, target=target,
             trials=20_000, rng=_rng(98))
         assert report.abs_error <= 1e-10
+
+    @pytest.mark.parametrize("m", [4, 9])
+    def test_monte_carlo_spread_is_the_centred_marginal(self, m):
+        """The exactness gate holds at any noise scale, since the antithetic
+        mean is exact; the spread pins the scale. The ratio is affine in the
+        probed bin's centred noise, whose marginal for ``m`` iid N(0, eta^2)
+        entries is N(0, eta^2 (1 - 1/m)), so the draws' standard deviation
+        is ``(lam / tau) * eta * sqrt(1 - 1/m) / |dfl_i|``."""
+        rng = _rng(60 + m)
+        p = rng.dirichlet(np.ones(m))
+        target = TwoHotTarget(i=1, u1=0.6, u2=0.4)
+        eta, lam, tau, trials = 0.01, 1.3, 4.0, 100_000
+        report = gradient_rescaling_ratio(p, rng.normal(0, 0.01, m), eta, gamma=0.8, lam=lam,
+                                          tau=tau, target=target, trials=trials, rng=_rng(61))
+        dfl_i = dfl_loss(np.log(p), target).grad[target.i]
+        expected = (lam / tau) * eta * np.sqrt(1.0 - 1.0 / m) / abs(dfl_i)
+        assert report.std_error * np.sqrt(trials) == pytest.approx(expected, rel=0.02)
+
+    def test_each_instance_draws_half_its_trials(self, monkeypatch):
+        """Each Monte-Carlo instance draws ``trials / 2`` normals from its
+        own generator and nothing more, on both the one-row and the
+        certificate path."""
+        rng, ref = _rng(70), _rng(70)
+        gradient_rescaling_ratio(np.full(5, 0.2), np.zeros(5), 0.01, 1.0, 1.0, 5.0,
+                                 TwoHotTarget(i=1, u1=0.5, u2=0.5), trials=3_000, rng=rng)
+        ref.normal(size=1_500)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+        made = {}
+        real = theory._spawn_rng
+
+        def spawn(seed, tag):
+            made[tag] = real(seed, tag)
+            return made[tag]
+
+        monkeypatch.setattr(theory, "_spawn_rng", spawn)
+        certify_rescaling(trials=10, seed=7, mc_instances=3, mc_trials=2_000)
+        assert sorted(made) == [3, 4, 5, 6]
+        for tag in (4, 5, 6):
+            ref = real(7, tag)
+            ref.normal(size=1_000)
+            assert made[tag].bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("trials", [0, 1, 3, 10_001])
     def test_monte_carlo_needs_pairs_of_draws(self, trials):
@@ -414,6 +458,13 @@ class TestGradientRescaling:
         cert = certify_rescaling(seed=seed, eta_scale=0.01)
         assert cert["mc_max_abs_error"] <= 1e-10
         assert cert["max_abs_error"] <= 1e-10
+
+    def test_certificate_exact_on_every_seed(self):
+        """Both parts of the default certificate hold at 1e-10 on seeds 0-39,
+        the range the ``verify`` scans cover."""
+        errors = {seed: certify_rescaling(seed=seed) for seed in range(40)}
+        assert max(cert["max_abs_error"] for cert in errors.values()) <= 1e-10
+        assert max(cert["mc_max_abs_error"] for cert in errors.values()) <= 1e-10
 
     def test_nan_coefficients_rejected(self):
         p, c = np.full(4, 0.25), np.zeros(4)
